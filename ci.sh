@@ -5,7 +5,7 @@
 # MemoryResult::unclear_syndromes are exercised where asserts are
 # gone), Release-mode smoke runs of the examples, and a btwc_run
 # scenario leg that validates the unified JSON Report and archives it
-# as BENCH_scenario.json.
+# as BENCH_scenario.json, and the repo benchmark's smoke test.
 #
 #   ./ci.sh            # full verify + Release suite + smoke
 #   ./ci.sh --verify   # tier-1 verify only
@@ -242,7 +242,7 @@ echo "== decode fabric gate: btwc_run fabric-quick -> BENCH_fabric.json =="
 # 2-link priority fabric with a hot tenant quartile and per-request
 # deadlines) runs single-threaded under deep audits — conservation
 # across links, the per-request starvation bound, and the FIFO
-# lockstep cursor are all re-proved every cycle — and its metrics
+# head check are all re-proved every cycle — and its metrics
 # subtree, including the per-link and per-tenant tables under
 # metrics.fabric, must match the committed artifact exactly.
 FRESH_FABRIC="build-release/BENCH_fabric.fresh.json"
@@ -311,6 +311,18 @@ else
     }
     echo "chaos soak OK (grep fallback)"
 fi
+
+echo
+echo "== repo benchmark smoke: benchmark/ -> build-bench =="
+# The standalone benchmark project (benchmark/README.md) rebuilds the
+# library in Release and its smoke test runs every workload at 1/100
+# volume through both passes. Its replicas drive the public tenant/link
+# API (attach_shared_service, deliver_offchip_correction, tenant_stats)
+# and must reproduce run_scenario's metrics exactly, so this leg
+# catches an API or behaviour slip in the off-chip transport.
+cmake -S benchmark -B build-bench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-bench -j "${JOBS}"
+ctest --test-dir build-bench --output-on-failure --no-tests=error
 
 echo
 echo "== micro benchmarks: micro_decoders -> BENCH_decoders.json =="

@@ -57,7 +57,7 @@ scenario_registry()
          "kind=exact-fleet,d=5,p=6e-3,shared,fleet=12,latency=2,"
          "bandwidth=1,cycles=3000"},
         {"fleet-private",
-         "exact fleet with per-qubit private synchronous queues",
+         "exact fleet with one zero-latency link per qubit",
          "kind=exact-fleet,d=5,p=6e-3,fleet=8,cycles=3000"},
         {"fabric-quick",
          "2-link priority fabric with a hot tenant quartile (CI gate)",

@@ -157,7 +157,7 @@ OffchipServiceFlags offchip_from_flags(const Flags &flags);
  *
  *   --shared-link    route every simulated qubit's escalations
  *                    through one shared off-chip service instead of
- *                    per-qubit private queues
+ *                    one link per qubit
  *   --fleet-size N   number of fully simulated pipelines in the
  *                    exact fleet (default per binary; N <= 0 clamps
  *                    to the default)

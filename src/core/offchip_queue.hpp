@@ -1,13 +1,31 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/fifo.hpp"
 #include "common/stats.hpp"
-#include "core/stall.hpp"
 
 namespace btwc {
+
+/**
+ * Relative execution-time increase of a stalled run: stall cycles per
+ * work cycle (the paper's Fig. 16 x-axis). An all-stall run — stalls
+ * recorded but zero work cycles — is an infinite slowdown, not a free
+ * one, so it saturates to +inf instead of reading as 0.
+ */
+inline double
+stall_execution_time_increase(uint64_t stall_cycles, uint64_t work_cycles)
+{
+    if (work_cycles == 0) {
+        return stall_cycles == 0
+                   ? 0.0
+                   : std::numeric_limits<double>::infinity();
+    }
+    return static_cast<double>(stall_cycles) /
+           static_cast<double>(work_cycles);
+}
 
 /** Service parameters of the off-chip decode link (§5.2). */
 struct OffchipQueueConfig
@@ -38,20 +56,23 @@ struct OffchipQueueConfig
 
 /**
  * Asynchronous off-chip decode service: a latency-L, bandwidth-B FIFO
- * queue (§5.2 of the paper, generalizing `StallController`).
+ * queue with decode-overflow execution stalling (§5.2 of the paper).
  *
  * Each cycle, up to `bandwidth` queued requests enter service and
  * their results land `latency` cycles later; excess demand carries
  * over as backlog, and a cycle that ends with backlog forces the next
- * cycle to stall exactly like `StallController` (with `latency == 0`
- * the two are step-for-step identical — tested). On top of the stall
- * accounting the queue tracks the end-to-end queueing delay of every
- * request (enqueue to landing) and the size of every served batch,
- * the two observables the synchronous model cannot express.
+ * cycle to stall: the waveform generator issues identity gates
+ * (Fig. 10), no program progress is made, but qubits keep decohering,
+ * so fresh requests still arrive. At `latency == 0` the backlog obeys
+ * the Lindley recursion b' = max(0, b + fresh - bandwidth) (tested).
+ * On top of the stall accounting the queue tracks the end-to-end
+ * queueing delay of every request (enqueue to landing) and the size
+ * of every served batch, the two observables the synchronous model
+ * cannot express.
  *
- * This class only counts requests; callers that need to carry decode
- * payloads (e.g. `BtwcSystem`) keep them in parallel FIFOs and use the
- * returned `StepResult` to know how many entries to move per cycle.
+ * This class only counts requests; `SharedOffchipService` carries the
+ * decode payloads in parallel and uses the returned `StepResult` to
+ * know how many entries to move per cycle.
  */
 class OffchipQueue
 {

@@ -20,14 +20,14 @@ namespace btwc {
  * pipelines (§5 of the paper -- the machine has *one*
  * fridge-to-room-temperature decoder, not one per logical qubit).
  *
- * Ownership inversion: a stand-alone `BtwcSystem` owns a private
- * queue and services it inside its own `step()`; under the shared
- * service the systems only *enqueue* tagged requests during their
- * step, and the fleet harness advances the link exactly once per
- * machine cycle via `step()`, after every tenant has stepped. Served
- * batches therefore mix requests from different qubits, which is what
- * makes `TierChain::decode_batch_from` amortization measurable at
- * fleet scale: within one qubit, batches are bounded by the
+ * It is the only off-chip transport: a stand-alone `BtwcSystem` builds
+ * a one-tenant instance and steps it inside its own `step()`; a fleet
+ * shares one instance, its systems only *enqueue* tagged requests
+ * during their step, and the fleet harness advances the link exactly
+ * once per machine cycle via `step()`, after every tenant has stepped.
+ * Served batches therefore mix requests from different qubits, which
+ * is what makes `TierChain::decode_batch_from` amortization measurable
+ * at fleet scale: within one qubit, batches are bounded by the
  * one-outstanding-request-per-half reconciliation contract
  * (core/system.hpp), but N qubits escalating in the same cycle share
  * one decoder invocation per lattice half.
@@ -43,23 +43,22 @@ namespace btwc {
  * Oracle-policy requests carry their correction in the payload and
  * bypass the chains entirely.
  *
- * Scheduling is strict FIFO across owners by default. Combined with
- * the one-outstanding-request-per-half contract (no tenant can occupy
- * more than two link slots), this is round-robin fair: a narrow link
- * serves qubits in their escalation order and no tenant can starve
- * another (tested). `set_scheduler` swaps in one of the decode
- * fabric's disciplines (src/fabric/scheduler.hpp) -- the scheduler
- * re-orders *which* waiting requests enter service each cycle but
- * never *how many*, so the link's stall/backlog/served accounting is
- * discipline-invariant and only the per-request delay distribution
- * (tracked service-side, per tenant) moves. A `FifoScheduler` is
- * bit-exact with the legacy path and audited in lockstep with it.
+ * Serve selection always runs through a `FabricScheduler`
+ * (src/fabric/scheduler.hpp); the constructor installs the strict-FIFO
+ * one. Combined with the one-outstanding-request-per-half contract
+ * (no tenant can occupy more than two link slots), FIFO is round-robin
+ * fair: a narrow link serves qubits in their escalation order and no
+ * tenant can starve another (tested). `set_scheduler` swaps in another
+ * discipline -- it re-orders *which* waiting requests enter service
+ * each cycle but never *how many*, so the link's stall/backlog/served
+ * accounting is discipline-invariant and only the per-request delay
+ * distribution (tracked service-side, per tenant) moves.
  *
- * With zero latency and unlimited bandwidth the shared service is
- * bit-exact with the private-queue path: corrections land within the
- * cycle that escalated them, after every tenant has stepped -- and
- * since tenants never read each other's frames mid-cycle, the
- * end-of-cycle machine state is identical (tested).
+ * With zero latency and unlimited bandwidth corrections land within
+ * the cycle that escalated them, after every tenant has stepped -- and
+ * since tenants never read each other's frames mid-cycle, a fleet on
+ * one shared link reaches the same end-of-cycle machine state as the
+ * same fleet with one link per qubit (tested).
  */
 class SharedOffchipService
 {
@@ -115,12 +114,7 @@ class SharedOffchipService
         bool synthetic = false;           ///< surge ballast (swallowed)
     };
 
-    /**
-     * Scheduled-mode per-tenant link accounting (indexed by owner in
-     * `tenant_stats`). Empty until a scheduler is installed: the
-     * legacy strict-FIFO path keeps its original, tenant-blind
-     * accounting untouched.
-     */
+    /** Per-tenant link accounting (indexed by owner in `tenant_stats`). */
     struct TenantLinkStats
     {
         uint64_t enqueued = 0;
@@ -156,17 +150,12 @@ class SharedOffchipService
                          OffchipQueueConfig link);
 
     /**
-     * Install a serve-selection discipline (decode fabric mode). Must
-     * be called before the first `enqueue`; the discipline then owns
-     * the serve order for the whole run (a mid-run swap would tear the
-     * audit trail). Installing `FifoScheduler` keeps the serve order
-     * bit-exact with the legacy path while enabling the scheduled-mode
-     * per-tenant accounting (pinned in tests/test_fabric.cpp).
+     * Replace the default FIFO serve discipline (decode fabric mode).
+     * Must be called before the first `enqueue`; the discipline then
+     * owns the serve order for the whole run (a mid-run swap would
+     * tear the audit trail).
      */
     void set_scheduler(std::unique_ptr<FabricScheduler> scheduler);
-
-    /** Installed discipline, or nullptr on the legacy FIFO path. */
-    const FabricScheduler *scheduler() const { return scheduler_.get(); }
 
     /**
      * Register tenant `owner`'s scheduling lane. Priorities and
@@ -205,11 +194,11 @@ class SharedOffchipService
     }
 
     /**
-     * Enable admission-control load shedding (scheduled mode only):
-     * each `step()` first sheds every waiting request already past its
-     * lane deadline and delivers an empty-correction nack to its owner
-     * in the same cycle, so the owner's half unblocks instead of
-     * waiting on a decode that could no longer help. Expired synthetic
+     * Enable admission-control load shedding: each `step()` first
+     * sheds every waiting request already past its lane deadline and
+     * delivers an empty-correction nack to its owner in the same
+     * cycle, so the owner's half unblocks instead of waiting on a
+     * decode that could no longer help. Expired synthetic
      * surge ballast is shed silently (counted, no nack) — that is what
      * bounds the backlog under a beyond-bandwidth surge.
      */
@@ -229,7 +218,6 @@ class SharedOffchipService
      * fallback decode (core/system.hpp). A waiting request is removed
      * outright; an in-flight one cannot be recalled from the link, so
      * its eventual landing is marked stale and silently discarded.
-     * Scheduled mode only.
      */
     GiveUpResult give_up(int owner, int half);
 
@@ -265,19 +253,19 @@ class SharedOffchipService
     const OffchipQueue &queue() const { return queue_; }
 
     /** Requests enqueued or in flight whose correction has not landed. */
-    size_t pending() const { return waiting_count() + inflight_.size(); }
+    size_t pending() const { return waiting_.size() + inflight_.size(); }
 
     /**
-     * Scheduled-mode enqueue-to-landing delays, recorded service-side
-     * because the counting queue's FIFO delay groups no longer match
-     * individual requests once a discipline re-orders service. Under
-     * `FifoScheduler` this is bin-for-bin equal to
-     * `queue().delay_histogram()` (pinned in tests). Empty on the
-     * legacy path.
+     * Per-request enqueue-to-landing delays of delivered corrections,
+     * recorded service-side because the counting queue's FIFO delay
+     * groups no longer match individual requests once a discipline
+     * re-orders service. Under FIFO with no dropped or stale landings
+     * this is bin-for-bin equal to `queue().delay_histogram()` (pinned
+     * in tests).
      */
     const CountHistogram &delay_histogram() const { return delay_; }
 
-    /** Scheduled-mode landings past their lane deadline. */
+    /** Landings past their lane deadline. */
     uint64_t deadline_misses() const { return deadline_misses_; }
 
     /** Corrections actually delivered to owners (excludes dropped,
@@ -306,7 +294,7 @@ class SharedOffchipService
     uint64_t surge_enqueued() const { return surge_enqueued_; }
     uint64_t surge_landed() const { return surge_landed_; }
 
-    /** Scheduled-mode per-tenant accounting, indexed by owner. */
+    /** Per-tenant accounting, indexed by owner. */
     const std::vector<TenantLinkStats> &tenant_stats() const
     {
         return tenant_stats_;
@@ -314,38 +302,37 @@ class SharedOffchipService
 
     /**
      * Verify the shared-link contracts in place: the underlying
-     * `OffchipQueue` audit, payload FIFOs in lockstep with the
-     * counting FIFOs (waiting == backlog + fresh, in-flight counts
-     * match), strictly increasing sequence numbers along the waiting
+     * `OffchipQueue` audit, payloads in lockstep with the counting
+     * FIFOs (waiting == backlog + fresh, in-flight counts match),
+     * strictly increasing sequence numbers along the waiting
      * entries (arrival order), at most one outstanding request per
      * (owner, half) across waiting + in-flight — relaxed by the number
      * of stale give-up keys the half still has in flight — and the
      * resulting `pending() <= 2 * owners + synthetic + stale` backlog
-     * bound (byte-exact with the legacy `2 * owners` bound when no
-     * faults machinery is active). The fault ledger closes the
-     * conservation generalization: every queue landing is exactly one
+     * bound (exactly `2 * owners` when no faults machinery is active).
+     * The fault ledger closes the conservation generalization: every
+     * queue landing is exactly one
      * of delivered / dropped / stale-discarded / synthetic-swallowed
      * (landed == delivered + dropped + stale + surge_landed), and
      * every queue shed is deadline-shed or give-up-canceled
      * (shed_total == shed + canceled); with `OffchipQueue::audit`'s
      * enqueued == served + shed + backlog this pins "every request is
-     * exactly one of served / shed / pending". With a scheduler
-     * installed, additionally: the landing metadata FIFO tracks the
-     * in-flight FIFO, and no waiting request has aged past the
-     * discipline's `starvation_bound` (no starvation beyond the aging
-     * bound). Runs automatically after every `step()` at
-     * AuditLevel::Deep (enqueue additionally rejects double-enqueues
-     * at AuditLevel::Basic); throws CheckFailure.
+     * exactly one of served / shed / pending". Finally, no waiting
+     * request has aged past the discipline's `starvation_bound` (no
+     * starvation beyond the aging bound). Runs automatically after
+     * every `step()` at AuditLevel::Deep (enqueue additionally
+     * rejects double-enqueues at AuditLevel::Basic); throws
+     * CheckFailure.
      */
     void audit() const;
 
   private:
     friend struct OffchipServiceTestPeer;  ///< test-only corruption hook
 
-    /** Per-served-request landing metadata (scheduled mode only). */
-    struct LandMeta
+    /** A served request on its way back: correction plus stamps. */
+    struct InFlight
     {
-        int owner = 0;
+        Delivery delivery;
         uint64_t arrival_cycle = 0;
         uint64_t deadline_cycle = 0;
     };
@@ -356,17 +343,6 @@ class SharedOffchipService
         int distance = 0;
         std::vector<TierChain> chains;  ///< per half, like chains_
     };
-
-    /** Waiting entries regardless of mode (legacy FIFO or scheduled). */
-    size_t waiting_count() const
-    {
-        return scheduler_ ? sched_waiting_.size() : waiting_.size();
-    }
-
-    const Request &waiting_at(size_t i) const
-    {
-        return scheduler_ ? sched_waiting_[i] : waiting_.at(i);
-    }
 
     /** Chains serving `distance` (0 = the constructor code). */
     std::vector<TierChain> &chains_for(int distance);
@@ -379,6 +355,12 @@ class SharedOffchipService
 
     /** Outstanding stale give-up keys for (owner, half). */
     size_t stale_count(int owner, int half) const;
+
+    /** Non-synthetic in-flight entries of (owner, half). */
+    size_t inflight_count(int owner, int half) const;
+
+    /** Stamp arrival/deadline and seq on `request`; join the waiting set. */
+    void admit(Request request);
 
     /** Decode `served` (batched per distance/half/tier) into flight. */
     void serve_decode(std::vector<Request> served);
@@ -393,21 +375,17 @@ class SharedOffchipService
     uint64_t fresh_ = 0;             ///< enqueued since the last step()
     uint64_t next_seq_ = 0;          ///< arrival stamp for Request::seq
     int owners_seen_ = 0;            ///< 1 + largest owner ever enqueued
-    // Payload FIFOs in the same order as the queue's counting FIFOs:
-    // the per-cycle served/landed counts say how many entries to move.
-    HeadFifo<Request> waiting_;
-    HeadFifo<Delivery> inflight_;
-    std::vector<Delivery> landed_now_;
-    // Scheduled mode (scheduler_ != nullptr): the waiting set lives in
-    // a plain vector (arrival order) so picks can remove from the
-    // middle, and landing metadata rides a FIFO parallel to inflight_.
+    // Payloads in the same order as the queue's counting FIFOs: the
+    // per-cycle served/landed counts say how many entries to move. The
+    // waiting set is a plain vector in arrival order so scheduler picks
+    // can remove from the middle.
     std::unique_ptr<FabricScheduler> scheduler_;
-    std::vector<Request> sched_waiting_;
-    HeadFifo<LandMeta> inflight_meta_;
+    std::vector<Request> waiting_;
+    HeadFifo<InFlight> inflight_;
+    std::vector<Delivery> landed_now_;
     std::vector<TenantLane> lanes_;  ///< indexed by owner
     CountHistogram delay_;
     uint64_t deadline_misses_ = 0;
-    uint64_t fifo_next_seq_ = 0;     ///< FIFO-lockstep audit cursor
     std::vector<TenantLinkStats> tenant_stats_;
     // Fault machinery (all inert — and every counter zero — until an
     // injector is installed, shedding enabled, or give_up called).

@@ -18,10 +18,7 @@ classify_decode(const TierChain::Result &outcome)
 
 BtwcSystem::BtwcSystem(const RotatedSurfaceCode &code, NoiseParams noise,
                        SystemConfig config, uint64_t seed)
-    : code_(code), noise_(noise), config_(std::move(config)), rng_(seed),
-      queue_(OffchipQueueConfig{config_.offchip_bandwidth,
-                                config_.offchip_latency,
-                                config_.offchip_batch})
+    : code_(code), noise_(noise), config_(std::move(config)), rng_(seed)
 {
     const CheckType error_types[2] = {CheckType::X, CheckType::Z};
     for (const CheckType err : error_types) {
@@ -35,17 +32,25 @@ BtwcSystem::step()
 {
     CycleReport report;
     const int num_types = config_.track_both_types ? 2 : 1;
-    const bool queued = config_.service == OffchipService::Queued;
+    if (link_ == nullptr) {
+        // Stand-alone: build the one-tenant link on first use, so a
+        // fleet tenant that attaches a shared link never pays for one.
+        own_service_ = std::make_unique<SharedOffchipService>(
+            code_, config_.tiers,
+            OffchipQueueConfig{config_.offchip_bandwidth,
+                               config_.offchip_latency,
+                               config_.offchip_batch});
+        link_ = own_service_.get();
+    }
 
-    // Phase 0 (graceful degradation, shared tenants only): time out
-    // halves whose off-chip request has been outstanding past the
-    // backoff-scaled budget. The give-up frees the half; with retries
-    // left the persisting signature re-escalates naturally in phase 2
-    // (that re-enqueue *is* the retry), otherwise the on-chip UF
-    // fallback resolves the half right now instead of waiting on a
-    // dead link — a degraded decode, weaker than the off-chip tier
-    // but bounded in time.
-    if (shared_ != nullptr && config_.offchip_timeout > 0) {
+    // Phase 0 (graceful degradation): time out halves whose off-chip
+    // request has been outstanding past the backoff-scaled budget. The
+    // give-up frees the half; with retries left the persisting
+    // signature re-escalates naturally in phase 2 (that re-enqueue *is*
+    // the retry), otherwise the on-chip UF fallback resolves the half
+    // right now instead of waiting on a dead link — a degraded decode,
+    // weaker than the off-chip tier but bounded in time.
+    if (config_.offchip_timeout > 0) {
         for (int t = 0; t < num_types; ++t) {
             if (!half_busy_[t]) {
                 continue;
@@ -56,7 +61,7 @@ BtwcSystem::step()
             if (waited < (config_.offchip_timeout << shift)) {
                 continue;
             }
-            shared_->give_up(owner_, t);
+            link_->give_up(owner_, t);
             half_busy_[t] = false;
             if (half_retries_[t] < config_.offchip_retries) {
                 ++half_retries_[t];
@@ -74,15 +79,11 @@ BtwcSystem::step()
         }
     }
 
-    // Off-chip tiers never run inside phase 1: under the Queued
-    // service their input is enqueued and decoded when served, and
-    // under the Inline Oracle policy the true error state is cleared
-    // instead. Only the Inline Mwpm policy decodes off-chip tiers
-    // synchronously here. On-chip tiers (Clique, a configured
-    // Union-Find mid-tier) always run for real.
+    // Off-chip tiers never run inside phase 1: their input is
+    // enqueued and decoded when served. On-chip tiers (Clique, a
+    // configured Union-Find mid-tier) always run for real.
     TierChain::Options chain_options;
-    chain_options.stop_before_offchip =
-        queued || config_.offchip == OffchipPolicy::Oracle;
+    chain_options.stop_before_offchip = true;
 
     // Phase 1: noise injection + noisy measurement + filtering + tier
     // chain classification for each half — all on the packed fast
@@ -118,11 +119,8 @@ BtwcSystem::step()
     }
 
     // Phase 2: apply on-chip corrections and hand escalations to the
-    // off-chip transport. Halves resolved by an on-chip tier (or by a
-    // synchronous Inline off-chip decode) apply that tier's
-    // correction; escalated halves either enqueue (Queued) or resolve
-    // immediately (Inline: oracle reset).
-    uint64_t fresh = 0;
+    // off-chip link. Halves resolved by an on-chip tier apply that
+    // tier's correction; escalated halves enqueue.
     for (int t = 0; t < num_types; ++t) {
         ErrorFrame &frame = frames_[t];
         TierChain::Result &outcome = halves_[t].outcome;
@@ -130,7 +128,7 @@ BtwcSystem::step()
             continue;
         }
         if (outcome.resolved) {
-            if (queued && half_busy_[t]) {
+            if (half_busy_[t]) {
                 // The half's off-chip request is still in flight, and
                 // its signature is folded into this cycle's (the
                 // escalated errors are still on the lattice). Applying
@@ -151,12 +149,6 @@ BtwcSystem::step()
                 report.clique_corrections +=
                     static_cast<int>(outcome.decode.weight);
             }
-        } else if (outcome.offchip && !queued) {
-            if (chain_options.stop_before_offchip) {
-                frame.reset();  // oracle stands in for the off-chip tier
-            }
-            // Inline Mwpm with a declining off-chip tier: fall through
-            // to the persist-and-re-escalate comment below.
         } else if (outcome.offchip) {
             if (half_busy_[t]) {
                 // Reconciliation: the half's previous request is
@@ -164,10 +156,10 @@ BtwcSystem::step()
                 // the residual that re-escalates after the landing.
                 ++suppressed_;
                 ++report.suppressed;
-            } else if (shared_ != nullptr) {
-                // Shared-link tenancy: tag the request and hand it to
-                // the fleet's service; the link advances once per
-                // machine cycle in the harness, not here.
+            } else {
+                // Tag the request and hand it to the link; a shared
+                // link advances once per machine cycle in the fleet
+                // harness, an own one in phase 3 below.
                 SharedOffchipService::Request request;
                 request.owner = owner_;
                 request.half = t;
@@ -179,22 +171,9 @@ BtwcSystem::step()
                 } else {
                     halves_[t].filter.filtered().to_bytes(request.payload);
                 }
-                shared_->enqueue(std::move(request));
+                link_->enqueue(std::move(request));
                 half_busy_[t] = true;
                 half_busy_since_[t] = cycles_;
-                ++report.queued;
-            } else {
-                PendingDecode request;
-                request.half = t;
-                request.tier_index = outcome.tier_index;
-                if (config_.offchip == OffchipPolicy::Oracle) {
-                    request.payload = frame.error();
-                } else {
-                    halves_[t].filter.filtered().to_bytes(request.payload);
-                }
-                waiting_.push_back(std::move(request));
-                half_busy_[t] = true;
-                ++fresh;
                 ++report.queued;
             }
         }
@@ -204,71 +183,51 @@ BtwcSystem::step()
         // no silent oracle fix under a real-decode policy.
     }
 
-    // Phase 3: advance the off-chip service one cycle -- serve queued
-    // escalations (batched per decoder) and apply every correction
-    // whose latency elapsed. With the default zero-latency unlimited-
-    // bandwidth link this lands this cycle's own corrections, which
-    // reproduces the synchronous model bit-for-bit. A shared-link
-    // tenant skips this: the fleet harness steps the shared service
-    // once per machine cycle after every tenant stepped, and landed
-    // corrections arrive via deliver_offchip_correction.
-    if (queued && shared_ == nullptr) {
-        service_offchip(fresh, report);
+    // Phase 3 (own link only): advance the link one cycle -- serve
+    // queued escalations and apply every correction whose latency
+    // elapsed. With the default zero-latency unlimited-bandwidth link
+    // this lands this cycle's own corrections. A shared-link tenant
+    // skips this: the fleet harness steps the shared service once per
+    // machine cycle after every tenant stepped.
+    if (own_service_) {
+        for (const SharedOffchipService::Delivery &landing :
+             own_service_->step()) {
+            deliver_offchip_correction(landing.half, landing.correction);
+            ++report.landed;
+        }
+        report.queue_backlog = own_service_->queue().backlog();
     }
 
     ++cycles_;
     if (audit_deep()) {
-        audit_offchip_state();
+        audit_syndromes();
     }
     return report;
 }
 
 void
-BtwcSystem::audit_offchip_state() const
+BtwcSystem::audit_syndromes() const
 {
     for (const Half &half : halves_) {
         half.raw.audit();
         half.filter.filtered().audit();
     }
-    if (config_.service != OffchipService::Queued) {
-        return;
-    }
-    if (shared_ != nullptr) {
-        // Shared-link tenancy: payloads live on the service (audited
-        // there); locally only the busy flags track outstanding work.
-        return;
-    }
-    queue_.audit();
-    BTWC_CHECK_MSG(waiting_.size() == queue_.backlog(),
-                   "payload waiting FIFO tracks the counting queue");
-    BTWC_CHECK_MSG(inflight_.size() == queue_.in_flight(),
-                   "payload in-flight FIFO tracks the counting queue");
-    BTWC_CHECK_MSG(waiting_.size() + inflight_.size() <= 2,
-                   "the one-request-per-half contract bounds pending "
-                   "work at two entries");
-    int outstanding[2] = {0, 0};
-    for (size_t i = 0; i < waiting_.size(); ++i) {
-        const int half = waiting_.at(i).half;
-        BTWC_CHECK(half == 0 || half == 1);
-        ++outstanding[half];
-    }
-    for (size_t i = 0; i < inflight_.size(); ++i) {
-        const int half = inflight_.at(i).half;
-        BTWC_CHECK(half == 0 || half == 1);
-        ++outstanding[half];
-    }
-    for (int half = 0; half < 2; ++half) {
-        BTWC_CHECK_MSG(outstanding[half] <= 1,
-                       "at most one outstanding request per half");
-        BTWC_CHECK_MSG((outstanding[half] == 1) == half_busy_[half],
-                       "half_busy_ mirrors the outstanding request");
-    }
+}
+
+const OffchipQueue &
+BtwcSystem::offchip_queue() const
+{
+    static const OffchipQueue idle;
+    return own_service_ ? own_service_->queue() : idle;
 }
 
 void
 BtwcSystem::attach_shared_service(SharedOffchipService *service, int owner)
 {
-    shared_ = service;
+    BTWC_CHECK_MSG(own_service_ == nullptr,
+                   "a system with its own link cannot attach a "
+                   "shared one");
+    link_ = service;
     owner_ = owner;
 }
 
@@ -295,77 +254,6 @@ BtwcSystem::deliver_offchip_correction(
     frames_[static_cast<size_t>(half)].apply_mask(correction);
     half_retries_[half] = 0;
     ++shared_landed_;
-}
-
-void
-BtwcSystem::service_offchip(uint64_t fresh, CycleReport &report)
-{
-    const OffchipQueue::StepResult sr = queue_.step(fresh);
-
-    // Serve: pop the requests entering service this cycle (FIFO) and
-    // decode them, grouped per half through that half's
-    // decode_batch_from path. Within one logical qubit the
-    // one-outstanding-request-per-half contract bounds each group at
-    // a single request -- real multi-request batches need a service
-    // shared across qubits (see ROADMAP) -- but routing through the
-    // batched API here means such a service amortizes for free.
-    // Results enter the in-flight FIFO in the original serve order,
-    // matching the queue's landing order.
-    if (sr.served > 0) {
-        std::vector<PendingDecode> served;
-        served.reserve(sr.served);
-        for (uint64_t i = 0; i < sr.served; ++i) {
-            served.push_back(waiting_.pop_front());
-        }
-        std::vector<std::vector<uint8_t>> corrections(served.size());
-        for (size_t h = 0; h < halves_.size(); ++h) {
-            std::vector<size_t> members;
-            for (size_t i = 0; i < served.size(); ++i) {
-                if (served[i].half == static_cast<int>(h)) {
-                    members.push_back(i);
-                }
-            }
-            if (members.empty()) {
-                continue;
-            }
-            if (config_.offchip == OffchipPolicy::Oracle) {
-                // The payload already is the oracle's "correction":
-                // the escalation-time error state.
-                for (const size_t i : members) {
-                    corrections[i] = std::move(served[i].payload);
-                }
-                continue;
-            }
-            std::vector<std::vector<DetectionEvent>> batch;
-            batch.reserve(members.size());
-            for (const size_t i : members) {
-                batch.push_back(
-                    events_from_syndrome(served[i].payload));
-            }
-            std::vector<TierChain::Result> results =
-                halves_[h].chain.decode_batch_from(
-                    static_cast<size_t>(served[members[0]].tier_index),
-                    batch, 1);
-            for (size_t i = 0; i < members.size(); ++i) {
-                corrections[members[i]] =
-                    std::move(results[i].decode.correction);
-            }
-        }
-        for (size_t i = 0; i < served.size(); ++i) {
-            inflight_.push_back(InflightCorrection{
-                served[i].half, std::move(corrections[i])});
-        }
-    }
-
-    // Land: apply every correction whose latency elapsed and free the
-    // half for its next escalation.
-    for (uint64_t i = 0; i < sr.landed; ++i) {
-        const InflightCorrection landing = inflight_.pop_front();
-        frames_[landing.half].apply_mask(landing.correction);
-        half_busy_[landing.half] = false;
-        ++report.landed;
-    }
-    report.queue_backlog = queue_.backlog();
 }
 
 } // namespace btwc

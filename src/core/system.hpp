@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "core/clique.hpp"
 #include "core/filter.hpp"
@@ -33,20 +32,6 @@ namespace btwc {
  */
 enum class OffchipPolicy : uint8_t { Oracle = 0, Mwpm = 1 };
 
-/**
- * How escalated signatures reach the off-chip tier.
- *
- * `Queued` (the default) models the paper's actual machine: escalated
- * signatures are enqueued on a latency/bandwidth-limited link
- * (core/offchip_queue.hpp) and their corrections land cycles later.
- * With the default zero-latency unlimited-bandwidth service it
- * reproduces the synchronous results bit-for-bit (tested). `Inline`
- * is the historical synchronous model — escalations resolve within
- * their own cycle — kept as the bit-exactness reference and as an
- * escape hatch for harnesses that cannot tolerate queue state.
- */
-enum class OffchipService : uint8_t { Queued = 0, Inline = 1 };
-
 /** Configuration of a single-logical-qubit BTWC pipeline. */
 struct SystemConfig
 {
@@ -61,22 +46,22 @@ struct SystemConfig
      * TierChainConfig::parse.
      */
     TierChainConfig tiers = TierChainConfig::legacy();
-    /** Escalation transport; see OffchipService. */
-    OffchipService service = OffchipService::Queued;
     /**
-     * Off-chip link model (Queued service only): round-trip decode
-     * latency in cycles, served decodes per cycle (0 = unlimited) and
-     * the link-batch grouping cap (OffchipQueueConfig::max_batch;
-     * within one logical qubit actual decode_batch calls are bounded
-     * by the one-outstanding-request-per-half contract). The defaults
-     * reproduce the synchronous model exactly.
+     * The system's own off-chip link (ignored by a tenant of a shared
+     * link, whose parameters live on the shared service): round-trip
+     * decode latency in cycles, served decodes per cycle (0 =
+     * unlimited) and the link-batch grouping cap
+     * (OffchipQueueConfig::max_batch; within one logical qubit actual
+     * decode_batch calls are bounded by the
+     * one-outstanding-request-per-half contract). The zero defaults
+     * land every correction in the cycle that escalated it.
      */
     uint64_t offchip_latency = 0;
     uint64_t offchip_bandwidth = 0;
     uint64_t offchip_batch = 0;
     /**
-     * Graceful degradation under link faults (shared-link tenants
-     * only; 0 disables it, the bit-exact default). A half whose
+     * Graceful degradation under link faults (0 disables it, the
+     * bit-exact default). A half whose
      * off-chip request has been outstanding for `offchip_timeout`
      * cycles gives the request up (core/offchip_service.hpp) and
      * either re-escalates — up to `offchip_retries` times per
@@ -150,10 +135,9 @@ CliqueVerdict classify_decode(const TierChain::Result &outcome);
  * first, rare escalation to Union-Find and/or off-chip matching).
  *
  * `step()` advances one code cycle and reports the classification the
- * bandwidth allocator consumes. Under the default `Queued` service,
- * escalated signatures are enqueued on the off-chip link
- * (core/offchip_queue.hpp) and their corrections land
- * `offchip_latency` cycles later, persisting through the filter
+ * bandwidth allocator consumes. Escalated signatures are enqueued on
+ * the off-chip link (core/offchip_service.hpp) and their corrections
+ * land `offchip_latency` cycles later, persisting through the filter
  * window; intervening errors stay on the lattice and re-escalate
  * after the landing, which is how late corrections are reconciled
  * against syndromes that changed in flight.
@@ -172,9 +156,12 @@ CliqueVerdict classify_decode(const TierChain::Result &outcome);
  * applying overlapping corrections from both paths -- would
  * double-correct and oscillate.
  *
- * The bandwidth/stall machinery lives in `core/bandwidth.hpp` /
- * `core/stall.hpp` / `core/offchip_queue.hpp` and the multi-qubit
- * machine model in `sim/fleet.hpp`.
+ * Every escalation travels through a `SharedOffchipService`: a
+ * stand-alone system builds a one-tenant FIFO service on its first
+ * `step()` and advances it in phase 3; a fleet tenant attaches to one
+ * shared link instead (`attach_shared_service`). The bandwidth/stall
+ * machinery lives in `core/bandwidth.hpp` / `core/offchip_queue.hpp`
+ * and the multi-qubit machine model in `sim/fleet.hpp`.
  */
 class BtwcSystem
 {
@@ -187,25 +174,24 @@ class BtwcSystem
 
     /**
      * Become tenant `owner` of a shared multi-tenant off-chip link
-     * (core/offchip_service.hpp): escalations are enqueued on
-     * `service` tagged with `owner` instead of on the private queue,
-     * and phase 3 is skipped -- the fleet harness advances the shared
-     * link once per machine cycle (after every tenant stepped) and
-     * routes landed corrections back via
-     * `deliver_offchip_correction`. The private `offchip_queue()`
-     * stays idle; link accounting lives on the service. Only
-     * meaningful under the Queued service, before the first step.
-     * With a zero-latency unlimited-bandwidth shared link the cycle
-     * statistics are bit-exact with the private-queue path (tested).
+     * (core/offchip_service.hpp) instead of building an own one:
+     * escalations are enqueued on `service` tagged with `owner`, and
+     * phase 3 is skipped -- the fleet harness advances the shared link
+     * once per machine cycle (after every tenant stepped) and routes
+     * landed corrections back via `deliver_offchip_correction`.
+     * `offchip_queue()` stays idle; link accounting lives on the
+     * service. Attach before the first step (a tenant may later move
+     * to another shared link, as fabric failover does; a system that
+     * already built its own link may not). With a zero-latency
+     * unlimited-bandwidth shared link the cycle statistics are
+     * bit-exact with one link per qubit (tested).
      */
     void attach_shared_service(SharedOffchipService *service, int owner);
 
     /**
-     * Apply a correction the shared service routed back to `half`
-     * (error-type index) and free that half for its next escalation.
-     * Counterpart of the private path's landing step; the
-     * reconciliation contract (one outstanding request per half, no
-     * corrections while in flight) is identical.
+     * Apply a correction the service routed back to `half`
+     * (error-type index) and free that half for its next escalation
+     * (an empty correction is a shed nack: it only frees the half).
      */
     void deliver_offchip_correction(int half,
                                     const std::vector<uint8_t> &correction);
@@ -225,8 +211,11 @@ class BtwcSystem
     /** Active configuration. */
     const SystemConfig &config() const { return config_; }
 
-    /** The off-chip service queue (Queued service accounting). */
-    const OffchipQueue &offchip_queue() const { return queue_; }
+    /**
+     * The link of the system's own one-tenant service; an idle queue
+     * for a tenant of a shared link or before the first step.
+     */
+    const OffchipQueue &offchip_queue() const;
 
     /** Decodes deferred to an outstanding request (see above). */
     uint64_t suppressed_escalations() const { return suppressed_; }
@@ -234,13 +223,10 @@ class BtwcSystem
     /** Requests enqueued or in flight whose correction has not landed. */
     size_t pending_offchip() const
     {
-        if (shared_ != nullptr) {
-            return (half_busy_[0] ? 1u : 0u) + (half_busy_[1] ? 1u : 0u);
-        }
-        return waiting_.size() + inflight_.size();
+        return (half_busy_[0] ? 1u : 0u) + (half_busy_[1] ? 1u : 0u);
     }
 
-    /** Corrections the shared service delivered to this tenant. */
+    /** Corrections the service delivered to this system. */
     uint64_t shared_landed() const { return shared_landed_; }
 
     /** Timed-out requests given up and re-escalated (backoff). */
@@ -286,39 +272,13 @@ class BtwcSystem
         TierChain::Result outcome;
     };
 
-    /** An escalation waiting for link capacity. */
-    struct PendingDecode
-    {
-        int half = 0;        ///< halves_/frames_ index
-        int tier_index = 0;  ///< first off-chip tier (resume point)
-        /**
-         * Snapshot taken at escalation time: the filtered syndrome
-         * (Mwpm policy, decoded when served) or the true error state
-         * (Oracle policy, applied as-is when it lands — the oracle
-         * stand-in for the off-chip result).
-         */
-        std::vector<uint8_t> payload;
-    };
-
-    /** A served decode whose correction is in flight back on-chip. */
-    struct InflightCorrection
-    {
-        int half = 0;
-        std::vector<uint8_t> correction;  ///< per-data-qubit flip mask
-    };
-
-    /** Serve and land queued escalations for one cycle (phase 3). */
-    void service_offchip(uint64_t fresh, CycleReport &report);
-
     /**
-     * Verify the reconciliation contract after a cycle: payload FIFOs
-     * in lockstep with the counting queue, at most one outstanding
-     * request per half (so waiting + in-flight <= 2), every
-     * outstanding entry's half flagged busy and vice versa, and the
-     * per-cycle syndrome/filter tail-word invariants. Runs at the end
-     * of step() under AuditLevel::Deep; throws CheckFailure.
+     * Verify the per-cycle syndrome/filter tail-word invariants (the
+     * link's reconciliation state is audited by the service itself).
+     * Runs at the end of step() under AuditLevel::Deep; throws
+     * CheckFailure.
      */
-    void audit_offchip_state() const;
+    void audit_syndromes() const;
 
     const RotatedSurfaceCode &code_;
     NoiseParams noise_;
@@ -328,25 +288,17 @@ class BtwcSystem
     std::vector<Half> halves_;        ///< indexed by error type
     uint64_t cycles_ = 0;
 
-    // Queued off-chip service state. `queue_` does the counting and
-    // scheduling; `waiting_` / `inflight_` carry the payloads in the
-    // same FIFO order, so the queue's per-cycle served/landed counts
-    // say exactly how many entries to move. (The at-most-one-
-    // outstanding-request-per-half contract bounds both at two
-    // entries.)
-    OffchipQueue queue_;
-    HeadFifo<PendingDecode> waiting_;
-    HeadFifo<InflightCorrection> inflight_;
+    // Off-chip transport: `link_` is the link every escalation goes
+    // to -- an attached fleet link, or `own_service_`, the one-tenant
+    // link a stand-alone system builds on its first step.
     bool half_busy_[2] = {false, false};
     uint64_t suppressed_ = 0;
-
-    // Shared-link tenancy (attach_shared_service): non-null routes
-    // every escalation to the external service instead of `queue_`.
-    SharedOffchipService *shared_ = nullptr;
+    std::unique_ptr<SharedOffchipService> own_service_;
+    SharedOffchipService *link_ = nullptr;
     int owner_ = 0;
     uint64_t shared_landed_ = 0;
 
-    // Graceful degradation (offchip_timeout > 0, shared tenants): the
+    // Graceful degradation (offchip_timeout > 0): the
     // cycle each half's outstanding request was enqueued, its
     // consecutive-retry count (the backoff exponent), and the
     // outcome counters.

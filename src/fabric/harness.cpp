@@ -6,7 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "core/stall.hpp"
+#include "core/offchip_queue.hpp"
 #include "core/system.hpp"
 #include "fabric/probe.hpp"
 #include "sim/engine.hpp"

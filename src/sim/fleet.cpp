@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "core/offchip_queue.hpp"
 #include "core/offchip_service.hpp"
-#include "core/stall.hpp"
 #include "sim/engine.hpp"
 #include "surface/lattice.hpp"
 
@@ -286,9 +285,9 @@ fleet_demand_exact_stats(const ExactFleetConfig &config)
             sconfig.offchip = config.offchip;
             sconfig.tiers = config.tiers;
             if (!config.shared_link) {
-                // Private queues carry the link parameters per qubit;
-                // under the shared link the tenants' own queues stay
-                // idle and the parameters live on the service.
+                // Each qubit builds its own one-tenant link from these
+                // parameters; under the shared link they live on the
+                // one service instead.
                 sconfig.offchip_latency = config.offchip_latency;
                 sconfig.offchip_bandwidth = config.offchip_bandwidth;
                 sconfig.offchip_batch = config.offchip_batch;
@@ -436,8 +435,7 @@ run_fleet_with_bandwidth(const FleetConfig &config, uint64_t bandwidth)
     DemandSource demand(DemandModel(config), config.seed, config.threads);
     // The off-chip link as an async service (core/offchip_queue.hpp):
     // bandwidth-limited FIFO with `offchip_latency` cycles between a
-    // decode entering service and its correction landing. Latency 0
-    // reproduces the historical StallController run step-for-step.
+    // decode entering service and its correction landing.
     const uint64_t effective = bandwidth ? bandwidth : 1;
     OffchipQueue queue(OffchipQueueConfig{effective, config.offchip_latency,
                                           config.offchip_batch});
@@ -479,7 +477,9 @@ fleet_trace(const FleetConfig &config, uint64_t bandwidth)
 {
     const DemandModel model(config);
     Rng rng(config.seed);
-    StallController queue(bandwidth);
+    // A zero-latency link stalls exactly like Fig. 10's controller; a
+    // zero bandwidth still serves one decode per cycle.
+    OffchipQueue queue(OffchipQueueConfig{bandwidth ? bandwidth : 1, 0, 0});
     std::vector<TraceCycle> trace;
     trace.reserve(config.cycles);
     for (uint64_t cycle = 0; cycle < config.cycles; ++cycle) {

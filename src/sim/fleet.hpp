@@ -50,9 +50,8 @@ struct FleetConfig
     /**
      * Off-chip service latency in cycles (see
      * core/offchip_queue.hpp): corrections land this many cycles
-     * after their decode is served. 0 reproduces the historical
-     * synchronous StallController run bit-for-bit; nonzero shifts the
-     * queue-delay distribution without changing the stall behavior
+     * after their decode is served. Nonzero shifts the queue-delay
+     * distribution without changing the stall behavior
      * (latency is pipelined, only backlog stalls).
      */
     uint64_t offchip_latency = 0;
@@ -110,9 +109,8 @@ CountHistogram fleet_demand_histogram(const FleetConfig &config);
  * qubit's escalations route through one SharedOffchipService
  * (core/offchip_service.hpp) -- the paper's actual machine, where real
  * (non-binomial) demand contends for one latency/bandwidth-limited
- * link; without it each qubit keeps a private queue with the same link
- * parameters (the historical model, kept as the equivalence
- * reference: at zero latency and unlimited bandwidth the two are
+ * link; without it each qubit builds its own one-tenant link with the
+ * same parameters (at zero latency and unlimited bandwidth the two are
  * bit-exact, tested).
  */
 struct ExactFleetConfig
@@ -125,7 +123,7 @@ struct ExactFleetConfig
     /** Monte-Carlo shards (sim/engine.hpp); each shard simulates an
         independent fleet instance. threads <= 1 is bit-exact legacy. */
     int threads = 1;
-    /** One shared link for the whole fleet instead of private queues. */
+    /** One shared link for the whole fleet instead of one per qubit. */
     bool shared_link = false;
     OffchipPolicy offchip = OffchipPolicy::Oracle;
     TierChainConfig tiers = TierChainConfig::legacy();
@@ -214,7 +212,7 @@ struct ExactFleetStats
         even though each tenant is bounded at one request per half. */
     CountHistogram batch_sizes;
     /** End-of-cycle shared-link backlog, one sample per cycle
-        (shared mode only; empty for private queues). */
+        (shared mode only; empty with one link per qubit). */
     CountHistogram backlog;
     uint64_t stall_cycles = 0;  ///< link cycles that ended oversubscribed
     uint64_t work_cycles = 0;
@@ -250,8 +248,8 @@ ExactFleetStats fleet_demand_exact_stats(const ExactFleetConfig &config);
 /**
  * Demand histogram from fully simulated per-qubit pipelines (slow;
  * used for validating the binomial model at small scale). Convenience
- * wrapper over `fleet_demand_exact_stats` with private queues at the
- * synchronous default link.
+ * wrapper over `fleet_demand_exact_stats` with one link per qubit at
+ * the synchronous default.
  */
 CountHistogram fleet_demand_exact(int distance, double p, int num_qubits,
                                   uint64_t cycles, uint64_t seed,

@@ -64,7 +64,6 @@ run_pipeline(const LifetimeConfig &config)
     sys_config.filter_rounds = config.filter_rounds;
     sys_config.offchip = config.offchip;
     sys_config.tiers = config.tiers;
-    sys_config.service = config.service;
     sys_config.offchip_latency = config.offchip_latency;
     sys_config.offchip_bandwidth = config.offchip_bandwidth;
     sys_config.offchip_batch = config.offchip_batch;

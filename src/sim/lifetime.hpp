@@ -38,15 +38,14 @@ struct LifetimeConfig
     LifetimeMode mode = LifetimeMode::Signature;
     OffchipPolicy offchip = OffchipPolicy::Oracle;  ///< Pipeline mode only
     /**
-     * Off-chip escalation transport (Pipeline mode only, cf.
-     * SystemConfig): the default Queued service with zero latency and
-     * unlimited bandwidth reproduces the historical synchronous
-     * results bit-for-bit; nonzero `offchip_latency` /
-     * `offchip_bandwidth` open the latency x bandwidth x tier-chain
-     * grid (corrections land late, backlog builds under a narrow
-     * link). `offchip_batch` caps the decode_batch group size.
+     * The system's off-chip link (Pipeline mode only, cf.
+     * SystemConfig): zero latency and unlimited bandwidth land every
+     * correction in the cycle that escalated it; nonzero
+     * `offchip_latency` / `offchip_bandwidth` open the latency x
+     * bandwidth x tier-chain grid (corrections land late, backlog
+     * builds under a narrow link). `offchip_batch` caps the
+     * decode_batch group size.
      */
-    OffchipService service = OffchipService::Queued;
     uint64_t offchip_latency = 0;
     uint64_t offchip_bandwidth = 0;
     uint64_t offchip_batch = 0;
@@ -104,8 +103,8 @@ struct LifetimeStats
     uint64_t offchip_halves = 0;  ///< escalations that left the chip
 
     /**
-     * Queued off-chip service observables (Pipeline mode with the
-     * Queued service; all-empty otherwise). `offchip_queue_delay` is
+     * Off-chip link observables (Pipeline mode; all-empty in
+     * Signature mode). `offchip_queue_delay` is
      * the enqueue-to-landing delay of every landed correction (its
      * total() is the landed count); `offchip_batch_sizes` the size of
      * every served link batch (see OffchipQueue::batch_histogram);

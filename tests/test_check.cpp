@@ -31,17 +31,14 @@
 
 namespace btwc {
 
-/** Test-only hook into SharedOffchipService's payload FIFO, used to
- * prove the audit actually detects a broken FIFO order (the friend
- * declaration is the only way in: the FIFO has no mutable walk). */
+/** Test-only hook into SharedOffchipService's waiting set, used to
+ * prove the audit actually detects a broken arrival order (the friend
+ * declaration is the only way in: the set is private). */
 struct OffchipServiceTestPeer
 {
     static void swap_oldest_waiting(SharedOffchipService &service)
     {
-        SharedOffchipService::Request a = service.waiting_.pop_front();
-        SharedOffchipService::Request b = service.waiting_.pop_front();
-        service.waiting_.push_back(std::move(b));
-        service.waiting_.push_back(std::move(a));
+        std::swap(service.waiting_[0], service.waiting_[1]);
     }
 };
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the BTWC system plumbing: bandwidth allocation, the stall
- * controller's queueing semantics, and the full per-qubit pipeline.
+ * control of a zero-latency off-chip link, and the full per-qubit
+ * pipeline.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/bandwidth.hpp"
-#include "core/stall.hpp"
+#include "core/offchip_queue.hpp"
 #include "core/system.hpp"
 #include "surface/lattice.hpp"
 #include "surface/noise.hpp"
@@ -37,11 +38,27 @@ TEST(BandwidthAllocator, NeverProvisionsZero)
     EXPECT_EQ(alloc.provision(0.99), 1u);
 }
 
+/** A zero-latency link of `bandwidth` decodes per cycle (§5.2). */
+OffchipQueue
+stall_controller(uint64_t bandwidth)
+{
+    return OffchipQueue(OffchipQueueConfig{bandwidth, 0, 0});
+}
+
+/** Step one cycle; true when it made program progress (no stall). */
+bool
+work_step(OffchipQueue &queue, uint64_t demand)
+{
+    const bool work = !queue.stall_pending();
+    queue.step(demand);
+    return work;
+}
+
 TEST(StallController, NoOverflowNoStalls)
 {
-    StallController queue(5);
+    OffchipQueue queue = stall_controller(5);
     for (int i = 0; i < 100; ++i) {
-        EXPECT_TRUE(queue.step(3));
+        EXPECT_TRUE(work_step(queue, 3));
     }
     EXPECT_EQ(queue.stall_cycles(), 0u);
     EXPECT_EQ(queue.work_cycles(), 100u);
@@ -51,22 +68,22 @@ TEST(StallController, NoOverflowNoStalls)
 
 TEST(StallController, OverflowStallsNextCycle)
 {
-    StallController queue(2);
-    EXPECT_TRUE(queue.step(5));   // demand 5 > 2: 3 carry over
+    OffchipQueue queue = stall_controller(2);
+    EXPECT_TRUE(work_step(queue, 5));   // demand 5 > 2: 3 carry over
     EXPECT_EQ(queue.backlog(), 3u);
     EXPECT_TRUE(queue.stall_pending());
-    EXPECT_FALSE(queue.step(0));  // this cycle is the stall
+    EXPECT_FALSE(work_step(queue, 0));  // this cycle is the stall
     EXPECT_EQ(queue.backlog(), 1u);
-    EXPECT_FALSE(queue.step(0));  // backlog still draining
+    EXPECT_FALSE(work_step(queue, 0));  // backlog still draining
     EXPECT_EQ(queue.backlog(), 0u);
-    EXPECT_TRUE(queue.step(0));
+    EXPECT_TRUE(work_step(queue, 0));
     EXPECT_EQ(queue.stall_cycles(), 2u);
     EXPECT_EQ(queue.work_cycles(), 2u);
 }
 
 TEST(StallController, ConservationOfDecodes)
 {
-    StallController queue(3);
+    OffchipQueue queue = stall_controller(3);
     const uint64_t demands[] = {1, 7, 0, 2, 9, 0, 0, 0, 4, 1};
     uint64_t total = 0;
     for (const uint64_t d : demands) {
@@ -80,7 +97,7 @@ TEST(StallController, PersistentOverloadAccumulates)
 {
     // Demand mean above bandwidth: the backlog must grow without
     // bound (the paper's "decode backlog problem", Fig. 9 top).
-    StallController queue(2);
+    OffchipQueue queue = stall_controller(2);
     for (int i = 0; i < 1000; ++i) {
         queue.step(3);
     }
@@ -90,7 +107,7 @@ TEST(StallController, PersistentOverloadAccumulates)
 
 TEST(StallController, ExecutionTimeIncreaseMath)
 {
-    StallController queue(1);
+    OffchipQueue queue = stall_controller(1);
     queue.step(2);  // work, 1 carried
     queue.step(0);  // stall, drains
     queue.step(0);  // work

@@ -2,7 +2,7 @@
  * @file
  * Tests for the decode fabric (src/fabric): scheduler pick semantics
  * and starvation bounds, tenant placement policies, the pinned
- * FIFO/K=1/uniform bit-exactness with the legacy shared-link path
+ * FIFO/K=1/uniform bit-exactness with a plain shared-link service
  * (lockstep frames AND merged harness statistics), deadline-miss
  * accounting, scheduler-induced per-tenant tail separation under
  * contention, probe purity, per-tenant heterogeneity plumbing, and
@@ -199,11 +199,11 @@ TEST(Placement, PoliciesMapTenantsAsDocumented)
 
 TEST(FabricFifo, LockstepFramesWithLegacySharedService)
 {
-    // The tentpole's pinned corner at system granularity: a FIFO
-    // fabric of one link must produce, cycle by cycle, exactly the
-    // frame trajectory of the legacy (schedulerless) shared service --
-    // the scheduled code path reorders nothing and perturbs nothing.
-    // Deep audits also arm the service-internal FIFO lockstep check.
+    // The pinned corner at system granularity: a FIFO fabric of one
+    // link must produce, cycle by cycle, exactly the frame trajectory
+    // of a default-constructed (FIFO) shared service -- the fabric's
+    // topology, placement and scheduler wiring perturb nothing. Deep
+    // audits also arm the service-internal FIFO-head check.
     const ScopedAuditLevel deep(AuditLevel::Deep);
     const RotatedSurfaceCode code(3);
     SystemConfig config;
@@ -268,9 +268,8 @@ TEST(FabricFifo, LockstepFramesWithLegacySharedService)
         }
     }
     ASSERT_GT(shipped, 0u);
-    // Under FIFO the service-side delay accounting is bin-for-bin the
-    // queue's own histogram -- the invariant that lets scheduled mode
-    // report delays the legacy path never had to track per request.
+    // Under FIFO the service-side per-request delay accounting is
+    // bin-for-bin the queue's own group-level histogram.
     EXPECT_EQ(fabric.link(0).delay_histogram().counts(),
               fabric.link(0).queue().delay_histogram().counts());
 }

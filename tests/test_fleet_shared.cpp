@@ -4,7 +4,7 @@
  * (core/offchip_service.hpp) and its fleet harness
  * (sim/fleet.hpp::fleet_demand_exact_stats): FIFO fairness across
  * owners under a narrow link, bit-exactness of the shared link against
- * private queues at the synchronous operating point, routing of served
+ * one link per qubit at the synchronous operating point, routing of served
  * batches that mix owners, `--threads` determinism of the merged fleet
  * statistics, and the heterogeneous (Poisson-binomial) demand model.
  */
@@ -159,7 +159,7 @@ TEST(SharedService, MixedOwnerBatchesRouteBackToOwningHalf)
 {
     // A wide shared link over a busy fleet: several qubits escalate in
     // the same machine cycle, so served batches mix owners (the
-    // fleet-scale decode_batch amortization a private queue can never
+    // fleet-scale decode_batch amortization a one-tenant link can never
     // exhibit -- its batches are bounded at one request per half).
     // Every correction must land on the half that escalated it: a
     // mis-routed correction would XOR garbage onto another tenant's

@@ -1,9 +1,9 @@
 /**
  * @file
- * Cross-cutting property tests: the stall controller against a
- * textbook Lindley-recursion reference, end-to-end determinism from
- * seeds, filter algebra on random streams, and histogram/percentile
- * consistency.
+ * Cross-cutting property tests: the zero-latency off-chip link's stall
+ * control against a textbook Lindley-recursion reference, end-to-end
+ * determinism from seeds, filter algebra on random streams, and
+ * histogram/percentile consistency.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/filter.hpp"
-#include "core/stall.hpp"
+#include "core/offchip_queue.hpp"
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/memory.hpp"
@@ -32,14 +32,14 @@ TEST(StallControllerProperty, MatchesLindleyRecursion)
     Rng rng(2024);
     for (int trial = 0; trial < 50; ++trial) {
         const uint64_t bandwidth = 1 + rng.next_below(8);
-        StallController queue(bandwidth);
+        OffchipQueue queue(OffchipQueueConfig{bandwidth, 0, 0});
         uint64_t lindley = 0;
         uint64_t stalls = 0;
         for (int t = 0; t < 400; ++t) {
             const uint64_t arrivals = rng.next_below(12);
             const bool expect_stall = lindley > 0;
-            const bool was_work = queue.step(arrivals);
-            EXPECT_EQ(!was_work, expect_stall) << "t=" << t;
+            EXPECT_EQ(queue.stall_pending(), expect_stall) << "t=" << t;
+            queue.step(arrivals);
             const uint64_t inflow = lindley + arrivals;
             lindley = inflow > bandwidth ? inflow - bandwidth : 0;
             stalls += expect_stall ? 1 : 0;
@@ -53,7 +53,7 @@ TEST(StallControllerProperty, MatchesLindleyRecursion)
 TEST(StallControllerProperty, ServiceNeverExceedsBandwidthPerCycle)
 {
     Rng rng(11);
-    StallController queue(3);
+    OffchipQueue queue(OffchipQueueConfig{3, 0, 0});
     uint64_t prev_served = 0;
     for (int t = 0; t < 300; ++t) {
         queue.step(rng.next_below(10));
