@@ -242,8 +242,9 @@ BENCHMARK(BM_SyndromeExtractByte)->Arg(9)->Arg(21);
 void
 BM_SyndromeExtractPacked(benchmark::State &state)
 {
-    // Sparse extraction off the packed error frame: O(weight) check
-    // flips instead of an O(num_data) byte scan.
+    // Extraction off the frame's stored syndrome: a word copy plus the
+    // measurement-flip walk, independent of the error weight (the byte
+    // form unpacks the same syndrome into one byte per check).
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
     ErrorFrame frame(code, CheckType::X);
     Rng rng(14);

@@ -208,6 +208,9 @@ BtwcSystem::step()
 void
 BtwcSystem::audit_syndromes() const
 {
+    for (const ErrorFrame &frame : frames_) {
+        frame.audit();
+    }
     for (const Half &half : halves_) {
         half.raw.audit();
         half.filter.filtered().audit();

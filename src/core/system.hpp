@@ -273,8 +273,9 @@ class BtwcSystem
     };
 
     /**
-     * Verify the per-cycle syndrome/filter tail-word invariants (the
-     * link's reconciliation state is audited by the service itself).
+     * Verify each frame's stored syndrome and the per-cycle
+     * syndrome/filter tail-word invariants (the link's reconciliation
+     * state is audited by the service itself).
      * Runs at the end of step() under AuditLevel::Deep; throws
      * CheckFailure.
      */

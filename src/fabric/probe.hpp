@@ -15,14 +15,16 @@ namespace btwc {
  * experiment ended now?
  *
  * The closure is the standard memory-experiment readout: measure the
- * frame's syndrome perfectly, decode it with full-accuracy MWPM, apply
- * the correction to a copy of the frame, and read the logical
- * indicator off the (now syndrome-clear) residual. Probing a *copy*
- * keeps the probe an observer: the live pipeline's frames, decoders,
- * and RNG streams are untouched, so a probed run is bit-identical to
- * an unprobed one — the property that lets the fabric harness report
- * per-tenant logical error rates alongside the queueing observables
- * without perturbing them (tested).
+ * frame's syndrome perfectly, decode it with full-accuracy MWPM, and
+ * read the logical indicator off the (syndrome-clear) residual error +
+ * correction. Everything is linear over GF(2), so the residual is
+ * never built: its parity is the frame's parity XOR the correction's.
+ * The frame is only read, which keeps the probe an observer: the live
+ * pipeline's frames, decoders, and RNG streams are untouched, so a
+ * probed run is bit-identical to an unprobed one — the property that
+ * lets the fabric harness report per-tenant logical error rates
+ * alongside the queueing observables without perturbing them
+ * (tested).
  *
  * The parity is cumulative over the run (a logical flip persists in
  * the frame), so a *rate* comes from differencing: the fabric harness
@@ -52,6 +54,7 @@ class LogicalFailureProbe
     // matching state), and the probe needs one per error type.
     std::vector<std::unique_ptr<MwpmDecoder>> decoders_;
     std::vector<uint8_t> syndrome_;  ///< measurement scratch
+    std::vector<uint8_t> correction_syndrome_;  ///< closure check scratch
 };
 
 } // namespace btwc

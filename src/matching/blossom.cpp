@@ -22,53 +22,40 @@ MaxWeightMatching::reset(int n)
     n_ = n;
     n_x_ = n;
     const int size = 2 * n_ + 1;
+    stride_ = static_cast<size_t>(size);
+    from_stride_ = static_cast<size_t>(n_) + 1;
     if (capacity_ < size) {
-        // Grow path (rare): allocate and fully initialize. Edge
-        // endpoints are slot invariants, so later resets only need to
-        // clear weights.
+        // Grow path (rare): allocate at the new size. Sized for the
+        // largest n this capacity can host, so every smaller later
+        // instance fits at its own (smaller) strides.
         capacity_ = size;
-        g_.assign(size, std::vector<Edge>(size));
-        for (int u = 0; u < size; ++u) {
-            for (int v = 0; v < size; ++v) {
-                g_[u][v] = Edge{u, v, 0};
-            }
+        w_.assign(stride_ * stride_, 0);
+        ends_.assign(stride_ * stride_, Ends{});
+        lab_.assign(stride_, 0);
+        slack_delta_.assign(stride_, 0);
+        match_.assign(stride_, 0);
+        slack_.assign(stride_, 0);
+        st_.assign(stride_, 0);
+        pa_.assign(stride_, 0);
+        s_.assign(stride_, -1);
+        vis_.assign(stride_, 0);
+        flower_.assign(stride_, {});
+        flower_from_.assign(stride_ * from_stride_, 0);
+    } else {
+        // Reuse path: zero the real (n+1)^2 region only. Blossom slots
+        // keep stale data from earlier instances (at other strides),
+        // which is never read: add_blossom zeroes a blossom's row and
+        // column before the first read.
+        for (int u = 0; u <= n_; ++u) {
+            std::fill_n(w_.begin() + static_cast<std::ptrdiff_t>(slot(u, 0)),
+                        n_ + 1, 0);
         }
-        lab_.assign(size, 0);
-        match_.assign(size, 0);
-        slack_.assign(size, 0);
-        st_.assign(size, 0);
-        pa_.assign(size, 0);
-        s_.assign(size, -1);
-        vis_.assign(size, 0);
-        visit_stamp_ = 0;
-        flower_.assign(size, {});
-        // Rows sized for the largest n this capacity can host, so a
-        // smaller later instance never outgrows them.
-        flower_from_.assign(size, std::vector<int>(n_ + 1, 0));
-        if (audit_deep()) {
-            audit_slots(true);
-        }
-        return;
-    }
-    // Reuse path: restore the canonical slot state `Edge{u, v, 0}`
-    // over the region this instance uses. Clearing the weight alone is
-    // not enough — `add_blossom` copies edges into blossom-slot rows
-    // (overwriting their endpoint fields), and a slot that served as a
-    // blossom for one instance can be a real vertex for the next.
-    // Entries beyond `size` from a larger earlier instance are never
-    // read (every loop is bounded by n_ / n_x_ <= 2n+1), and solve()
-    // reinitializes all per-run state over the full capacity.
-    for (int u = 0; u < size; ++u) {
-        Edge *row = g_[u].data();
-        for (int v = 0; v < size; ++v) {
-            row[v] = Edge{u, v, 0};
-        }
+        std::fill_n(vis_.begin(), size, 0);
     }
     // The visit stamp must restart with its array: a persistent pooled
     // matcher would otherwise march the int stamp toward overflow over
     // millions of decodes (fresh instances restarted it implicitly).
     visit_stamp_ = 0;
-    std::fill(vis_.begin(), vis_.end(), 0);
     if (audit_deep()) {
         audit_slots(true);
     }
@@ -78,18 +65,23 @@ void
 MaxWeightMatching::audit_slots(bool expect_cleared) const
 {
     const int size = 2 * n_ + 1;
+    const size_t slots = static_cast<size_t>(size) * size;
     BTWC_CHECK_MSG(capacity_ >= size &&
-                       static_cast<int>(g_.size()) >= size,
+                       stride_ == static_cast<size_t>(size) &&
+                       w_.size() >= slots && ends_.size() >= slots &&
+                       flower_from_.size() >=
+                           static_cast<size_t>(size) * (n_ + 1),
                    "matcher capacity covers the active instance");
-    for (int u = 0; u < size; ++u) {
-        const Edge *row = g_[u].data();
-        for (int v = 0; v < size; ++v) {
-            BTWC_CHECK_MSG(row[v].u == u && row[v].v == v,
-                           "blossom slot endpoints must be canonical "
-                           "after reset");
+    for (int u = 0; u <= n_; ++u) {
+        for (int v = 0; v <= n_; ++v) {
+            const int64_t w = weight(u, v);
+            BTWC_CHECK_MSG(w >= 0 && w == weight(v, u),
+                           "real-region weights must be symmetric and "
+                           "non-negative");
             if (expect_cleared) {
-                BTWC_CHECK_MSG(row[v].w == 0,
-                               "reset must clear every edge weight");
+                BTWC_CHECK_MSG(w == 0,
+                               "reset must clear every real-region "
+                               "weight");
             }
         }
     }
@@ -100,21 +92,27 @@ MaxWeightMatching::set_weight(int u, int v, int64_t w)
 {
     BTWC_AUDIT(u != v && u >= 0 && v >= 0 && u < n_ && v < n_ &&
                w >= 0);
-    g_[u + 1][v + 1].w = w;
-    g_[v + 1][u + 1].w = w;
+    w_[slot(u + 1, v + 1)] = w;
+    w_[slot(v + 1, u + 1)] = w;
 }
 
 int64_t
-MaxWeightMatching::edge_delta(const Edge &e) const
+MaxWeightMatching::edge_delta(int u, int v) const
 {
-    return lab_[e.u] + lab_[e.v] - g_[e.u][e.v].w * 2;
+    const size_t i = slot(u, v);
+    if (u <= n_ && v <= n_) {
+        return lab_[u] + lab_[v] - w_[i] * 2;
+    }
+    const Ends &e = ends_[i];
+    return lab_[e.u] + lab_[e.v] - w_[i] * 2;
 }
 
 void
-MaxWeightMatching::update_slack(int u, int x)
+MaxWeightMatching::update_slack(int u, int x, int64_t delta)
 {
-    if (!slack_[x] || edge_delta(g_[u][x]) < edge_delta(g_[slack_[x]][x])) {
+    if (!slack_[x] || delta < slack_delta_[x]) {
         slack_[x] = u;
+        slack_delta_[x] = delta;
     }
 }
 
@@ -122,9 +120,21 @@ void
 MaxWeightMatching::set_slack(int x)
 {
     slack_[x] = 0;
+    // Weights are symmetric, so row x is column x.
+    const int64_t *row = &w_[slot(x, 0)];
     for (int u = 1; u <= n_; ++u) {
-        if (g_[u][x].w > 0 && st_[u] != x && s_[st_[u]] == 0) {
-            update_slack(u, x);
+        if (row[u] > 0 && st_[u] != x && s_[st_[u]] == 0) {
+            update_slack(u, x, edge_delta(u, x));
+        }
+    }
+}
+
+void
+MaxWeightMatching::refresh_slack_deltas()
+{
+    for (int x = 1; x <= n_x_; ++x) {
+        if (slack_[x]) {
+            slack_delta_[x] = edge_delta(slack_[x], x);
         }
     }
 }
@@ -170,12 +180,12 @@ MaxWeightMatching::get_pr(int b, int xr)
 void
 MaxWeightMatching::set_match(int u, int v)
 {
-    match_[u] = g_[u][v].v;
+    match_[u] = end_v(u, v);
     if (u <= n_) {
         return;
     }
-    const Edge e = g_[u][v];
-    const int xr = flower_from_[u][e.u];
+    const int xr = flower_from_[static_cast<size_t>(u) * from_stride_ +
+                                static_cast<size_t>(end_u(u, v))];
     const int pr = get_pr(u, xr);
     for (int i = 0; i < pr; ++i) {
         set_match(flower_[u][i], flower_[u][i ^ 1]);
@@ -247,25 +257,31 @@ MaxWeightMatching::add_blossom(int u, int lca, int v)
         queue_push(y);
     }
     set_st(b, b);
+    int64_t *row_b = &w_[slot(b, 0)];
     for (int x = 1; x <= n_x_; ++x) {
-        g_[b][x].w = 0;
-        g_[x][b].w = 0;
+        row_b[x] = 0;
+        w_[slot(x, b)] = 0;
     }
+    int *from_b = &flower_from_[static_cast<size_t>(b) * from_stride_];
     for (int x = 1; x <= n_; ++x) {
-        flower_from_[b][x] = 0;
+        from_b[x] = 0;
     }
     for (const int xs : flower_[b]) {
+        const int64_t *row_xs = &w_[slot(xs, 0)];
         for (int x = 1; x <= n_x_; ++x) {
-            if (g_[xs][x].w > 0 &&
-                (g_[b][x].w == 0 ||
-                 edge_delta(g_[xs][x]) < edge_delta(g_[b][x]))) {
-                g_[b][x] = g_[xs][x];
-                g_[x][b] = g_[x][xs];
+            if (row_xs[x] > 0 &&
+                (row_b[x] == 0 || edge_delta(xs, x) < edge_delta(b, x))) {
+                row_b[x] = row_xs[x];
+                ends_[slot(b, x)] = Ends{end_u(xs, x), end_v(xs, x)};
+                w_[slot(x, b)] = w_[slot(x, xs)];
+                ends_[slot(x, b)] = Ends{end_u(x, xs), end_v(x, xs)};
             }
         }
+        const int *from_xs =
+            &flower_from_[static_cast<size_t>(xs) * from_stride_];
         for (int x = 1; x <= n_; ++x) {
-            if (flower_from_[xs][x]) {
-                flower_from_[b][x] = xs;
+            if (from_xs[x]) {
+                from_b[x] = xs;
             }
         }
     }
@@ -278,12 +294,13 @@ MaxWeightMatching::expand_blossom(int b)
     for (const int sub : flower_[b]) {
         set_st(sub, sub);
     }
-    const int xr = flower_from_[b][g_[b][pa_[b]].u];
+    const int xr = flower_from_[static_cast<size_t>(b) * from_stride_ +
+                                static_cast<size_t>(end_u(b, pa_[b]))];
     const int pr = get_pr(b, xr);
     for (int i = 0; i < pr; i += 2) {
         const int xs = flower_[b][i];
         const int xns = flower_[b][i + 1];
-        pa_[xs] = g_[xns][xs].u;
+        pa_[xs] = end_u(xns, xs);
         s_[xs] = 1;
         s_[xns] = 0;
         slack_[xs] = 0;
@@ -302,13 +319,13 @@ MaxWeightMatching::expand_blossom(int b)
 }
 
 bool
-MaxWeightMatching::on_found_edge(const Edge &e)
+MaxWeightMatching::on_found_edge(int eu, int ev)
 {
-    const int u = st_[e.u];
-    const int v = st_[e.v];
+    const int u = st_[eu];
+    const int v = st_[ev];
     if (s_[v] == -1) {
         // Grow: attach the free matched pair (v, match(v)) to the tree.
-        pa_[v] = e.u;
+        pa_[v] = eu;
         s_[v] = 1;
         const int nu = st_[match_[v]];
         slack_[v] = 0;
@@ -330,8 +347,9 @@ MaxWeightMatching::on_found_edge(const Edge &e)
 bool
 MaxWeightMatching::matching_phase()
 {
-    std::fill(s_.begin(), s_.end(), -1);
-    std::fill(slack_.begin(), slack_.end(), 0);
+    // Indices >= 2n+1 are never touched by this instance.
+    std::fill_n(s_.begin(), stride_, -1);
+    std::fill_n(slack_.begin(), stride_, 0);
     queue_.clear();
     queue_head_ = 0;
     for (int x = 1; x <= n_x_; ++x) {
@@ -350,14 +368,23 @@ MaxWeightMatching::matching_phase()
             if (s_[st_[u]] == 1) {
                 continue;
             }
+            const int64_t *row = &w_[slot(u, 0)];
+            const int64_t lab_u = lab_[u];
+            int st_u = st_[u];  // only on_found_edge can move it
             for (int v = 1; v <= n_; ++v) {
-                if (g_[u][v].w > 0 && st_[u] != st_[v]) {
-                    if (edge_delta(g_[u][v]) == 0) {
-                        if (on_found_edge(g_[u][v])) {
+                if (row[v] > 0 && st_u != st_[v]) {
+                    const int64_t delta = lab_u + lab_[v] - row[v] * 2;
+                    if (delta == 0) {
+                        if (on_found_edge(u, v)) {
                             return true;
                         }
+                        st_u = st_[u];
                     } else {
-                        update_slack(u, st_[v]);
+                        // A real target reuses the delta just computed;
+                        // a blossom target has its own slot.
+                        const int x = st_[v];
+                        update_slack(u, x,
+                                     x == v ? delta : edge_delta(u, x));
                     }
                 }
             }
@@ -371,9 +398,9 @@ MaxWeightMatching::matching_phase()
         for (int x = 1; x <= n_x_; ++x) {
             if (st_[x] == x && slack_[x]) {
                 if (s_[x] == -1) {
-                    d = std::min(d, edge_delta(g_[slack_[x]][x]));
+                    d = std::min(d, slack_delta_[x]);
                 } else if (s_[x] == 0) {
-                    d = std::min(d, edge_delta(g_[slack_[x]][x]) / 2);
+                    d = std::min(d, slack_delta_[x] / 2);
                 }
             }
         }
@@ -396,12 +423,14 @@ MaxWeightMatching::matching_phase()
                 }
             }
         }
+        refresh_slack_deltas();
         queue_.clear();
         queue_head_ = 0;
         for (int x = 1; x <= n_x_; ++x) {
             if (st_[x] == x && slack_[x] && st_[slack_[x]] != x &&
-                edge_delta(g_[slack_[x]][x]) == 0) {
-                if (on_found_edge(g_[slack_[x]][x])) {
+                slack_delta_[x] == 0) {
+                if (on_found_edge(end_u(slack_[x], x),
+                                  end_v(slack_[x], x))) {
                     return true;
                 }
             }
@@ -414,20 +443,22 @@ MaxWeightMatching::matching_phase()
     }
 }
 
-std::vector<int>
+const std::vector<int> &
 MaxWeightMatching::solve()
 {
-    std::fill(match_.begin(), match_.end(), 0);
+    std::fill_n(match_.begin(), stride_, 0);
     n_x_ = n_;
-    for (int u = 0; u < static_cast<int>(st_.size()); ++u) {
+    for (int u = 0; u < static_cast<int>(stride_); ++u) {
         st_[u] = u <= n_ ? u : 0;
         flower_[u].clear();
     }
     int64_t w_max = 0;
     for (int u = 1; u <= n_; ++u) {
+        int *from_u = &flower_from_[static_cast<size_t>(u) * from_stride_];
+        const int64_t *row = &w_[slot(u, 0)];
         for (int v = 1; v <= n_; ++v) {
-            flower_from_[u][v] = (u == v ? u : 0);
-            w_max = std::max(w_max, g_[u][v].w);
+            from_u[v] = (u == v ? u : 0);
+            w_max = std::max(w_max, row[v]);
         }
     }
     for (int u = 1; u <= n_; ++u) {
@@ -438,14 +469,14 @@ MaxWeightMatching::solve()
     total_weight_ = 0;
     for (int u = 1; u <= n_; ++u) {
         if (match_[u] && match_[u] < u) {
-            total_weight_ += g_[u][match_[u]].w;
+            total_weight_ += weight(u, match_[u]);
         }
     }
-    std::vector<int> mate(n_, -1);
+    mate_.assign(static_cast<size_t>(n_), -1);
     for (int u = 1; u <= n_; ++u) {
-        mate[u - 1] = match_[u] ? match_[u] - 1 : -1;
+        mate_[u - 1] = match_[u] ? match_[u] - 1 : -1;
     }
-    return mate;
+    return mate_;
 }
 
 std::vector<int>

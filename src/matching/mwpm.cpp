@@ -378,7 +378,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             }
         }
 
-        const std::vector<int> mate = solver.solve();
+        const std::vector<int> &mate = solver.solve();
         mate_defect.assign(ks, -1);
         for (int i = 0; i < k; ++i) {
             BTWC_CHECK_MSG(mate[i] >= 0,

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/clique.hpp"
@@ -93,6 +94,9 @@ run_trial(const RotatedSurfaceCode &code, const MemoryConfig &config,
         fix = mwpm.decode(events, rounds + 1);
     }
     frame.apply_mask(fix.correction);
+    if (audit_deep()) {
+        frame.audit();
+    }
 
     // Counted runtime check (not an assert): Release builds must see
     // a violation of the syndrome-clear invariant too.

@@ -50,21 +50,24 @@ run_stream_shard(const StreamConfig &config)
     ErrorFrame frame(code, config.error_type);
     Rng rng(config.seed);
     PackedSyndrome raw(code.num_checks(detector));
-    std::vector<uint8_t> perfect;
 
     for (uint64_t t = 0; t < config.rounds; ++t) {
         frame.inject(config.p, rng);
         frame.measure_packed(config.meas_probability(), rng, raw);
         decoder.push_round(raw);
+        if (audit_deep()) {
+            frame.audit();
+        }
     }
     // One noiseless closing round: its detection events close every
     // open defect chain, so the flushed correction clears the final
     // syndrome (the memory-experiment template, sim/memory.cpp).
-    frame.measure_perfect(perfect);
-    raw.from_bytes(perfect);
-    decoder.push_round(raw);
+    decoder.push_round(frame.syndrome());
     decoder.flush();
     frame.apply_packed(decoder.committed_correction());
+    if (audit_deep()) {
+        frame.audit();
+    }
 
     StreamStats stats;
     stats.window = decoder.stats();

@@ -6,15 +6,9 @@ ErrorFrame::ErrorFrame(const RotatedSurfaceCode &code, CheckType error_type)
     : code_(code), error_type_(error_type),
       detector_(detector_of_error(error_type)),
       err_(static_cast<size_t>(code.num_data()), 0),
-      packed_(code.num_data())
+      packed_(code.num_data()),
+      syndrome_(code.num_checks(detector_))
 {
-}
-
-void
-ErrorFrame::reset()
-{
-    std::fill(err_.begin(), err_.end(), 0);
-    packed_.clear();
 }
 
 void
@@ -22,6 +16,17 @@ ErrorFrame::flip(int data)
 {
     err_[data] ^= 1;
     packed_.flip(data);
+    for (const int check : code_.checks_of_data(detector_, data)) {
+        syndrome_.flip(check);
+    }
+}
+
+void
+ErrorFrame::reset()
+{
+    std::fill(err_.begin(), err_.end(), 0);
+    packed_.clear();
+    syndrome_.clear();
 }
 
 void
@@ -33,8 +38,7 @@ ErrorFrame::inject(double p, Rng &rng)
     const uint64_t n = err_.size();
     uint64_t i = rng.geometric(p);
     while (i < n) {
-        err_[i] ^= 1;
-        packed_.flip(static_cast<int>(i));
+        flip(static_cast<int>(i));
         const uint64_t gap = rng.geometric(p);
         if (gap >= n - i) {
             break;
@@ -47,8 +51,7 @@ void
 ErrorFrame::apply(const std::vector<int> &corrections)
 {
     for (const int data : corrections) {
-        err_[data] ^= 1;
-        packed_.flip(data);
+        flip(data);
     }
 }
 
@@ -57,8 +60,7 @@ ErrorFrame::apply_mask(const std::vector<uint8_t> &mask)
 {
     for (size_t i = 0; i < err_.size(); ++i) {
         if (mask[i] & 1) {
-            err_[i] ^= 1;
-            packed_.flip(static_cast<int>(i));
+            flip(static_cast<int>(i));
         }
     }
 }
@@ -66,15 +68,13 @@ ErrorFrame::apply_mask(const std::vector<uint8_t> &mask)
 void
 ErrorFrame::apply_packed(const PackedBits &mask)
 {
-    // Sparse mirror update first, then the word-wide XOR.
-    mask.for_each_set([this](int data) { err_[data] ^= 1; });
-    packed_ ^= mask;
+    mask.for_each_set([this](int data) { flip(data); });
 }
 
 void
 ErrorFrame::measure(double p_meas, Rng &rng, std::vector<uint8_t> &out) const
 {
-    code_.syndrome_of(detector_, err_, out);
+    syndrome_.to_bytes(out);
     if (p_meas <= 0.0) {
         return;
     }
@@ -94,16 +94,9 @@ void
 ErrorFrame::measure_packed(double p_meas, Rng &rng,
                            PackedSyndrome &out) const
 {
-    out.reset(code_.num_checks(detector_));
-    // Sparse extraction: each flipped qubit toggles its owning checks.
-    // Every data qubit belongs to 1-2 checks per type, so a weight-w
-    // error costs O(w) toggles instead of the O(num_checks x support)
-    // dense parity sweep.
-    packed_.for_each_set([this, &out](int data) {
-        for (const int check : code_.checks_of_data(detector_, data)) {
-            out.flip(check);
-        }
-    });
+    // The noiseless syndrome is maintained by the mutators; copying it
+    // reuses out's capacity once it has the check width.
+    out = syndrome_;
     if (p_meas <= 0.0) {
         return;
     }
@@ -124,19 +117,25 @@ ErrorFrame::measure_packed(double p_meas, Rng &rng,
 void
 ErrorFrame::measure_perfect(std::vector<uint8_t> &out) const
 {
-    code_.syndrome_of(detector_, err_, out);
+    syndrome_.to_bytes(out);
 }
 
-bool
-ErrorFrame::syndrome_clear() const
+void
+ErrorFrame::audit() const
 {
-    syndrome_scratch_.reset(code_.num_checks(detector_));
-    packed_.for_each_set([this](int data) {
-        for (const int check : code_.checks_of_data(detector_, data)) {
-            syndrome_scratch_.flip(check);
-        }
-    });
-    return syndrome_scratch_.none();
+    packed_.audit();
+    syndrome_.audit();
+    PackedBits mirror;
+    mirror.from_bytes(err_);
+    BTWC_CHECK_MSG(mirror == packed_,
+                   "packed error mirror must equal the byte error");
+    std::vector<uint8_t> want;
+    code_.syndrome_of(detector_, err_, want);
+    PackedSyndrome want_packed;
+    want_packed.from_bytes(want);
+    BTWC_CHECK_MSG(want_packed == syndrome_,
+                   "stored syndrome must equal the syndrome of the "
+                   "current error");
 }
 
 int

@@ -17,11 +17,24 @@ namespace btwc {
  * detecting check type, optionally with measurement flips. This is the
  * "Pauli frame" of one half of the independently-decoded lattice.
  *
- * The error state is held twice: a byte-per-qubit vector (`error()`,
- * the legacy representation every byte-path consumer reads) and a
- * bit-packed mirror (`error_packed()`). Every mutator keeps the two in
- * sync; the packed mirror is what makes `measure_packed` O(weight)
- * instead of O(num_checks x support) and `weight()` a popcount.
+ * State, and the invariant every mutator keeps:
+ *   - `err_`, one byte per data qubit (`error()`, what byte-path
+ *     consumers read);
+ *   - `packed_`, its bit-packed mirror (`error_packed()`);
+ *   - `syndrome_`, the noiseless syndrome of the current error, packed
+ *     one bit per check: always equal to `code.syndrome_of(err_)`.
+ * A flipped qubit toggles its bit in both error copies and its 1-2
+ * owning checks in `syndrome_`. `audit()` re-derives the other two
+ * from `err_`.
+ *
+ * Costs: `flip` O(1); `inject` O(d^2 p + 1); `apply` O(list length);
+ * `apply_mask` O(d^2); `apply_packed` O(words + mask weight); `reset`
+ * O(d^2). Reads: `measure_packed` is a word copy of `syndrome_` plus
+ * the measurement-flip walk, O(checks/64 + checks * p_meas + 1);
+ * `measure` and `measure_perfect` unpack `syndrome_`, O(checks);
+ * `syndrome_clear` and `weight` are whole-word scans. No read
+ * allocates once its output has the check width, and none depends on
+ * the error weight.
  */
 class ErrorFrame
 {
@@ -38,7 +51,7 @@ class ErrorFrame
     /** Clear all errors. */
     void reset();
 
-    /** Toggle the error on one data qubit. */
+    /** Toggle the error on one data qubit (and the checks it owns). */
     void flip(int data);
 
     /**
@@ -65,10 +78,9 @@ class ErrorFrame
 
     /**
      * Packed equivalent of `measure`: bit-exact with the byte form
-     * (same syndrome, same RNG consumption) but O(error weight) for
-     * the extraction — each flipped qubit toggles its 1-2 owning
-     * checks via the incidence lists — and allocation-free once `out`
-     * has the check width (the per-`BtwcSystem::Half` scratch idiom).
+     * (same syndrome, same RNG consumption). The noiseless part is a
+     * word copy of the stored syndrome; allocation-free once `out` has
+     * the check width (the per-`BtwcSystem::Half` scratch idiom).
      */
     void measure_packed(double p_meas, Rng &rng, PackedSyndrome &out) const;
 
@@ -76,7 +88,7 @@ class ErrorFrame
     void measure_perfect(std::vector<uint8_t> &out) const;
 
     /** True when the noiseless syndrome is all zero. */
-    bool syndrome_clear() const;
+    bool syndrome_clear() const { return syndrome_.none(); }
 
     /** Number of data qubits currently in error. */
     int weight() const;
@@ -94,6 +106,18 @@ class ErrorFrame
     /** Bit-packed per-qubit error indicators (mirror of error()). */
     const PackedBits &error_packed() const { return packed_; }
 
+    /** The noiseless syndrome of the current error, one bit per check. */
+    const PackedSyndrome &syndrome() const { return syndrome_; }
+
+    /**
+     * Verify the stored state against a recomputation: the packed
+     * mirror equals `error()` and the stored syndrome equals
+     * `code().syndrome_of(detector(), error())`. O(d^2); runs at the
+     * deep-audit points of the pipelines that own frames. Throws
+     * CheckFailure.
+     */
+    void audit() const;
+
     /** The underlying code. */
     const RotatedSurfaceCode &code() const { return code_; }
 
@@ -103,9 +127,7 @@ class ErrorFrame
     CheckType detector_;
     std::vector<uint8_t> err_;
     PackedBits packed_;
-    // Reused by the const syndrome_clear() query; frames are not
-    // concurrency-safe per instance (each engine shard owns its own).
-    mutable PackedSyndrome syndrome_scratch_;
+    PackedSyndrome syndrome_;
 };
 
 } // namespace btwc

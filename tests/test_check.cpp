@@ -173,6 +173,12 @@ TEST(PackedBitsAudit, CorruptedTailWordThrows)
 
 TEST(MatcherAudit, ResetRestoresSlotsAcrossShrinkAndGrow)
 {
+    // reset() zeroes the real (n+1)^2 weight region and nothing else:
+    // blossom slots keep whatever an earlier (larger) instance left,
+    // because every solve writes a blossom's row and column before it
+    // reads them. So the audited postcondition is the real region,
+    // and the behavioural one is "a reused solver solves like a fresh
+    // one" after shrinking and growing.
     ScopedAuditLevel deep(AuditLevel::Deep);  // reset() self-audits
     MaxWeightMatching matcher;
     matcher.reset(6);
@@ -180,13 +186,23 @@ TEST(MatcherAudit, ResetRestoresSlotsAcrossShrinkAndGrow)
     matcher.set_weight(2, 3, 4);
     matcher.set_weight(4, 5, 3);
     matcher.set_weight(1, 2, 7);
-    matcher.solve();  // may shrink blossoms, rewriting slot endpoints
+    matcher.set_weight(0, 2, 6);  // odd cycle 0-1-2
+    matcher.solve();
+    EXPECT_NO_THROW(matcher.audit_slots(false));
+    EXPECT_THROW(matcher.audit_slots(true), CheckFailure);
 
     matcher.reset(4);  // shrink: reuse path
     EXPECT_NO_THROW(matcher.audit_slots(true));
-    matcher.set_weight(0, 1, 2);
-    matcher.set_weight(2, 3, 2);
-    matcher.solve();
+    MaxWeightMatching fresh(4);
+    for (MaxWeightMatching *m : {&matcher, &fresh}) {
+        m->set_weight(0, 1, 2);
+        m->set_weight(1, 2, 3);
+        m->set_weight(0, 2, 3);
+        m->set_weight(2, 3, 2);
+    }
+    const std::vector<int> want = fresh.solve();
+    EXPECT_EQ(matcher.solve(), want);
+    EXPECT_EQ(matcher.total_weight(), fresh.total_weight());
 
     matcher.reset(8);  // grow: reallocation path
     EXPECT_NO_THROW(matcher.audit_slots(true));

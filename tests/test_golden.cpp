@@ -1,13 +1,13 @@
 /**
  * @file
- * Golden-report pins for the off-chip transport. Each file under
+ * Golden-report pins. Each file under
  * tests/golden/ is a `btwc_run '<spec>' --threads 1 --json` Report;
  * the test re-parses its `scenario.spec`, re-runs it single-threaded
  * under deep audits, and requires the fresh `metrics` subtree to
  * match the file bit-exactly (counters exact, floats at printf
  * round-trip tolerance — the btwc_diff gate's policy).
  *
- * The seven pins cover every way an escalation reaches the link:
+ * The first seven pins cover every way an escalation reaches the link:
  *   lifetime_inline_oracle     closed-loop pipeline, Oracle, L=0 link
  *   lifetime_deep_chain        Clique -> UF -> MWPM chain, Mwpm, L=0
  *   lifetime_contended_queue   L=4, B=1, batch=8 standalone link
@@ -15,6 +15,9 @@
  *   fleet_shared_fifo          exact fleet on one shared FIFO link
  *   fleet_shared_fifo_faults   the same under outage/drop/surge faults
  *   fabric_fifo_shed           FIFO fabric with shedding + give-ups
+ * and one pins the d=21 streaming decode end to end (frame noise and
+ * extraction, UF screening, windowed MWPM pairings):
+ *   stream_d21                 the stream-d21 benchmark spec, 2k rounds
  *
  * Regenerate a pin (only when a metrics change is deliberate) with
  *   btwc_run "$(spec)" --threads 1 --json tests/golden/<name>.json
@@ -71,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("lifetime_inline_oracle", "lifetime_deep_chain",
                       "lifetime_contended_queue", "fleet_private_links",
                       "fleet_shared_fifo", "fleet_shared_fifo_faults",
-                      "fabric_fifo_shed"),
+                      "fabric_fifo_shed", "stream_d21"),
     [](const ::testing::TestParamInfo<const char *> &info) {
         return std::string(info.param);
     });

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -357,6 +358,115 @@ TEST(ErrorFrame, StabilizerIsNotLogical)
     }
     EXPECT_TRUE(frame.syndrome_clear());
     EXPECT_FALSE(frame.logical_flipped());
+}
+
+/** Every read of `frame` agrees with a recomputation from `want`. */
+void
+expect_frame_consistent(const ErrorFrame &frame,
+                        const std::vector<uint8_t> &want, int step)
+{
+    const RotatedSurfaceCode &code = frame.code();
+    ASSERT_EQ(frame.error(), want) << "step " << step;
+    std::vector<uint8_t> syndrome;
+    code.syndrome_of(frame.detector(), want, syndrome);
+    std::vector<uint8_t> perfect;
+    frame.measure_perfect(perfect);
+    ASSERT_EQ(perfect, syndrome) << "step " << step;
+    PackedSyndrome packed;
+    packed.from_bytes(syndrome);
+    ASSERT_EQ(frame.syndrome(), packed) << "step " << step;
+    Rng unused(0);
+    PackedSyndrome measured;
+    frame.measure_packed(0.0, unused, measured);
+    ASSERT_EQ(measured, packed) << "step " << step;
+    ASSERT_EQ(frame.syndrome_clear(),
+              std::count(syndrome.begin(), syndrome.end(), 1) == 0)
+        << "step " << step;
+    ASSERT_NO_THROW(frame.audit()) << "step " << step;
+}
+
+TEST(ErrorFrame, StoredSyndromeTracksEveryMutator)
+{
+    for (const int d : {3, 9, 21}) {
+        const RotatedSurfaceCode code(d);
+        for (const CheckType type : {CheckType::X, CheckType::Z}) {
+            Rng rng(static_cast<uint64_t>(17 * d) +
+                    static_cast<uint64_t>(type));
+            const int n = code.num_data();
+            std::vector<ErrorFrame> frames;
+            frames.emplace_back(code, type);
+            std::vector<uint8_t> want(static_cast<size_t>(n), 0);
+            for (int step = 0; step < 300; ++step) {
+                ErrorFrame &frame = frames.back();
+                switch (rng.next_below(7)) {
+                  case 0: {
+                    const int q = static_cast<int>(rng.next_below(n));
+                    frame.flip(q);
+                    want[q] ^= 1;
+                    break;
+                  }
+                  case 1: {
+                    // Mirror inject's draws on a twin stream.
+                    Rng twin = rng;
+                    ErrorFrame shadow(code, type);
+                    shadow.inject(0.05, twin);
+                    frame.inject(0.05, rng);
+                    for (int q = 0; q < n; ++q) {
+                        want[q] ^= shadow.error()[q];
+                    }
+                    break;
+                  }
+                  case 2: {
+                    std::vector<int> list;
+                    for (int i = 0; i < 4; ++i) {
+                        list.push_back(static_cast<int>(rng.next_below(n)));
+                    }
+                    frame.apply(list);
+                    for (const int q : list) {
+                        want[q] ^= 1;
+                    }
+                    break;
+                  }
+                  case 3: {
+                    std::vector<uint8_t> mask(static_cast<size_t>(n), 0);
+                    for (uint8_t &m : mask) {
+                        m = rng.bernoulli(0.1) ? 1 : 0;
+                    }
+                    frame.apply_mask(mask);
+                    for (int q = 0; q < n; ++q) {
+                        want[q] ^= mask[q];
+                    }
+                    break;
+                  }
+                  case 4: {
+                    PackedBits mask(n);
+                    for (int q = 0; q < n; ++q) {
+                        if (rng.bernoulli(0.1)) {
+                            mask.set(q);
+                            want[q] ^= 1;
+                        }
+                    }
+                    frame.apply_packed(mask);
+                    break;
+                  }
+                  case 5:
+                    if (rng.bernoulli(0.2)) {
+                        frame.reset();
+                        std::fill(want.begin(), want.end(), 0);
+                    }
+                    break;
+                  default:
+                    // Copy-construction carries the stored syndrome.
+                    frames.push_back(frames.back());
+                    break;
+                }
+                expect_frame_consistent(frames.back(), want, step);
+                if (HasFatalFailure()) {
+                    return;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
