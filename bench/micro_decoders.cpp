@@ -44,17 +44,17 @@ sample_syndrome(const RotatedSurfaceCode &code, int errors, Rng &rng)
     return syndrome;
 }
 
-/** Detection events of a full d-round spacetime window at p = 5e-3. */
+/** Detection events of a full d-round spacetime window at rate p. */
 std::vector<DetectionEvent>
-sample_window(const RotatedSurfaceCode &code, Rng &rng)
+sample_window(const RotatedSurfaceCode &code, Rng &rng, double p = 5e-3)
 {
     const int d = code.distance();
     ErrorFrame frame(code, CheckType::X);
     std::vector<std::vector<uint8_t>> raw(d + 1);
     std::vector<DetectionEvent> events;
     for (int t = 0; t < d; ++t) {
-        frame.inject(5e-3, rng);
-        frame.measure(5e-3, rng, raw[t]);
+        frame.inject(p, rng);
+        frame.measure(p, rng, raw[t]);
     }
     frame.measure_perfect(raw[d]);
     for (int t = 0; t <= d; ++t) {
@@ -323,6 +323,32 @@ BM_MwpmDecodeSingleLegacy(benchmark::State &state)
     run_single_decode(state, FastPathConfig::legacy());
 }
 BENCHMARK(BM_MwpmDecodeSingleLegacy)->Arg(11)->Arg(15)->Arg(21);
+
+void
+BM_MwpmDecodeMemory(benchmark::State &state)
+{
+    // The memory experiment's matcher load (Fig. 14): d = 9 spacetime
+    // windows of d + 1 rounds at p = 1e-2, decoded by one pooled
+    // decoder over a fixed corpus. These windows average ~18 defects;
+    // the Clique arm's on-chip corrections raise memory-d9's trials
+    // to ~25.
+    const int d = 9;
+    const RotatedSurfaceCode code(d);
+    const MwpmDecoder mwpm(code, CheckType::Z);
+    Rng rng(31);
+    std::vector<std::vector<DetectionEvent>> windows;
+    size_t defects = 0;
+    for (int i = 0; i < 64; ++i) {
+        windows.push_back(sample_window(code, rng, 1e-2));
+        defects += windows.back().size();
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(mwpm.decode(windows[i++ & 63], d + 1));
+    }
+    state.counters["defects"] = static_cast<double>(defects) / 64.0;
+}
+BENCHMARK(BM_MwpmDecodeMemory);
 
 void
 BM_LutDecode(benchmark::State &state)

@@ -33,9 +33,12 @@ MaxWeightMatching::reset(int n)
         ends_.assign(stride_ * stride_, Ends{});
         lab_.assign(stride_, 0);
         slack_delta_.assign(stride_, 0);
+        best_cost_.assign(stride_, 0);
+        tight_free_.assign(stride_, 0);
         match_.assign(stride_, 0);
         slack_.assign(stride_, 0);
         st_.assign(stride_, 0);
+        st_saved_.assign(stride_, 0);
         pa_.assign(stride_, 0);
         s_.assign(stride_, -1);
         vis_.assign(stride_, 0);
@@ -66,11 +69,13 @@ MaxWeightMatching::audit_slots(bool expect_cleared) const
 {
     const int size = 2 * n_ + 1;
     const size_t slots = static_cast<size_t>(size) * size;
-    BTWC_CHECK_MSG(capacity_ >= size &&
-                       stride_ == static_cast<size_t>(size) &&
+    const size_t cells = static_cast<size_t>(size);
+    BTWC_CHECK_MSG(capacity_ >= size && stride_ == cells &&
                        w_.size() >= slots && ends_.size() >= slots &&
-                       flower_from_.size() >=
-                           static_cast<size_t>(size) * (n_ + 1),
+                       flower_from_.size() >= cells * (n_ + 1) &&
+                       best_cost_.size() >= cells &&
+                       tight_free_.size() >= cells &&
+                       st_saved_.size() >= cells,
                    "matcher capacity covers the active instance");
     for (int u = 0; u <= n_; ++u) {
         for (int v = 0; v <= n_; ++v) {
@@ -84,6 +89,75 @@ MaxWeightMatching::audit_slots(bool expect_cleared) const
                                "weight");
             }
         }
+    }
+}
+
+void
+MaxWeightMatching::audit_blossom_slots() const
+{
+    for (int y = n_ + 1; y <= n_x_; ++y) {
+        if (!st_[y]) {
+            continue;  // dead blossom index
+        }
+        for (int x = 1; x <= y; ++x) {
+            if (!st_[x]) {
+                continue;
+            }
+            const size_t xy = slot(x, y);
+            const size_t yx = slot(y, x);
+            BTWC_CHECK_MSG(w_[xy] == w_[yx],
+                           "blossom slot weights must be symmetric");
+            if (w_[xy] > 0) {
+                BTWC_CHECK_MSG(ends_[xy].u == ends_[yx].v &&
+                                   ends_[xy].v == ends_[yx].u,
+                               "a blossom slot's mirror must hold its "
+                               "endpoints reversed");
+            }
+        }
+    }
+}
+
+void
+MaxWeightMatching::audit_forest() const
+{
+    for (int u = 1; u <= n_; ++u) {
+        const int top = st_[u];
+        BTWC_CHECK_MSG(top == u || (top > n_ && top <= n_x_ &&
+                                    st_[top] == top),
+                       "every real vertex names a live top-level index");
+    }
+    // The real vertices each top-level blossom's flower reaches.
+    std::vector<int> owner(static_cast<size_t>(n_) + 1, 0);
+    std::vector<int> stack;
+    for (int b = n_ + 1; b <= n_x_; ++b) {
+        if (st_[b] != b) {
+            continue;
+        }
+        stack.assign(1, b);
+        size_t visits = 0;
+        while (!stack.empty()) {
+            const int x = stack.back();
+            stack.pop_back();
+            BTWC_CHECK_MSG(++visits <= stride_ && x >= 1 && x <= n_x_,
+                           "blossom flowers form a forest");
+            if (x <= n_) {
+                BTWC_CHECK_MSG(owner[x] == 0 && st_[x] == b,
+                               "a blossom's flower reaches each of its "
+                               "real vertices once");
+                owner[x] = b;
+                continue;
+            }
+            BTWC_CHECK_MSG(st_[x] == b,
+                           "a nested blossom maps to its top-level one");
+            for (const int sub : flower_[x]) {
+                stack.push_back(sub);
+            }
+        }
+    }
+    for (int u = 1; u <= n_; ++u) {
+        BTWC_CHECK_MSG(owner[u] == (st_[u] == u ? 0 : st_[u]),
+                       "a blossom's flower reaches exactly the real "
+                       "vertices that map to it");
     }
 }
 
@@ -231,7 +305,7 @@ MaxWeightMatching::get_lca(int u, int v)
 }
 
 void
-MaxWeightMatching::add_blossom(int u, int lca, int v)
+MaxWeightMatching::add_blossom(int u, int lca, int v, bool keep_slack)
 {
     int b = n_ + 1;
     while (b <= n_x_ && st_[b]) {
@@ -257,25 +331,32 @@ MaxWeightMatching::add_blossom(int u, int lca, int v)
         queue_push(y);
     }
     set_st(b, b);
+    // Row b keeps, per column, the member edge of least reduced cost
+    // (the first member wins a tie), each cost computed once.
     int64_t *row_b = &w_[slot(b, 0)];
-    for (int x = 1; x <= n_x_; ++x) {
-        row_b[x] = 0;
-        w_[slot(x, b)] = 0;
-    }
+    Ends *ends_b = &ends_[slot(b, 0)];
+    int64_t *cost = best_cost_.data();
+    std::fill_n(row_b + 1, n_x_, 0);
     int *from_b = &flower_from_[static_cast<size_t>(b) * from_stride_];
-    for (int x = 1; x <= n_; ++x) {
-        from_b[x] = 0;
-    }
+    std::fill_n(from_b + 1, n_, 0);
     for (const int xs : flower_[b]) {
         const int64_t *row_xs = &w_[slot(xs, 0)];
         for (int x = 1; x <= n_x_; ++x) {
-            if (row_xs[x] > 0 &&
-                (row_b[x] == 0 || edge_delta(xs, x) < edge_delta(b, x))) {
-                row_b[x] = row_xs[x];
-                ends_[slot(b, x)] = Ends{end_u(xs, x), end_v(xs, x)};
-                w_[slot(x, b)] = w_[slot(x, xs)];
-                ends_[slot(x, b)] = Ends{end_u(x, xs), end_v(x, xs)};
+            const int64_t w = row_xs[x];
+            if (w > 0 && x != b) {
+                const int eu = end_u(xs, x);
+                const int ev = end_v(xs, x);
+                const int64_t c = lab_[eu] + lab_[ev] - w * 2;
+                if (row_b[x] == 0 || c < cost[x]) {
+                    row_b[x] = w;
+                    ends_b[x] = Ends{eu, ev};
+                    cost[x] = c;
+                }
             }
+        }
+        if (xs <= n_) {
+            from_b[xs] = xs;  // a real vertex's own row is the identity
+            continue;
         }
         const int *from_xs =
             &flower_from_[static_cast<size_t>(xs) * from_stride_];
@@ -285,7 +366,19 @@ MaxWeightMatching::add_blossom(int u, int lca, int v)
             }
         }
     }
-    set_slack(b);
+    // Column b mirrors row b: same weight, endpoints reversed.
+    for (int x = 1; x <= n_x_; ++x) {
+        w_[slot(x, b)] = row_b[x];
+        if (row_b[x] > 0) {
+            ends_[slot(x, b)] = Ends{ends_b[x].v, ends_b[x].u};
+        }
+    }
+    if (audit_deep()) {
+        audit_blossom_slots();
+    }
+    if (keep_slack) {
+        set_slack(b);
+    }
 }
 
 void
@@ -319,7 +412,7 @@ MaxWeightMatching::expand_blossom(int b)
 }
 
 bool
-MaxWeightMatching::on_found_edge(int eu, int ev)
+MaxWeightMatching::on_found_edge(int eu, int ev, bool keep_slack)
 {
     const int u = st_[eu];
     const int v = st_[ev];
@@ -339,17 +432,16 @@ MaxWeightMatching::on_found_edge(int eu, int ev)
             augment(v, u);
             return true;
         }
-        add_blossom(u, lca, v);
+        add_blossom(u, lca, v, keep_slack);
     }
     return false;
 }
 
 bool
-MaxWeightMatching::matching_phase()
+MaxWeightMatching::start_phase()
 {
     // Indices >= 2n+1 are never touched by this instance.
     std::fill_n(s_.begin(), stride_, -1);
-    std::fill_n(slack_.begin(), stride_, 0);
     queue_.clear();
     queue_head_ = 0;
     for (int x = 1; x <= n_x_; ++x) {
@@ -359,9 +451,61 @@ MaxWeightMatching::matching_phase()
             queue_push(x);
         }
     }
-    if (queue_.empty()) {
+    return !queue_.empty();
+}
+
+bool
+MaxWeightMatching::speculative_stage()
+{
+    while (queue_head_ < queue_.size()) {
+        const int u = queue_[queue_head_++];
+        if (s_[st_[u]] == 1 || tight_free_[u] == label_version_) {
+            continue;
+        }
+        const int64_t *row = &w_[slot(u, 0)];
+        const int64_t lab_u = lab_[u];
+        int st_u = st_[u];  // only on_found_edge can move it
+        bool tight_free = true;
+        for (int v = 1; v <= n_; ++v) {
+            if (row[v] > 0 && lab_u + lab_[v] == row[v] * 2) {
+                tight_free = false;
+                if (st_u != st_[v]) {
+                    if (on_found_edge(u, v, false)) {
+                        return true;
+                    }
+                    st_u = st_[u];
+                }
+            }
+        }
+        if (tight_free) {
+            tight_free_[u] = label_version_;
+        }
+    }
+    return false;
+}
+
+bool
+MaxWeightMatching::matching_phase()
+{
+    if (!start_phase()) {
         return false;
     }
+    const int n_x_saved = n_x_;
+    std::copy_n(st_.begin(), stride_, st_saved_.begin());
+    if (speculative_stage()) {
+        return true;
+    }
+    // The queue ran dry: the phase needs a dual adjustment, and so the
+    // slack the speculative stage skipped. Roll back its blossoms and
+    // replay the phase eagerly; the replay repeats every step the
+    // speculative stage took, in order, then adjusts the duals.
+    std::copy_n(st_saved_.begin(), stride_, st_.begin());
+    n_x_ = n_x_saved;
+    if (audit_deep()) {
+        audit_forest();
+    }
+    start_phase();
+    std::fill_n(slack_.begin(), stride_, 0);
     for (;;) {
         while (queue_head_ < queue_.size()) {
             const int u = queue_[queue_head_++];
@@ -375,7 +519,7 @@ MaxWeightMatching::matching_phase()
                 if (row[v] > 0 && st_u != st_[v]) {
                     const int64_t delta = lab_u + lab_[v] - row[v] * 2;
                     if (delta == 0) {
-                        if (on_found_edge(u, v)) {
+                        if (on_found_edge(u, v, true)) {
                             return true;
                         }
                         st_u = st_[u];
@@ -404,6 +548,8 @@ MaxWeightMatching::matching_phase()
                 }
             }
         }
+        // Every tight-free stamp dies with the labels it was taken at.
+        ++label_version_;
         for (int u = 1; u <= n_; ++u) {
             if (s_[st_[u]] == 0) {
                 if (lab_[u] <= d) {
@@ -430,7 +576,7 @@ MaxWeightMatching::matching_phase()
             if (st_[x] == x && slack_[x] && st_[slack_[x]] != x &&
                 slack_delta_[x] == 0) {
                 if (on_found_edge(end_u(slack_[x], x),
-                                  end_v(slack_[x], x))) {
+                                  end_v(slack_[x], x), true)) {
                     return true;
                 }
             }
@@ -454,16 +600,15 @@ MaxWeightMatching::solve()
     }
     int64_t w_max = 0;
     for (int u = 1; u <= n_; ++u) {
-        int *from_u = &flower_from_[static_cast<size_t>(u) * from_stride_];
         const int64_t *row = &w_[slot(u, 0)];
         for (int v = 1; v <= n_; ++v) {
-            from_u[v] = (u == v ? u : 0);
             w_max = std::max(w_max, row[v]);
         }
     }
     for (int u = 1; u <= n_; ++u) {
         lab_[u] = w_max;
     }
+    ++label_version_;  // new labels (and possibly new weights)
     while (matching_phase()) {
     }
     total_weight_ = 0;

@@ -32,10 +32,59 @@ namespace btwc {
  * edge `slack_[x]`; it is refreshed once per dual adjustment.
  *
  * Pooled-slot invariant. `reset` zeroes only the real (n+1)^2 region.
- * Blossom slots are not cleared: `add_blossom` zeroes a new blossom's
- * row and column before filling them, and every read of a blossom slot
- * happens after that write in the same solve. Endpoints are read only
- * from slots of positive weight.
+ * Blossom slots are not cleared: `add_blossom` writes a new blossom's
+ * whole row and column, and every read of a blossom slot happens after
+ * that write in the same solve. Endpoints are read only from slots of
+ * positive weight.
+ *
+ * Column mirror. `add_blossom` fills row b in one pass over the
+ * members' rows, computing each member edge's reduced cost once and
+ * keeping the cheapest per column, then writes column b as the mirror
+ * of row b: the same weight, the endpoints reversed. Slot (b, b) stays
+ * zero. This is exact: the trajectory reads a blossom slot only between
+ * two live indices neither of which contains the other, and on every
+ * such pair the earlier column-by-column copy already held the same
+ * weight on both sides of the diagonal and, where it is positive,
+ * reversed endpoints. The mirror makes that hold on every pair of live
+ * indices that includes a blossom; deep audits recheck it after each
+ * `add_blossom`.
+ *
+ * Identity rows. `flower_from_` (row-major, (2n+1) x (n+1)) maps a
+ * blossom and one of its real vertices to the member containing it.
+ * The rows of real vertices would be the identity; they are never
+ * written or read: `add_blossom` sets `from_b[xs] = xs` for a real
+ * member xs directly.
+ *
+ * Two stages per phase. A phase is one search for an augmenting path;
+ * a dual adjustment is the label change it makes when its queue runs
+ * dry; an edge is tight when its reduced cost is zero. Two facts make
+ * the shortcuts below exact:
+ *   1. Nothing outside the slack upkeep itself reads `slack_` or
+ *      `slack_delta_` before the phase's first dual adjustment.
+ *   2. Whether a real edge is tight depends only on the labels of its
+ *      real endpoints, which change only at solve start and at dual
+ *      adjustments.
+ * So each phase first runs a speculative stage: it scans its queue for
+ * tight edges only, with no slack upkeep and no `slack_` fill (fact
+ * 1). Most phases augment there and are done. If the queue runs dry,
+ * the phase rolls back: `st_[0..2n]` and `n_x_` are restored from a
+ * copy taken at phase start, which kills every blossom the speculative
+ * stage made, and the eager stage replays the phase from a fresh
+ * start with full slack upkeep. The rollback contract: nothing else
+ * the speculative stage wrote is read before the replay rewrites it
+ * (a dead blossom's label, mate, flower and matrix slots are rewritten
+ * when it is created again; `s_`, `pa_` and the queue are reset or
+ * written before they are read; `get_lca` compares visit marks only
+ * against a fresh stamp), and the replay repeats the speculative
+ * stage's steps in order, because they read neither slack nor
+ * anything the rollback left changed. Deep audits check the restored
+ * blossom forest.
+ *
+ * Tight-free stamps. `tight_free_[u] == label_version_` records that
+ * row u held no tight edge under the current labels; the version
+ * increases at solve start and at every dual adjustment (fact 2). Only
+ * the speculative stage reads the stamps: it skips a stamped row in
+ * O(1), since scanning it could find no tight edge to act on.
  *
  * Trajectory. The algorithm's trajectory — vertex numbering, scan
  * order, initial labels, the strict-`<` slack tie rule — is the one the
@@ -80,7 +129,8 @@ class MaxWeightMatching
 
     /**
      * Verify the pooled-slot invariant over the active instance: the
-     * matrix covers (2n+1)^2 slots, weights over the real (n+1)^2
+     * matrix covers (2n+1)^2 slots and every other pooled array its
+     * 2n+1 indices, weights over the real (n+1)^2
      * region are symmetric and non-negative, and with `expect_cleared`
      * additionally zero — the exact postcondition of reset(). Blossom
      * slots are outside the check: they are written before they are
@@ -113,6 +163,8 @@ class MaxWeightMatching
     /** Reduced cost of slot (u, v): lab(a) + lab(b) - 2w(a, b). */
     int64_t edge_delta(int u, int v) const;
 
+    void audit_blossom_slots() const;
+    void audit_forest() const;
     void update_slack(int u, int x, int64_t delta);
     void set_slack(int x);
     void refresh_slack_deltas();
@@ -122,9 +174,15 @@ class MaxWeightMatching
     void set_match(int u, int v);
     void augment(int u, int v);
     int get_lca(int u, int v);
-    void add_blossom(int u, int lca, int v);
+    /** Shrink the odd cycle through u, lca, v; `keep_slack` is false
+     *  in the speculative stage. */
+    void add_blossom(int u, int lca, int v, bool keep_slack);
     void expand_blossom(int b);
-    bool on_found_edge(int eu, int ev);
+    bool on_found_edge(int eu, int ev, bool keep_slack);
+    /** Label and queue the free top-level indices; false if none. */
+    bool start_phase();
+    /** Tight-edge-only scan of the queue; true if it augmented. */
+    bool speculative_stage();
     bool matching_phase();
 
     int n_ = 0;        ///< number of real vertices
@@ -137,7 +195,10 @@ class MaxWeightMatching
     std::vector<Ends> ends_;  ///< endpoints of blossom slots
     std::vector<int64_t> lab_;
     std::vector<int64_t> slack_delta_;  ///< edge_delta(slack_[x], x)
+    std::vector<int64_t> best_cost_;    ///< add_blossom's per-column cost
+    std::vector<uint64_t> tight_free_;  ///< per real vertex, see above
     std::vector<int> match_, slack_, st_, pa_, s_, vis_;
+    std::vector<int> st_saved_;  ///< st_ at phase start, for rollback
     std::vector<std::vector<int>> flower_;
     std::vector<int> flower_from_;  ///< (2n+1) x (n+1), row-major
     std::vector<int> queue_;
@@ -145,6 +206,7 @@ class MaxWeightMatching
     size_t queue_head_ = 0;
     int64_t total_weight_ = 0;
     int visit_stamp_ = 0;
+    uint64_t label_version_ = 0;  ///< never reset, so stale stamps die
 };
 
 /**

@@ -26,11 +26,10 @@ constexpr int kNoNode = -1;
 constexpr int kExactDpMaxDefects = 18;
 
 /**
- * Smallest uncapped instance worth domination-pruning: below this the
- * complete-graph blossom is already cheap and the O(k^2 log k)
- * selection is pure overhead (measured: no win at k ~ 17, ~1.5x at
- * k ~ 130). Skipping also makes small decodes — the BtwcSystem
- * per-cycle common case — structurally identical to the
+ * Smallest instance worth domination-pruning: below this the
+ * complete-graph blossom is already cheap (measured: no win at k ~ 17,
+ * ~1.5x at k ~ 130). Skipping also makes small decodes — the
+ * BtwcSystem per-cycle common case — structurally identical to the
  * complete-graph solve.
  */
 constexpr int kSparseMinDefects = 32;
@@ -69,10 +68,6 @@ struct MwpmDecoder::Scratch
     std::vector<int64_t> defect_w;  ///< k x k pairwise distances, flat
     std::vector<int> mate_defect;
 
-    // Sparse candidate selection.
-    std::vector<int> nbr_order;
-    std::vector<uint8_t> keep;  ///< k x k candidate-edge flags
-
     // Subset-DP bridge (row-matrix view over `defect_w`).
     std::vector<std::vector<int64_t>> dp_w;
 
@@ -102,7 +97,6 @@ MwpmDecoder::MwpmDecoder(const RotatedSurfaceCode &code, CheckType detector,
       scratch_(std::make_unique<Scratch>())
 {
     BTWC_CHECK(space_weight >= 1 && time_weight >= 1);
-    BTWC_CHECK(fast_.knn >= 0);
 }
 
 MwpmDecoder::~MwpmDecoder() = default;
@@ -296,52 +290,21 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     } else {
         // Build the 2k matching instance in the pooled solver:
         // defects 0..k-1, boundary twins k..2k-1, twin-twin edges
-        // free. Under sparse_candidates each defect offers only its
-        // knn nearest non-dominated partners (an edge costing more
-        // than the two boundary retirements it replaces is in no
-        // optimal matching), symmetrically unioned; boundary and twin
-        // edges always survive, so a perfect matching always exists.
-        // Skip the selection when it cannot pay for itself: uncapped,
-        // below kSparseMinDefects; capped, below the cap + 1 (where
-        // the kNN union is the complete graph anyway). Small
-        // instances — the common case — then pay zero overhead and
-        // match the complete-graph solve identically by construction.
-        const int cap = fast_.knn == 0 ? k : fast_.knn;
-        const int min_defects =
-            fast_.knn == 0 ? kSparseMinDefects : fast_.knn + 1;
-        uint8_t *keep = nullptr;
-        if (fast_.sparse_candidates && k > min_defects) {
-            scratch.keep.assign(ks * ks, 0);
-            keep = scratch.keep.data();
-            std::vector<int> &order = scratch.nbr_order;
-            for (int i = 0; i < k; ++i) {
-                const int64_t *row = &defect_w[static_cast<size_t>(i) * ks];
-                order.clear();
-                for (int j = 0; j < k; ++j) {
-                    if (j != i && row[j] >= 0) {
-                        order.push_back(j);
-                    }
-                }
-                std::sort(order.begin(), order.end(),
-                          [row](int a, int b) {
-                              return row[a] != row[b] ? row[a] < row[b]
-                                                      : a < b;
-                          });
-                int taken = 0;
-                for (const int j : order) {
-                    if (taken >= cap) {
-                        break;
-                    }
-                    if (boundary_dist[i] >= 0 && boundary_dist[j] >= 0 &&
-                        row[j] > boundary_dist[i] + boundary_dist[j]) {
-                        continue;  // strictly dominated by boundaries
-                    }
-                    keep[static_cast<size_t>(i) * ks + j] = 1;
-                    keep[static_cast<size_t>(j) * ks + i] = 1;
-                    ++taken;
-                }
-            }
-        }
+        // free. Under sparse_candidates the defect-defect edges are
+        // the non-dominated pairs: an edge costing more than the two
+        // boundary retirements it replaces is in no optimal matching.
+        // Boundary and twin edges always survive, so a perfect
+        // matching always exists. Below kSparseMinDefects nothing is
+        // pruned, so small instances — the common case — match the
+        // complete-graph solve identically by construction.
+        const bool prune =
+            fast_.sparse_candidates && k > kSparseMinDefects;
+        auto candidate = [&](int i, int j, int64_t w) {
+            return w >= 0 &&
+                   !(prune && boundary_dist[i] >= 0 &&
+                     boundary_dist[j] >= 0 &&
+                     w > boundary_dist[i] + boundary_dist[j]);
+        };
 
         const int n = 2 * k;
         MaxWeightMatching &solver = scratch.matcher;
@@ -350,9 +313,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         for (int i = 0; i < k; ++i) {
             for (int j = i + 1; j < k; ++j) {
                 const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-                if (w >= 0 &&
-                    (keep == nullptr ||
-                     keep[static_cast<size_t>(i) * ks + j])) {
+                if (candidate(i, j, w)) {
                     total += w;
                 }
             }
@@ -364,9 +325,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         for (int i = 0; i < k; ++i) {
             for (int j = i + 1; j < k; ++j) {
                 const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-                if (w >= 0 &&
-                    (keep == nullptr ||
-                     keep[static_cast<size_t>(i) * ks + j])) {
+                if (candidate(i, j, w)) {
                     solver.set_weight(i, j, big - w);
                 }
             }

@@ -31,30 +31,18 @@ struct FastPathConfig
     bool distance_oracle = true;
 
     /**
-     * Hand the blossom stage a sparse candidate edge set — per defect
-     * its nearest partners with boundary-dominated pairs pruned —
-     * instead of the complete defect graph. A dominated edge costs
-     * strictly more than the two boundary retirements it replaces, so
-     * it appears in *no* optimal matching: the pruning provably
-     * preserves the optimal-matching set, and the bit-exactness
-     * property tests pin that the solver's tie selection survives too
-     * (tests/test_fastpath.cpp, including a d = 13 / ~200-defect
-     * stress corpus). Boundary and twin edges are always kept, so a
-     * perfect matching always exists.
+     * Hand the blossom stage a sparse candidate edge set — exactly
+     * the non-dominated defect pairs — instead of the complete defect
+     * graph (above 32 defects; smaller instances keep every edge). A
+     * dominated edge costs strictly more than the two boundary
+     * retirements it replaces, so it appears in *no* optimal
+     * matching: the pruning provably preserves the optimal-matching
+     * set, and the bit-exactness property tests pin that the solver's
+     * tie selection survives too (tests/test_fastpath.cpp, including
+     * a d = 13 / ~200-defect stress corpus). Boundary and twin edges
+     * are always kept, so a perfect matching always exists.
      */
     bool sparse_candidates = true;
-
-    /**
-     * Optional hard cap on candidate partners kept per defect;
-     * 0 (the default) means uncapped — domination pruning only,
-     * which is the bit-exact configuration. A positive cap bounds the
-     * candidate degree for very large instances but may select a
-     * *different equal-weight* matching once defect counts exceed it
-     * (observed from ~160 defects with knn = 16), so capped decoders
-     * trade the bit-exactness guarantee for bounded work — opt-in
-     * only.
-     */
-    int knn = 0;
 
     /** The default: oracle distances + domination-pruned candidates. */
     static FastPathConfig fast() { return FastPathConfig(); }

@@ -21,6 +21,7 @@
 #include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "core/offchip_queue.hpp"
 #include "core/offchip_service.hpp"
 #include "decoders/tier_chain.hpp"
@@ -206,6 +207,59 @@ TEST(MatcherAudit, ResetRestoresSlotsAcrossShrinkAndGrow)
 
     matcher.reset(8);  // grow: reallocation path
     EXPECT_NO_THROW(matcher.audit_slots(true));
+}
+
+TEST(MatcherAudit, DeepAuditsHoldOnGeneralGraphs)
+{
+    // Under deep audit each add_blossom rechecks the column mirror
+    // (every pair of live indices that includes a blossom holds equal
+    // weights across the diagonal and reversed endpoints), and each
+    // rollback of a speculative phase rechecks the blossom forest.
+    // Random general graphs, unlike the decoder's twin construction,
+    // need dual adjustments early and nest blossoms in many shapes, so
+    // both audits fire often. Auditing must not change the matching.
+    struct Edge
+    {
+        int u;
+        int v;
+        int64_t w;
+    };
+    Rng rng(2718);
+    MaxWeightMatching audited;
+    MaxWeightMatching plain;
+    for (int iter = 0; iter < 240; ++iter) {
+        const int n = 1 + static_cast<int>(rng.next_below(48));
+        const double density = 0.1 + 0.9 * rng.next_double();
+        const uint64_t max_w = iter % 2 == 0 ? 4 : 1000;
+        std::vector<Edge> edges;
+        for (int u = 0; u < n; ++u) {
+            for (int v = u + 1; v < n; ++v) {
+                if (rng.bernoulli(density)) {
+                    const int64_t w =
+                        1 + static_cast<int64_t>(rng.next_below(max_w));
+                    edges.push_back({u, v, w});
+                }
+            }
+        }
+        std::vector<int> got;
+        {
+            ScopedAuditLevel deep(AuditLevel::Deep);
+            audited.reset(n);
+            for (const Edge &e : edges) {
+                audited.set_weight(e.u, e.v, e.w);
+            }
+            ASSERT_NO_THROW(got = audited.solve()) << "iter=" << iter;
+            ASSERT_NO_THROW(audited.audit_slots(false));
+        }
+        {
+            ScopedAuditLevel off(AuditLevel::Off);
+            plain.reset(n);
+            for (const Edge &e : edges) {
+                plain.set_weight(e.u, e.v, e.w);
+            }
+            ASSERT_EQ(got, plain.solve()) << "iter=" << iter;
+        }
+    }
 }
 
 // --------------------------------------------------- off-chip queue

@@ -3,20 +3,29 @@
  * Golden pin of the matcher's tie-breaking. `tests/golden/
  * mwpm_pairings.txt` records, for every seeded instance below, the
  * defect count, the matched weight, and an FNV-1a-64 of the solved
- * pair (or mate) list. The file was generated once from the blossom
- * engine as it stood before its storage was flattened; any later drift
- * in which of several equal-weight matchings the engine returns fails
- * here, even where the weight (and hence every optimality check) is
- * unchanged.
+ * pair (or mate) list. The decode and pool lines were generated once
+ * from the blossom engine as it stood before its storage was
+ * flattened, the general lines from the flat engine before it gained
+ * its speculative stage; any later drift in which of several
+ * equal-weight matchings the engine returns fails here, even where the
+ * weight (and hence every optimality check) is unchanged.
  *
- * Two corpora:
- *   decode  `MwpmDecoder::decode_matched` over d in {5, 9, 13, 21} x
- *           rounds in {1, 8, d+1} x both detectors, at noise rates
- *           chosen so defect counts run from 0 to over 100 (crossing
- *           the sparse-candidate threshold of 32 defects);
- *   pool    one pooled `MaxWeightMatching` solving random
- *           twin-construction instances with weights in 1..4 (dense
- *           ties), their sizes shrinking and growing at random.
+ * Three corpora:
+ *   decode   `MwpmDecoder::decode_matched` over d in {5, 9, 13, 21} x
+ *            rounds in {1, 8, d+1} x both detectors, at noise rates
+ *            chosen so defect counts run from 0 to over 100 (crossing
+ *            the sparse-candidate threshold of 32 defects);
+ *   pool     one pooled `MaxWeightMatching` solving random
+ *            twin-construction instances with weights in 1..4 (dense
+ *            ties), their sizes shrinking and growing at random;
+ *   general  one pooled `MaxWeightMatching` solving random graphs
+ *            without the twin structure (n in 1..64, odd n included,
+ *            edge density 0.1..1, weights in 1..4 or 1..1000, sizes
+ *            shrinking, growing and repeating), where dual
+ *            adjustments come early and blossoms nest in other
+ *            shapes; then `min_weight_perfect_matching` on even-n
+ *            graphs with missing edges (label `mwpm:`, weight -1 when
+ *            no perfect matching exists).
  *
  * Each line reads `<label> <defects> <weight> <fnv1a64 hex>`; lines
  * starting with '#' are comments.
@@ -195,6 +204,65 @@ append_pool_corpus(std::vector<std::string> &lines)
     }
 }
 
+void
+append_general_corpus(std::vector<std::string> &lines)
+{
+    Rng rng(20261017);
+    MaxWeightMatching pooled;
+    int n = 0;
+    for (int iter = 0; iter < 480; ++iter) {
+        // Every fourth instance repeats the previous size with new
+        // weights; the rest draw a fresh size, so the pooled solver
+        // shrinks, grows and re-solves at one stride.
+        if (iter % 4 != 3) {
+            n = 1 + static_cast<int>(rng.next_below(64));
+        }
+        const double density = 0.1 + 0.9 * rng.next_double();
+        const uint64_t max_w = iter % 2 == 0 ? 4 : 1000;
+        pooled.reset(n);
+        for (int u = 0; u < n; ++u) {
+            for (int v = u + 1; v < n; ++v) {
+                if (rng.bernoulli(density)) {
+                    pooled.set_weight(
+                        u, v, 1 + static_cast<int64_t>(rng.next_below(max_w)));
+                }
+            }
+        }
+        uint64_t h = kFnvOffset;
+        for (const int mate : pooled.solve()) {
+            h = fnv1a(h, mate);
+        }
+        lines.push_back(format_line("general:" + std::to_string(iter), n,
+                                    pooled.total_weight(), h));
+    }
+    for (int iter = 0; iter < 120; ++iter) {
+        const int m = 2 * (1 + static_cast<int>(rng.next_below(20)));
+        const double density = 0.2 + 0.8 * rng.next_double();
+        const uint64_t max_w = iter % 2 == 0 ? 5 : 1000;
+        std::vector<std::vector<int64_t>> w(
+            static_cast<size_t>(m), std::vector<int64_t>(m, -1));
+        for (int u = 0; u < m; ++u) {
+            for (int v = u + 1; v < m; ++v) {
+                if (rng.bernoulli(density)) {
+                    w[u][v] = w[v][u] =
+                        static_cast<int64_t>(rng.next_below(max_w));
+                }
+            }
+        }
+        const std::vector<int> mate = min_weight_perfect_matching(m, w);
+        int64_t weight = mate.empty() ? -1 : 0;
+        uint64_t h = kFnvOffset;
+        for (int u = 0; u < static_cast<int>(mate.size()); ++u) {
+            h = fnv1a(h, mate[u]);
+            if (mate[u] > u) {
+                weight += w[u][mate[u]];
+            }
+        }
+        lines.push_back(
+            format_line("mwpm:" + std::to_string(iter), m, weight, h));
+    }
+}
+
 /** Every corpus line, in file order. */
 std::vector<std::string>
 pairing_corpus()
@@ -202,6 +270,7 @@ pairing_corpus()
     std::vector<std::string> lines;
     append_decode_corpus(lines);
     append_pool_corpus(lines);
+    append_general_corpus(lines);
     return lines;
 }
 
