@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -140,11 +141,11 @@ BM_UnionFindDecodeSyndrome(benchmark::State &state)
 BENCHMARK(BM_UnionFindDecodeSyndrome)->Arg(5)->Arg(9)->Arg(21);
 
 /**
- * The packed-fast-path trio (byte baseline vs word-parallel packed,
- * same pre-sampled inputs): Clique screening, the Union-Find mid-tier
- * and noisy syndrome extraction. The acceptance bar is >= 2x on the
- * Clique screen and UF decode at d = 21; see the archived
- * BENCH_decoders.json for the measured trajectory.
+ * The packed-fast-path pairs (byte baseline vs word-parallel packed,
+ * same pre-sampled inputs): Clique screening and noisy syndrome
+ * extraction, followed by the Union-Find decoder on its single-round
+ * and stream-window loads. See the archived BENCH_decoders.json for
+ * the measured trajectory.
  */
 void
 BM_CliqueScreenByte(benchmark::State &state)
@@ -185,30 +186,10 @@ BM_CliqueScreenPacked(benchmark::State &state)
 BENCHMARK(BM_CliqueScreenPacked)->Arg(9)->Arg(21);
 
 void
-BM_UnionFindDecodeByte(benchmark::State &state)
-{
-    // The original allocate-per-call implementation, kept as the
-    // pinned reference (UnionFindDecoder::decode_reference).
-    const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
-    const UnionFindDecoder uf(code, CheckType::Z);
-    Rng rng(13);
-    std::vector<std::vector<DetectionEvent>> events;
-    for (int i = 0; i < 64; ++i) {
-        events.push_back(events_from_syndrome(
-            sample_syndrome(code, state.range(0) / 2, rng)));
-    }
-    size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(uf.decode_reference(events[i++ & 63], 1));
-    }
-}
-BENCHMARK(BM_UnionFindDecodeByte)->Arg(9)->Arg(21);
-
-void
 BM_UnionFindDecodePacked(benchmark::State &state)
 {
-    // The packed fast path: cached topology, bitset cluster state,
-    // pooled scratch (bit-exact with the byte reference).
+    // Single-round decodes on one pooled instance: cached topology,
+    // bitset cluster state, per-call work bounded by the clusters.
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
     const UnionFindDecoder uf(code, CheckType::Z);
     Rng rng(13);
@@ -223,6 +204,55 @@ BM_UnionFindDecodePacked(benchmark::State &state)
     }
 }
 BENCHMARK(BM_UnionFindDecodePacked)->Arg(9)->Arg(21);
+
+void
+BM_UnionFindDecodeWindow(benchmark::State &state)
+{
+    // The stream screen's load at stream-d21: one pooled decoder over
+    // W=8 windows of a p=1e-3 phenomenological stream, kept only when
+    // every event lies in the commit region (rounds 0-5), which is
+    // when the stream runs its screen. Each window diffs its round 0
+    // against a noiseless round, as if the stream had already
+    // committed or carried every earlier defect.
+    constexpr int kWindow = 8;
+    constexpr int kCommit = 6;
+    const RotatedSurfaceCode code(21);
+    const UnionFindDecoder uf(code, CheckType::Z);
+    ErrorFrame frame(code, CheckType::X);
+    Rng rng(17);
+    PackedSyndrome prev;
+    PackedSyndrome raw;
+    std::vector<std::vector<DetectionEvent>> windows;
+    std::vector<DetectionEvent> events;
+    size_t defects = 0;
+    while (windows.size() < 64) {
+        events.clear();
+        frame.measure_packed(0.0, rng, prev);
+        for (int t = 0; t < kWindow; ++t) {
+            frame.inject(1e-3, rng);
+            frame.measure_packed(1e-3, rng, raw);
+            prev ^= raw;
+            prev.for_each_set(
+                [&events, t](int c) { events.push_back({c, t}); });
+            prev = raw;
+        }
+        if (std::all_of(events.begin(), events.end(),
+                        [](const DetectionEvent &e) {
+                            return e.round < kCommit;
+                        })) {
+            defects += events.size();
+            windows.push_back(events);
+        }
+    }
+    Decoder::Result scalars;
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            uf.decode_mask(windows[i++ & 63], kWindow, scalars));
+    }
+    state.counters["defects"] = static_cast<double>(defects) / 64.0;
+}
+BENCHMARK(BM_UnionFindDecodeWindow);
 
 void
 BM_SyndromeExtractByte(benchmark::State &state)

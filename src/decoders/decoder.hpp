@@ -59,12 +59,12 @@ void events_from_packed(const PackedSyndrome &syndrome,
  *    a correction for this signature (e.g. Clique's COMPLEX verdict)
  *    and the next tier must run. The correction mask is all-zero.
  *  - `effort` is a cheap, hardware-friendly measure of how hard the
- *    tier had to work (the `growth_rounds_out`-style signal of
- *    union_find.hpp: Union-Find reports its half-edge growth
- *    iterations, combinational tiers report 0). The chain escalates
- *    past a *resolved* result when the effort exceeds the tier's
- *    configured threshold -- the resolution is cheap but possibly
- *    inaccurate, so a stronger decoder gets the final say.
+ *    tier had to work (union_find.hpp: Union-Find reports its
+ *    half-edge growth iterations, combinational tiers report 0).
+ *    The chain escalates past a *resolved* result when the effort
+ *    exceeds the tier's configured threshold -- the resolution is
+ *    cheap but possibly inaccurate, so a stronger decoder gets the
+ *    final say.
  */
 class Decoder
 {
@@ -124,7 +124,8 @@ class Decoder
      * `decode_syndrome` on the equivalent byte syndrome for every
      * backend; word-parallel tiers (CliqueTierDecoder,
      * LookupTableDecoder) override it to skip event materialization
-     * entirely. Like every pooled-scratch path in this codebase,
+     * entirely, and UnionFindDecoder to reuse `out`'s correction
+     * capacity. Like every pooled-scratch path in this codebase,
      * decoder instances are not concurrency-safe; concurrent shards
      * own their own instances.
      */

@@ -202,16 +202,6 @@ StreamWindowDecoder::audit() const
 }
 
 void
-StreamWindowDecoder::commit_full_mask(const std::vector<uint8_t> &mask)
-{
-    for (size_t i = 0; i < mask.size(); ++i) {
-        if ((mask[i] & 1) != 0) {
-            committed_.flip(static_cast<int>(i));
-        }
-    }
-}
-
-void
 StreamWindowDecoder::pop_rounds(int n)
 {
     for (int t = 0; t < n; ++t) {
@@ -273,7 +263,9 @@ StreamWindowDecoder::decode_window(int avail, int commit)
         }
     }
     if (all_commit && screen_ != nullptr) {
-        const Decoder::Result screened = screen_->decode(events_, rounds);
+        Decoder::Result screened;  // scalar fields only; no allocation
+        const PackedBits &mask =
+            screen_->decode_mask(events_, rounds, screened);
         bool accepted = false;
         for (const TierSpec &tier : config_.screen) {
             if (screened.resolved &&
@@ -285,7 +277,7 @@ StreamWindowDecoder::decode_window(int avail, int commit)
         }
         if (accepted) {
             ++stats_.screened_windows;
-            commit_full_mask(screened.correction);
+            committed_ ^= mask;
             stats_.committed_weight += screened.weight;
             stats_.defects_committed += events_.size();
             for (const uint64_t o : origin_) {

@@ -216,7 +216,6 @@ class StreamWindowDecoder
      */
     void decode_window(int avail, int commit);
 
-    void commit_full_mask(const std::vector<uint8_t> &mask);
     void pop_rounds(int n);
 
     const RotatedSurfaceCode &code_;

@@ -1,75 +1,12 @@
 #include "matching/union_find.hpp"
 
-#include <algorithm>
-#include <queue>
-
-#include "surface/packed.hpp"
+#include "common/check.hpp"
 
 namespace btwc {
 
 namespace {
 
-/** Disjoint-set forest with cluster metadata for the UF decoder. */
-class Clusters
-{
-  public:
-    explicit Clusters(int n)
-        : parent_(n), odd_(n, 0), boundary_(n, 0)
-    {
-        for (int i = 0; i < n; ++i) {
-            parent_[i] = i;
-        }
-    }
-
-    int find(int x)
-    {
-        while (parent_[x] != x) {
-            parent_[x] = parent_[parent_[x]];
-            x = parent_[x];
-        }
-        return x;
-    }
-
-    /** Merge; returns the surviving root. */
-    int unite(int a, int b)
-    {
-        a = find(a);
-        b = find(b);
-        if (a == b) {
-            return a;
-        }
-        parent_[b] = a;
-        odd_[a] ^= odd_[b];
-        boundary_[a] |= boundary_[b];
-        return a;
-    }
-
-    void mark_defect(int x) { odd_[find(x)] ^= 1; }
-    void mark_boundary(int x) { boundary_[find(x)] = 1; }
-
-    /** A cluster still grows while it has odd parity off-boundary. */
-    bool active(int x)
-    {
-        const int r = find(x);
-        return odd_[r] && !boundary_[r];
-    }
-
-  private:
-    std::vector<int> parent_;
-    std::vector<uint8_t> odd_;
-    std::vector<uint8_t> boundary_;
-};
-
-/** Reference-path spacetime edge (growth carried on the edge). */
-struct RefEdge
-{
-    int a;         ///< spacetime node
-    int b;         ///< spacetime node, or -1 for a boundary edge
-    int data;      ///< data qubit of a space edge, -1 for time edges
-    int growth;    ///< 0..2 half-edge growth
-};
-
-/** Fast-path spacetime edge (growth lives in a per-call array). */
+/** Spacetime edge of the cached topology (growth lives in scratch). */
 struct UfEdge
 {
     int a;         ///< spacetime node
@@ -80,11 +17,12 @@ struct UfEdge
 } // namespace
 
 /**
- * Per-instance scratch of the packed fast path. The topology block
- * (edges + CSR incidence) depends only on the code, detector and
- * round count, so it is rebuilt only when `rounds` changes; the
- * per-call block is reset via capacity-preserving assigns/clears, so
- * repeated decodes of the same window depth allocate nothing.
+ * Per-instance scratch. The topology block (edges + CSR incidence)
+ * depends only on the code, detector and round count, so it is rebuilt
+ * only when `rounds` changes. `growth` and `parent` hold the
+ * between-call invariant (all zero / identity, see the class comment);
+ * the packed sets are word-cleared per call, and the peeling arrays
+ * are written as nodes are visited, so they need no reset at all.
  */
 struct UnionFindDecoder::Scratch
 {
@@ -95,9 +33,10 @@ struct UnionFindDecoder::Scratch
     std::vector<int> incident_offset;  ///< CSR offsets, num_nodes + 2
     std::vector<int> incident_edges;   ///< CSR payload, 2 x edges
 
-    // Per-call cluster state.
+    // Cluster state.
     std::vector<uint8_t> growth;       ///< per-edge 0..2 half-edges
     std::vector<int> parent;           ///< union-find forest
+    std::vector<int> touched;          ///< edges whose growth left 0
     PackedBits odd;                    ///< per-root odd-parity flag
     PackedBits on_boundary;            ///< per-root touched-boundary flag
     PackedBits is_defect;
@@ -106,35 +45,31 @@ struct UnionFindDecoder::Scratch
     PackedBits candidate;              ///< per-edge grow candidates
     PackedBits visited;
 
-    // Per-call peeling state.
-    std::vector<int> grown_degree;     ///< grown-edge degree per node
-    std::vector<int> grown_offset;     ///< CSR offsets over grown edges
-    std::vector<int> grown_cursor;
-    std::vector<int> grown_edges;
-    std::vector<int> parent_edge;
+    // Peeling state, valid for visited nodes only.
+    std::vector<int> parent_edge;      ///< -1 at a tree root
     std::vector<int> parent_node;
-    std::vector<int> order;
-    std::vector<int> queue;            ///< BFS ring storage
+    std::vector<int> order;            ///< BFS visit order (and queue)
+
+    PackedBits correction;             ///< num_data-bit output mask
 };
 
 UnionFindDecoder::UnionFindDecoder(const RotatedSurfaceCode &code,
                                    CheckType detector)
     : code_(code), detector_(detector),
-      num_checks_(code.num_checks(detector))
+      num_checks_(code.num_checks(detector)),
+      scratch_(std::make_unique<Scratch>())
 {
+    scratch_->correction.resize(code.num_data());
 }
 
 UnionFindDecoder::~UnionFindDecoder() = default;
 
-UnionFindDecoder::Scratch &
-UnionFindDecoder::scratch(int rounds) const
+void
+UnionFindDecoder::prepare_topology(int rounds) const
 {
-    if (!scratch_) {
-        scratch_ = std::make_unique<Scratch>();
-    }
     Scratch &s = *scratch_;
     if (s.rounds == rounds) {
-        return s;
+        return;
     }
     s.rounds = rounds;
     s.num_nodes = rounds * num_checks_;
@@ -143,9 +78,8 @@ UnionFindDecoder::scratch(int rounds) const
         return round * num_checks_ + check;
     };
 
-    // Same edge order as the reference path's add_edge walk: space
-    // edges (ascending neighbor), boundary half-edges, then the time
-    // edge, per check per round.
+    // Edge order, per check per round: space edges (ascending
+    // neighbor), boundary half-edges, then the time edge.
     s.edges.clear();
     for (int t = 0; t < rounds; ++t) {
         for (int c = 0; c < num_checks_; ++c) {
@@ -166,7 +100,8 @@ UnionFindDecoder::scratch(int rounds) const
         }
     }
 
-    // CSR incidence including the virtual boundary node.
+    // CSR incidence including the virtual boundary node, each list in
+    // ascending edge order.
     const int n1 = s.num_nodes + 1;
     s.incident_offset.assign(static_cast<size_t>(n1) + 1, 0);
     for (const UfEdge &edge : s.edges) {
@@ -192,9 +127,15 @@ UnionFindDecoder::scratch(int rounds) const
         }
     }
 
-    // Size the per-call blocks once; decode resets contents only.
+    // Size the per-call blocks once and establish the between-call
+    // invariant.
     s.growth.assign(s.edges.size(), 0);
-    s.parent.assign(static_cast<size_t>(n1), 0);
+    s.parent.resize(static_cast<size_t>(n1));
+    for (int v = 0; v < n1; ++v) {
+        s.parent[static_cast<size_t>(v)] = v;
+    }
+    s.touched.clear();
+    s.touched.reserve(s.edges.size());
     s.odd.resize(n1);
     s.on_boundary.resize(n1);
     s.is_defect.resize(n1);
@@ -202,18 +143,10 @@ UnionFindDecoder::scratch(int rounds) const
     s.active.resize(n1);
     s.candidate.resize(static_cast<int>(s.edges.size()));
     s.visited.resize(n1);
-    s.grown_degree.assign(static_cast<size_t>(n1), 0);
-    s.grown_offset.assign(static_cast<size_t>(n1) + 1, 0);
-    s.grown_cursor.assign(static_cast<size_t>(n1), 0);
-    s.grown_edges.clear();
-    s.grown_edges.reserve(2 * s.edges.size());
     s.parent_edge.assign(static_cast<size_t>(n1), -1);
     s.parent_node.assign(static_cast<size_t>(n1), -1);
     s.order.clear();
     s.order.reserve(static_cast<size_t>(n1));
-    s.queue.clear();
-    s.queue.reserve(static_cast<size_t>(n1));
-    return s;
 }
 
 UnionFindDecoder::Result
@@ -221,29 +154,57 @@ UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
                          int rounds) const
 {
     Result result;
-    result.correction.assign(code_.num_data(), 0);
-    result.defects = static_cast<int>(events.size());
-    if (events.empty()) {
-        return result;
-    }
+    decode_mask(events, rounds, result).to_bytes(result.correction);
+    return result;
+}
 
-    Scratch &s = scratch(rounds);
-    const int num_nodes = s.num_nodes;
-    const int boundary_id = num_nodes;
-    const int n1 = num_nodes + 1;
+void
+UnionFindDecoder::decode_packed(const PackedSyndrome &syndrome,
+                                Result &out) const
+{
+    thread_owner_.assert_single_thread_owner();
+    events_from_packed(syndrome, events_scratch_);
+    decode_mask(events_scratch_, 1, out).to_bytes(out.correction);
+}
+
+const PackedBits &
+UnionFindDecoder::decode_mask(const std::vector<DetectionEvent> &events,
+                              int rounds, Result &out) const
+{
+    thread_owner_.assert_single_thread_owner();
+    Scratch &s = *scratch_;
+    if (audit_deep()) {
+        for (const uint8_t g : s.growth) {
+            BTWC_CHECK_MSG(g == 0, "union-find growth must be all zero "
+                                   "between calls");
+        }
+        for (size_t v = 0; v < s.parent.size(); ++v) {
+            BTWC_CHECK_MSG(s.parent[v] == static_cast<int>(v),
+                           "union-find parent must be the identity "
+                           "between calls");
+        }
+    }
+    s.correction.clear();
+    out.weight = 0;
+    out.defects = static_cast<int>(events.size());
+    out.effort = 0;
+    out.resolved = true;
+    if (events.empty()) {
+        return s.correction;
+    }
+    BTWC_CHECK(rounds >= 1);
+
+    prepare_topology(rounds);
+    const int boundary_id = s.num_nodes;
     auto node_id = [this](int check, int round) {
         return round * num_checks_ + check;
     };
 
-    // Reset per-call state (capacity-preserving).
-    std::fill(s.growth.begin(), s.growth.end(), 0);
-    for (int v = 0; v < n1; ++v) {
-        s.parent[static_cast<size_t>(v)] = v;
-    }
     s.odd.clear();
     s.on_boundary.clear();
     s.is_defect.clear();
     s.in_cluster.clear();
+    s.touched.clear();
 
     auto find = [&s](int x) {
         while (s.parent[static_cast<size_t>(x)] != x) {
@@ -254,8 +215,7 @@ UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
         }
         return x;
     };
-    // A cluster still grows while it has odd parity off-boundary
-    // (Clusters::active of the reference path).
+    // A cluster still grows while it has odd parity off-boundary.
     auto cluster_active = [&s, &find](int x) {
         const int r = find(x);
         return s.odd.test(r) && !s.on_boundary.test(r);
@@ -277,18 +237,19 @@ UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
 
     s.on_boundary.set(boundary_id);
     for (const DetectionEvent &ev : events) {
+        BTWC_AUDIT(ev.round >= 0 && ev.round < rounds);
+        BTWC_AUDIT(ev.check >= 0 && ev.check < num_checks_);
         const int v = node_id(ev.check, ev.round);
         s.is_defect.flip(v);
-        s.odd.flip(find(v));
+        s.odd.flip(v);
         s.in_cluster.set(v);
     }
 
-    // Growth. The candidate set is selected from the pre-round cluster
-    // state (the reference's grow_list scan mutates nothing while
-    // selecting, so a snapshot is equivalent) and applied in ascending
-    // edge order with live re-evaluation of cluster activity — the
-    // same order and the same intra-round merge visibility as the
-    // reference loop, which is what makes the two paths bit-exact.
+    // Growth. Each round selects its candidate edges from the
+    // pre-round cluster state (a snapshot of the active nodes) and
+    // applies them in ascending edge order with live re-evaluation of
+    // cluster activity, so a merge earlier in the round is visible to
+    // later edges of the same round.
     int growth_rounds = 0;
     for (;;) {
         s.active.clear();
@@ -304,6 +265,7 @@ UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
         }
         ++growth_rounds;
         s.candidate.clear();
+        bool have_candidate = false;
         s.active.for_each_set([&](int v) {
             const int begin = s.incident_offset[static_cast<size_t>(v)];
             const int end = s.incident_offset[static_cast<size_t>(v) + 1];
@@ -311,13 +273,21 @@ UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
                 const int e = s.incident_edges[static_cast<size_t>(k)];
                 if (s.growth[static_cast<size_t>(e)] < 2) {
                     s.candidate.set(e);
+                    have_candidate = true;
                 }
             }
         });
+        // Every round grows some edge, so the loop ends: a cluster
+        // whose incident edges are all grown has absorbed its whole
+        // component, boundary included, and is no longer active. Stale
+        // growth from an earlier call would break this and spin.
+        BTWC_CHECK_MSG(have_candidate, "an active union-find cluster must "
+                                       "have an ungrown incident edge");
         s.candidate.for_each_set([&](int e) {
             const UfEdge &edge = s.edges[static_cast<size_t>(e)];
             const int b = edge.b < 0 ? boundary_id : edge.b;
-            uint8_t g = s.growth[static_cast<size_t>(e)];
+            const uint8_t before = s.growth[static_cast<size_t>(e)];
+            uint8_t g = before;
             g = static_cast<uint8_t>(
                 g + ((s.in_cluster.test(edge.a) && cluster_active(edge.a))
                          ? 1
@@ -330,65 +300,36 @@ UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
                 s.in_cluster.set(b);
                 unite(edge.a, b);
             }
+            if (before == 0 && g != 0) {
+                s.touched.push_back(e);
+            }
             s.growth[static_cast<size_t>(e)] = g;
         });
     }
-
-    result.effort = growth_rounds;
+    out.effort = growth_rounds;
 
     // Peeling: spanning forest over fully grown edges, rooted at the
     // boundary where reachable, then transfer defects leaf-to-root.
-    // The grown incidence is a CSR built in ascending edge order, so
-    // each node's list matches the reference's push_back order.
-    std::fill(s.grown_degree.begin(), s.grown_degree.end(), 0);
-    for (size_t e = 0; e < s.edges.size(); ++e) {
-        if (s.growth[e] >= 2) {
-            const int b =
-                s.edges[e].b < 0 ? boundary_id : s.edges[e].b;
-            ++s.grown_degree[static_cast<size_t>(s.edges[e].a)];
-            ++s.grown_degree[static_cast<size_t>(b)];
-        }
-    }
-    s.grown_offset[0] = 0;
-    for (int v = 0; v < n1; ++v) {
-        s.grown_offset[static_cast<size_t>(v) + 1] =
-            s.grown_offset[static_cast<size_t>(v)] +
-            s.grown_degree[static_cast<size_t>(v)];
-    }
-    std::copy(s.grown_offset.begin(), s.grown_offset.end() - 1,
-              s.grown_cursor.begin());
-    s.grown_edges.resize(
-        static_cast<size_t>(s.grown_offset[static_cast<size_t>(n1)]));
-    for (size_t e = 0; e < s.edges.size(); ++e) {
-        if (s.growth[e] >= 2) {
-            const int b =
-                s.edges[e].b < 0 ? boundary_id : s.edges[e].b;
-            s.grown_edges[static_cast<size_t>(
-                s.grown_cursor[static_cast<size_t>(s.edges[e].a)]++)] =
-                static_cast<int>(e);
-            s.grown_edges[static_cast<size_t>(
-                s.grown_cursor[static_cast<size_t>(b)]++)] =
-                static_cast<int>(e);
-        }
-    }
-
+    // Every fully grown edge joins two in-cluster nodes, so the
+    // in-cluster set holds every root and every tree node. (A repeated
+    // event that cancelled, with no grown edge, roots a one-node tree
+    // that peels nothing.)
     s.visited.clear();
-    std::fill(s.parent_edge.begin(), s.parent_edge.end(), -1);
-    std::fill(s.parent_node.begin(), s.parent_node.end(), -1);
     s.order.clear();
-
     auto bfs_tree = [&](int root) {
-        s.queue.clear();
         s.visited.set(root);
-        s.queue.push_back(root);
-        size_t head = 0;
-        while (head < s.queue.size()) {
-            const int v = s.queue[head++];
-            s.order.push_back(v);
-            const int begin = s.grown_offset[static_cast<size_t>(v)];
-            const int end = s.grown_offset[static_cast<size_t>(v) + 1];
+        s.parent_edge[static_cast<size_t>(root)] = -1;
+        size_t head = s.order.size();
+        s.order.push_back(root);
+        while (head < s.order.size()) {
+            const int v = s.order[head++];
+            const int begin = s.incident_offset[static_cast<size_t>(v)];
+            const int end = s.incident_offset[static_cast<size_t>(v) + 1];
             for (int k = begin; k < end; ++k) {
-                const int e = s.grown_edges[static_cast<size_t>(k)];
+                const int e = s.incident_edges[static_cast<size_t>(k)];
+                if (s.growth[static_cast<size_t>(e)] < 2) {
+                    continue;
+                }
                 const UfEdge &edge = s.edges[static_cast<size_t>(e)];
                 const int b = edge.b < 0 ? boundary_id : edge.b;
                 const int other = edge.a == v ? b : edge.a;
@@ -396,229 +337,43 @@ UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
                     s.visited.set(other);
                     s.parent_edge[static_cast<size_t>(other)] = e;
                     s.parent_node[static_cast<size_t>(other)] = v;
-                    s.queue.push_back(other);
+                    s.order.push_back(other);
                 }
             }
         }
     };
-
-    bfs_tree(boundary_id);
-    for (int v = 0; v < num_nodes; ++v) {
-        if (!s.visited.test(v) &&
-            s.grown_degree[static_cast<size_t>(v)] > 0) {
+    if (s.in_cluster.test(boundary_id)) {
+        bfs_tree(boundary_id);
+    }
+    s.in_cluster.for_each_set([&s, &bfs_tree](int v) {
+        if (!s.visited.test(v)) {
             bfs_tree(v);
         }
-        if (!s.visited.test(v) && s.is_defect.test(v)) {
-            bfs_tree(v);  // isolated defect (shouldn't occur after growth)
-        }
-    }
+    });
 
     for (size_t i = s.order.size(); i-- > 0;) {
         const int v = s.order[i];
-        if (v == boundary_id ||
-            s.parent_edge[static_cast<size_t>(v)] < 0) {
+        if (s.parent_edge[static_cast<size_t>(v)] < 0 ||
+            !s.is_defect.test(v)) {
             continue;
         }
-        if (s.is_defect.test(v)) {
-            const UfEdge &e = s.edges[static_cast<size_t>(
-                s.parent_edge[static_cast<size_t>(v)])];
-            if (e.data >= 0) {
-                result.correction[e.data] ^= 1;
-                ++result.weight;
-            }
-            s.is_defect.reset_bit(v);
-            s.is_defect.flip(s.parent_node[static_cast<size_t>(v)]);
+        const UfEdge &e =
+            s.edges[static_cast<size_t>(s.parent_edge[static_cast<size_t>(v)])];
+        if (e.data >= 0) {
+            s.correction.flip(e.data);
+            ++out.weight;
         }
-    }
-    return result;
-}
-
-UnionFindDecoder::Result
-UnionFindDecoder::decode_reference(const std::vector<DetectionEvent> &events,
-                                   int rounds) const
-{
-    Result result;
-    result.correction.assign(code_.num_data(), 0);
-    result.defects = static_cast<int>(events.size());
-    if (events.empty()) {
-        return result;
+        s.is_defect.reset_bit(v);
+        s.is_defect.flip(s.parent_node[static_cast<size_t>(v)]);
     }
 
-    const int num_nodes = rounds * num_checks_;
-    const int boundary_id = num_nodes;  // virtual node shared by all edges
-    auto node_id = [&](int check, int round) {
-        return round * num_checks_ + check;
-    };
-
-    // Materialize the spacetime edge list once per call.
-    std::vector<RefEdge> edges;
-    for (int t = 0; t < rounds; ++t) {
-        for (int c = 0; c < num_checks_; ++c) {
-            const int a = node_id(c, t);
-            for (const CliqueNeighbor &nb :
-                 code_.clique_neighbors(detector_, c)) {
-                if (nb.check > c) {
-                    edges.push_back(
-                        RefEdge{a, node_id(nb.check, t), nb.shared_data, 0});
-                }
-            }
-            for (const int bdata : code_.boundary_data(detector_, c)) {
-                edges.push_back(RefEdge{a, -1, bdata, 0});
-            }
-            if (t + 1 < rounds) {
-                edges.push_back(RefEdge{a, node_id(c, t + 1), -1, 0});
-            }
-        }
+    // Restore the between-call invariant.
+    for (const int e : s.touched) {
+        s.growth[static_cast<size_t>(e)] = 0;
     }
-
-    Clusters clusters(num_nodes + 1);
-    clusters.mark_boundary(boundary_id);
-    std::vector<uint8_t> is_defect(num_nodes + 1, 0);
-    for (const DetectionEvent &ev : events) {
-        const int v = node_id(ev.check, ev.round);
-        is_defect[v] ^= 1;
-        clusters.mark_defect(v);
-    }
-    std::vector<uint8_t> in_cluster(num_nodes + 1, 0);
-    for (const DetectionEvent &ev : events) {
-        in_cluster[node_id(ev.check, ev.round)] = 1;
-    }
-
-    // Growth: every active cluster advances all its incident edges by
-    // half an edge per round; fully grown edges merge their endpoints.
-    // Terminates because an active cluster always has an ungrown
-    // incident edge (a maximal cluster has absorbed the boundary and
-    // is therefore inactive).
-    int growth_rounds = 0;
-    for (;;) {
-        bool have_active = false;
-        for (int v = 0; v <= num_nodes; ++v) {
-            if (in_cluster[v] && clusters.active(v)) {
-                have_active = true;
-                break;
-            }
-        }
-        if (!have_active) {
-            break;
-        }
-        ++growth_rounds;
-        std::vector<int> grow_list;
-        for (size_t e = 0; e < edges.size(); ++e) {
-            if (edges[e].growth >= 2) {
-                continue;
-            }
-            const RefEdge &edge = edges[e];
-            const int b = edge.b < 0 ? boundary_id : edge.b;
-            const bool a_active = in_cluster[edge.a] &&
-                                  clusters.active(edge.a);
-            const bool b_active = in_cluster[b] && clusters.active(b);
-            if (a_active || b_active) {
-                grow_list.push_back(static_cast<int>(e));
-            }
-        }
-        for (const int e : grow_list) {
-            RefEdge &edge = edges[e];
-            edge.growth += (in_cluster[edge.a] && clusters.active(edge.a))
-                           ? 1 : 0;
-            const int b = edge.b < 0 ? boundary_id : edge.b;
-            edge.growth += (in_cluster[b] && clusters.active(b)) ? 1 : 0;
-            if (edge.growth >= 2) {
-                edge.growth = 2;
-                in_cluster[edge.a] = 1;
-                in_cluster[b] = 1;
-                clusters.unite(edge.a, b);
-            }
-        }
-    }
-
-    result.effort = growth_rounds;
-
-    // Peeling: spanning forest over fully grown edges, rooted at the
-    // boundary where reachable, then transfer defects leaf-to-root.
-    std::vector<int> parent_edge(num_nodes + 1, -1);
-    std::vector<int> parent_node(num_nodes + 1, -1);
-    std::vector<uint8_t> visited(num_nodes + 1, 0);
-    std::vector<int> order;
-    order.reserve(num_nodes + 1);
-
-    std::vector<std::vector<int>> grown_incident(num_nodes + 1);
-    for (size_t e = 0; e < edges.size(); ++e) {
-        if (edges[e].growth >= 2) {
-            const int b = edges[e].b < 0 ? boundary_id : edges[e].b;
-            grown_incident[edges[e].a].push_back(static_cast<int>(e));
-            grown_incident[b].push_back(static_cast<int>(e));
-        }
-    }
-
-    auto bfs_tree = [&](int root) {
-        std::queue<int> frontier;
-        visited[root] = 1;
-        frontier.push(root);
-        while (!frontier.empty()) {
-            const int v = frontier.front();
-            frontier.pop();
-            order.push_back(v);
-            for (const int e : grown_incident[v]) {
-                const int b = edges[e].b < 0 ? boundary_id : edges[e].b;
-                const int other = edges[e].a == v ? b : edges[e].a;
-                if (!visited[other]) {
-                    visited[other] = 1;
-                    parent_edge[other] = e;
-                    parent_node[other] = v;
-                    frontier.push(other);
-                }
-            }
-        }
-    };
-
-    bfs_tree(boundary_id);
-    for (int v = 0; v < num_nodes; ++v) {
-        if (!visited[v] && !grown_incident[v].empty()) {
-            bfs_tree(v);
-        }
-        if (!visited[v] && is_defect[v]) {
-            bfs_tree(v);  // isolated defect (shouldn't occur after growth)
-        }
-    }
-
-    for (size_t i = order.size(); i-- > 0;) {
-        const int v = order[i];
-        if (v == boundary_id || parent_edge[v] < 0) {
-            continue;
-        }
-        if (is_defect[v]) {
-            const RefEdge &e = edges[parent_edge[v]];
-            if (e.data >= 0) {
-                result.correction[e.data] ^= 1;
-                ++result.weight;
-            }
-            is_defect[v] = 0;
-            is_defect[parent_node[v]] ^= 1;
-        }
-    }
-    return result;
-}
-
-UnionFindDecoder::Result
-UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
-                         int rounds, int *growth_rounds_out) const
-{
-    Result result = decode(events, rounds);
-    if (growth_rounds_out) {
-        *growth_rounds_out = result.effort;
-    }
-    return result;
-}
-
-UnionFindDecoder::Result
-UnionFindDecoder::decode_syndrome(const std::vector<uint8_t> &syndrome,
-                                  int *growth_rounds_out) const
-{
-    Result result = Decoder::decode_syndrome(syndrome);
-    if (growth_rounds_out) {
-        *growth_rounds_out = result.effort;
-    }
-    return result;
+    s.in_cluster.for_each_set(
+        [&s](int v) { s.parent[static_cast<size_t>(v)] = v; });
+    return s.correction;
 }
 
 } // namespace btwc

@@ -6,6 +6,7 @@
 
 #include "decoders/decoder.hpp"
 #include "surface/lattice.hpp"
+#include "surface/packed.hpp"
 
 namespace btwc {
 
@@ -31,15 +32,32 @@ namespace btwc {
  * nothing to grow). The tier chain (§8.1) escalates to MWPM above a
  * configured threshold.
  *
- * Two implementations share these semantics bit-exactly (property
- * tests): `decode`, the packed fast path — spacetime topology cached
- * per round count, packed defect/cluster/visited bitsets, word-scans
- * for the active-cluster and candidate-edge sweeps, and every per-call
- * array pooled in a per-instance scratch so steady-state decodes
- * allocate nothing — and `decode_reference`, the original
- * allocate-per-call byte-vector implementation, kept as the pinning
- * reference and micro-bench baseline. Instances are not
- * concurrency-safe (pooled scratch); concurrent shards own their own.
+ * One implementation, with every spelling routed through
+ * `decode_mask`. The spacetime topology (edges plus a CSR incidence
+ * list in ascending edge order) is cached per round count, and all
+ * per-call state lives in a per-instance scratch, so in steady state
+ * `decode_mask` allocates nothing and costs what its clusters grow,
+ * not the window's size:
+ *
+ *  - Between calls, every edge's growth is zero and the union-find
+ *    `parent` array is the identity. A call records each edge whose
+ *    growth leaves zero and, before it returns, zeroes those edges
+ *    and resets `parent` for every node that joined a cluster. That
+ *    reset covers every `parent` the call changed: `unite` only
+ *    relinks roots of in-cluster nodes (the boundary node included,
+ *    since the edge that reaches it marks it in-cluster), and path
+ *    compression only rewrites nodes `unite` already relinked.
+ *  - Peeling walks the same topology incidence lists, skipping edges
+ *    not fully grown, so its breadth-first visit order is the one a
+ *    grown-edge incidence list built in ascending edge order gives.
+ *    Its roots are the boundary (when grown into), then the unvisited
+ *    in-cluster nodes in ascending order.
+ *
+ * `tests/golden/uf_decodes.txt` pins correction, weight and effort
+ * bit-exactly, and `AuditLevel::Deep` re-checks the between-call
+ * invariant on every entry. Instances are not concurrency-safe
+ * (pooled scratch, Decoder's single-owner contract); concurrent shards
+ * own their own.
  */
 class UnionFindDecoder : public Decoder
 {
@@ -59,40 +77,34 @@ class UnionFindDecoder : public Decoder
     Result decode(const std::vector<DetectionEvent> &events,
                   int rounds) const override;
 
-    /**
-     * The original allocation-per-call implementation, bit-exact with
-     * `decode` by contract (tests/test_packed.cpp pins correction,
-     * weight, effort, defects across random spacetime noise). Kept as
-     * the property-test reference and the BM_UnionFindDecode byte
-     * baseline.
-     */
-    Result decode_reference(const std::vector<DetectionEvent> &events,
-                            int rounds) const;
+    /** Single-round decode into `out`, reusing its correction
+     * capacity (no event list beyond the pooled one, no fresh
+     * Result). */
+    void decode_packed(const PackedSyndrome &syndrome,
+                       Result &out) const override;
+    using Decoder::decode_packed;
 
     /**
-     * Legacy spelling of the growth signal: as `decode`, but also
-     * stores the growth iteration count through `growth_rounds_out`
-     * when non-null (it always equals `Result::effort`).
+     * The allocation-free entry point behind every other spelling:
+     * decodes `events` over `rounds` rounds, fills the scalar fields
+     * of `out` (weight, defects, effort, resolved; `out.correction`
+     * is left untouched) and returns the correction as a pooled
+     * num_data-bit mask, valid until the next call on this instance.
      */
-    Result decode(const std::vector<DetectionEvent> &events, int rounds,
-                  int *growth_rounds_out) const;
-
-    using Decoder::decode_syndrome;
-
-    /** Single perfect-measurement round convenience wrapper. */
-    Result decode_syndrome(const std::vector<uint8_t> &syndrome,
-                           int *growth_rounds_out) const;
+    const PackedBits &decode_mask(const std::vector<DetectionEvent> &events,
+                                  int rounds, Result &out) const;
 
   private:
     struct Scratch;
-    /** Per-instance scratch, topology rebuilt only when `rounds`
-     * changes (each caller decodes a fixed window depth). */
-    Scratch &scratch(int rounds) const;
+    /** Rebuild the scratch's cached topology when `rounds` differs
+     * from the last decode's (each caller decodes a fixed window
+     * depth). */
+    void prepare_topology(int rounds) const;
 
     const RotatedSurfaceCode &code_;
     CheckType detector_;
     int num_checks_;
-    mutable std::unique_ptr<Scratch> scratch_;
+    std::unique_ptr<Scratch> scratch_;
 };
 
 } // namespace btwc

@@ -26,6 +26,7 @@
 #include "core/offchip_service.hpp"
 #include "decoders/tier_chain.hpp"
 #include "matching/blossom.hpp"
+#include "matching/union_find.hpp"
 #include "surface/distance.hpp"
 #include "surface/lattice.hpp"
 #include "surface/packed.hpp"
@@ -342,6 +343,29 @@ TEST(SingleThreadOwner, SecondThreadOnPooledScratchThrows)
     EXPECT_TRUE(threw);
     // The bound owner keeps working.
     EXPECT_NO_THROW(chain.decode_syndrome(zeros));
+}
+
+TEST(SingleThreadOwner, UnionFindDecodeFromSecondThreadThrows)
+{
+    // UnionFindDecoder::decode reaches its pooled scratch without a
+    // base-class wrapper, so it must guard itself.
+    ScopedAuditLevel basic(AuditLevel::Basic);
+    const RotatedSurfaceCode code(3);
+    const UnionFindDecoder uf(code, CheckType::X);
+    const std::vector<DetectionEvent> events = {{0, 0}, {1, 1}};
+    uf.decode(events, 2);  // binds ownership to this thread
+
+    bool threw = false;
+    std::thread intruder([&uf, &events, &threw] {
+        try {
+            uf.decode(events, 2);
+        } catch (const CheckFailure &) {
+            threw = true;
+        }
+    });
+    intruder.join();
+    EXPECT_TRUE(threw);
+    EXPECT_NO_THROW(uf.decode(events, 2));
 }
 
 TEST(SingleThreadOwner, InactiveWhenAuditingIsOff)

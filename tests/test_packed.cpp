@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/clique.hpp"
 #include "core/filter.hpp"
@@ -21,6 +22,7 @@
 #include "decoders/lookup_table.hpp"
 #include "decoders/tier_chain.hpp"
 #include "matching/union_find.hpp"
+#include "surface/distance.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 #include "surface/packed.hpp"
@@ -374,46 +376,118 @@ TEST(PackedClique, ScratchReuseAcrossCalls)
 }
 
 // ---------------------------------------------------------------- //
-// Union-Find: packed fast path vs the original reference.
+// Union-Find: one pooled instance vs fresh instances. The results
+// themselves are pinned by tests/golden/uf_decodes.txt
+// (test_uf_decodes.cpp); these tests pin that no state leaks from one
+// call into the next.
 // ---------------------------------------------------------------- //
 
-TEST(PackedUnionFind, MatchesReferenceAcrossRoundsAndDistances)
+/** Decode on `pooled` through every spelling and on a fresh instance;
+ * all four must agree. */
+void
+expect_pooled_matches_fresh(const RotatedSurfaceCode &code,
+                            const UnionFindDecoder &pooled,
+                            const std::vector<DetectionEvent> &events,
+                            int rounds, const char *what)
 {
-    Rng rng(31);
-    for (const int d : kDistances) {
-        const RotatedSurfaceCode code(d);
-        for (const CheckType det : {CheckType::X, CheckType::Z}) {
-            const UnionFindDecoder uf(code, det);
-            const int num_checks = code.num_checks(det);
-            const int trials = d >= 21 ? 8 : 25;
-            for (const int rounds : {1, 3, d + 1}) {
-                for (int trial = 0; trial < trials; ++trial) {
-                    const std::vector<DetectionEvent> events =
-                        random_events(num_checks, rounds, 0.03, rng);
-                    const auto reference =
-                        uf.decode_reference(events, rounds);
-                    const auto fast = uf.decode(events, rounds);
-                    expect_result_eq(reference, fast, "union-find");
-                }
-            }
+    const UnionFindDecoder fresh(code, pooled.detector());
+    const Decoder::Result expected = fresh.decode(events, rounds);
+    expect_result_eq(expected, pooled.decode(events, rounds), what);
+    Decoder::Result scalars;
+    const PackedBits &mask = pooled.decode_mask(events, rounds, scalars);
+    PackedBits expected_mask;
+    expected_mask.from_bytes(expected.correction);
+    EXPECT_EQ(mask, expected_mask) << what;
+    EXPECT_EQ(scalars.weight, expected.weight) << what;
+    EXPECT_EQ(scalars.defects, expected.defects) << what;
+    EXPECT_EQ(scalars.effort, expected.effort) << what;
+    EXPECT_TRUE(scalars.resolved) << what;
+    if (rounds == 1) {
+        // The packed single-round spelling sees each fired check once
+        // (repeated events cancel) and overwrites every field of a
+        // reused Result.
+        std::vector<uint8_t> syndrome(
+            static_cast<size_t>(code.num_checks(pooled.detector())), 0);
+        for (const DetectionEvent &e : events) {
+            syndrome[static_cast<size_t>(e.check)] ^= 1;
         }
+        PackedSyndrome packed;
+        packed.from_bytes(syndrome);
+        Decoder::Result reused;
+        reused.correction.assign(3, 1);
+        reused.weight = -1;
+        pooled.decode_packed(packed, reused);
+        expect_result_eq(fresh.decode_syndrome(syndrome), reused, what);
     }
 }
 
 TEST(PackedUnionFind, ScratchSurvivesRoundCountChanges)
 {
     // The cached spacetime topology rebuilds when `rounds` changes;
-    // interleaving window depths must stay bit-exact.
+    // interleaving window depths on one instance must decode exactly
+    // as fresh instances do.
     Rng rng(37);
     const RotatedSurfaceCode code(7);
     const UnionFindDecoder uf(code, CheckType::Z);
     const int num_checks = code.num_checks(CheckType::Z);
-    const int round_sequence[] = {1, 4, 1, 8, 4, 1};
+    const int round_sequence[] = {1, 4, 1, 8, 4, 4, 1, 1};
     for (const int rounds : round_sequence) {
         const std::vector<DetectionEvent> events =
             random_events(num_checks, rounds, 0.05, rng);
-        expect_result_eq(uf.decode_reference(events, rounds),
-                         uf.decode(events, rounds), "round change");
+        expect_pooled_matches_fresh(code, uf, events, rounds,
+                                    "round change");
+    }
+}
+
+TEST(PackedUnionFind, PooledDecodesMatchFreshUnderDeepAudit)
+{
+    // A random call sequence on one instance with the between-call
+    // invariant re-checked on every entry: round counts shuffle,
+    // event lists go empty, events repeat, inputs repeat, and dense
+    // windows need many growth rounds.
+    const ScopedAuditLevel deep(AuditLevel::Deep);
+    Rng rng(43);
+    for (const int d : {5, 11}) {
+        const RotatedSurfaceCode code(d);
+        for (const CheckType det : {CheckType::X, CheckType::Z}) {
+            const UnionFindDecoder uf(code, det);
+            const int num_checks = code.num_checks(det);
+            const CheckGraphDistances &dist = code.check_distances(det);
+            int far = 0;
+            for (int c = 1; c < num_checks; ++c) {
+                if (dist.boundary_hops(c) > dist.boundary_hops(far)) {
+                    far = c;
+                }
+            }
+            std::vector<DetectionEvent> events;
+            int rounds = 1;
+            for (int trial = 0; trial < 60; ++trial) {
+                if (trial % 6 != 5) {  // else: repeat the last input
+                    rounds = 1 + static_cast<int>(rng.next_below(d + 1));
+                    const double density =
+                        trial % 4 == 0 ? 0.3 : 0.02 * (1 + trial % 3);
+                    events = trial % 7 == 3
+                                 ? std::vector<DetectionEvent>()
+                                 : random_events(num_checks, rounds,
+                                                 density, rng);
+                    if (!events.empty() && trial % 3 == 1) {
+                        events.push_back(events[rng.next_below(
+                            events.size())]);
+                    }
+                }
+                // The check farthest from the boundary, alone in a
+                // long window: its cluster grows two half-edges per
+                // hop, plus the boundary edge, before it stops.
+                if (trial == 17) {
+                    rounds = d + 1;
+                    events = {DetectionEvent{far, d / 2}};
+                    EXPECT_EQ(uf.decode(events, rounds).effort,
+                              2 * (dist.boundary_hops(far) + 1));
+                }
+                expect_pooled_matches_fresh(code, uf, events, rounds,
+                                            "pooled sequence");
+            }
+        }
     }
 }
 

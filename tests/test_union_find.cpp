@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "matching/mwpm.hpp"
 #include "matching/union_find.hpp"
@@ -70,6 +71,23 @@ TEST(UnionFind, TimeLikePairNoDataCorrection)
             EXPECT_EQ(bit, 0);
         }
     }
+}
+
+TEST(UnionFind, RejectsMalformedInputs)
+{
+    // Out-of-range events would index past the packed cluster sets;
+    // the per-event audit (AuditLevel::Basic) and the round check
+    // (always on) reject them, as MwpmDecoder does.
+    const ScopedAuditLevel basic(AuditLevel::Basic);
+    const RotatedSurfaceCode code(5);
+    const UnionFindDecoder decoder(code, CheckType::Z);
+    const int num_checks = code.num_checks(CheckType::Z);
+    EXPECT_THROW(decoder.decode({{0, 4}}, 4), CheckFailure);
+    EXPECT_THROW(decoder.decode({{0, -1}}, 4), CheckFailure);
+    EXPECT_THROW(decoder.decode({{num_checks, 0}}, 4), CheckFailure);
+    EXPECT_THROW(decoder.decode({{0, 0}}, 0), CheckFailure);
+    EXPECT_EQ(decoder.decode({}, 0).defects, 0);
+    EXPECT_EQ(decoder.decode({{0, 3}}, 4).defects, 1);
 }
 
 TEST(UnionFind, SpacetimeNoiseAlwaysConsistent)
