@@ -205,19 +205,24 @@ BM_UnionFindDecodePacked(benchmark::State &state)
 }
 BENCHMARK(BM_UnionFindDecodePacked)->Arg(9)->Arg(21);
 
-void
-BM_UnionFindDecodeWindow(benchmark::State &state)
+/** Rounds per stream-d21 window, and its commit region [0, 6). */
+constexpr int kStreamWindow = 8;
+constexpr int kStreamCommit = 6;
+
+/**
+ * 64 windows of W=8 rounds from a d=21, p=1e-3 phenomenological
+ * stream, shaped as stream-d21 presents them: each window diffs its
+ * round 0 against a noiseless round, as if the stream had already
+ * committed or carried every earlier defect. With `overlap` false a
+ * window is kept only when every event lies in the commit region,
+ * which is when the stream runs its screen; with `overlap` true only
+ * when some event lies in rounds 6-7, which the screen cannot take.
+ * `mean_defects` receives the kept windows' mean event count.
+ */
+std::vector<std::vector<DetectionEvent>>
+stream_windows(const RotatedSurfaceCode &code, bool overlap,
+               double &mean_defects)
 {
-    // The stream screen's load at stream-d21: one pooled decoder over
-    // W=8 windows of a p=1e-3 phenomenological stream, kept only when
-    // every event lies in the commit region (rounds 0-5), which is
-    // when the stream runs its screen. Each window diffs its round 0
-    // against a noiseless round, as if the stream had already
-    // committed or carried every earlier defect.
-    constexpr int kWindow = 8;
-    constexpr int kCommit = 6;
-    const RotatedSurfaceCode code(21);
-    const UnionFindDecoder uf(code, CheckType::Z);
     ErrorFrame frame(code, CheckType::X);
     Rng rng(17);
     PackedSyndrome prev;
@@ -228,7 +233,7 @@ BM_UnionFindDecodeWindow(benchmark::State &state)
     while (windows.size() < 64) {
         events.clear();
         frame.measure_packed(0.0, rng, prev);
-        for (int t = 0; t < kWindow; ++t) {
+        for (int t = 0; t < kStreamWindow; ++t) {
             frame.inject(1e-3, rng);
             frame.measure_packed(1e-3, rng, raw);
             prev ^= raw;
@@ -236,21 +241,37 @@ BM_UnionFindDecodeWindow(benchmark::State &state)
                 [&events, t](int c) { events.push_back({c, t}); });
             prev = raw;
         }
-        if (std::all_of(events.begin(), events.end(),
+        const bool reaches_overlap =
+            std::any_of(events.begin(), events.end(),
                         [](const DetectionEvent &e) {
-                            return e.round < kCommit;
-                        })) {
+                            return e.round >= kStreamCommit;
+                        });
+        if (reaches_overlap == overlap) {
             defects += events.size();
             windows.push_back(events);
         }
     }
+    mean_defects = static_cast<double>(defects) / 64.0;
+    return windows;
+}
+
+void
+BM_UnionFindDecodeWindow(benchmark::State &state)
+{
+    // The stream screen's load at stream-d21: one pooled decoder over
+    // the commit-region windows of `stream_windows`.
+    const RotatedSurfaceCode code(21);
+    const UnionFindDecoder uf(code, CheckType::Z);
+    double defects = 0.0;
+    const std::vector<std::vector<DetectionEvent>> windows =
+        stream_windows(code, false, defects);
     Decoder::Result scalars;
     size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            uf.decode_mask(windows[i++ & 63], kWindow, scalars));
+            uf.decode_mask(windows[i++ & 63], kStreamWindow, scalars));
     }
-    state.counters["defects"] = static_cast<double>(defects) / 64.0;
+    state.counters["defects"] = defects;
 }
 BENCHMARK(BM_UnionFindDecodeWindow);
 
@@ -316,11 +337,10 @@ BENCHMARK(BM_SpacetimeMwpmWindow)->Arg(5)->Arg(9)->Arg(11);
 /**
  * The perf-gate pair: single-shot spacetime decodes (a fresh window
  * per slot, varied inputs) through the fast path — distance oracle +
- * sparse candidates + pooled per-instance scratch, the production
- * default — against the legacy per-defect Dijkstra + complete-graph
- * configuration (bit-exact results, tests/test_fastpath.cpp). The
- * acceptance bar is >= 3x at d >= 11; see the archived
- * BENCH_decoders.json for the measured trajectory.
+ * pooled per-instance scratch, the production default — against the
+ * legacy per-defect Dijkstra configuration (bit-exact results,
+ * tests/test_fastpath.cpp). The acceptance bar is >= 3x at d >= 11;
+ * see the archived BENCH_decoders.json for the measured trajectory.
  */
 void
 run_single_decode(benchmark::State &state, const FastPathConfig &config)
@@ -379,6 +399,28 @@ BM_MwpmDecodeMemory(benchmark::State &state)
     state.counters["defects"] = static_cast<double>(defects) / 64.0;
 }
 BENCHMARK(BM_MwpmDecodeMemory);
+
+void
+BM_MwpmDecodeWindow(benchmark::State &state)
+{
+    // The stream's matched-window load at stream-d21: one pooled
+    // decoder over the windows of `stream_windows` that reach the
+    // overlap region, where the stream skips its screen and matches
+    // with pair attribution.
+    const RotatedSurfaceCode code(21);
+    const MwpmDecoder mwpm(code, CheckType::Z);
+    double defects = 0.0;
+    const std::vector<std::vector<DetectionEvent>> windows =
+        stream_windows(code, true, defects);
+    MwpmMatches matches;
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(mwpm.decode_matched(
+            windows[i++ & 63], kStreamWindow, matches));
+    }
+    state.counters["defects"] = defects;
+}
+BENCHMARK(BM_MwpmDecodeWindow);
 
 void
 BM_LutDecode(benchmark::State &state)

@@ -19,15 +19,14 @@ class ExactDecoder : public MwpmDecoder
 {
   public:
     /**
-     * Defaults to `FastPathConfig::oracle_only()`: O(1) oracle
-     * distances (bit-exact with the Dijkstra), but the *complete*
-     * defect graph in the rare > ~18-defect blossom fallback — a
-     * cross-validation oracle must not prune candidates, even
-     * provably-optimum-preserving ones.
+     * Defaults to `MwpmDecoder`'s fast path: O(1) oracle distances,
+     * bit-exact with the Dijkstra. The rare > ~18-defect blossom
+     * fallback solves the same reduced instance `MwpmDecoder` does,
+     * whose optimum is the subset DP's.
      */
     ExactDecoder(const RotatedSurfaceCode &code, CheckType detector,
                  int space_weight = 1, int time_weight = 1,
-                 FastPathConfig fast = FastPathConfig::oracle_only())
+                 FastPathConfig fast = FastPathConfig())
         : MwpmDecoder(code, detector, space_weight, time_weight,
                       Matcher::ExactDp, fast)
     {

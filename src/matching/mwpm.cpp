@@ -25,15 +25,6 @@ constexpr int kNoNode = -1;
  */
 constexpr int kExactDpMaxDefects = 18;
 
-/**
- * Smallest instance worth domination-pruning: below this the
- * complete-graph blossom is already cheap (measured: no win at k ~ 17,
- * ~1.5x at k ~ 130). Skipping also makes small decodes — the
- * BtwcSystem per-cycle common case — structurally identical to the
- * complete-graph solve.
- */
-constexpr int kSparseMinDefects = 32;
-
 } // namespace
 
 int
@@ -288,52 +279,43 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         BTWC_CHECK_MSG(total >= 0,
                        "defect graph always admits a boundary matching");
     } else {
-        // Build the 2k matching instance in the pooled solver:
-        // defects 0..k-1, boundary twins k..2k-1, twin-twin edges
-        // free. Under sparse_candidates the defect-defect edges are
-        // the non-dominated pairs: an edge costing more than the two
-        // boundary retirements it replaces is in no optimal matching.
-        // Boundary and twin edges always survive, so a perfect
-        // matching always exists. Below kSparseMinDefects nothing is
-        // pruned, so small instances — the common case — match the
-        // complete-graph solve identically by construction.
-        const bool prune =
-            fast_.sparse_candidates && k > kSparseMinDefects;
-        auto candidate = [&](int i, int j, int64_t w) {
-            return w >= 0 &&
-                   !(prune && boundary_dist[i] >= 0 &&
-                     boundary_dist[j] >= 0 &&
-                     w > boundary_dist[i] + boundary_dist[j]);
+        // Perfect matching on the k defects, plus one virtual boundary
+        // vertex V = k when k is odd. Retiring both ends of a pair
+        // costs b_i + b_j, so pair (i, j) costs
+        // c_ij = min(w_ij, b_i + b_j) (b_i + b_j alone when w_ij is
+        // missing) and (i, V) costs b_i. The optimum equals the
+        // boundary matching's: its retirees pair up at
+        // b_i + b_j >= c_ij, the odd one out taking V; conversely a
+        // mate costing b_i + b_j splits into two retirements. A mate
+        // with w_ij <= b_i + b_j maps back to a direct pair, every
+        // other mate (V included) to boundary retirements.
+        auto direct = [&](int i, int j) {
+            const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
+            return w >= 0 && w <= boundary_dist[i] + boundary_dist[j];
         };
 
-        const int n = 2 * k;
+        const int n = k + (k & 1);
         MaxWeightMatching &solver = scratch.matcher;
         solver.reset(n);
-        int64_t total = 0;
+        // No edge costs more than its endpoints' b (V's is 0), so no
+        // perfect matching costs more than the sum of all b_i: with
+        // `big` above it, a maximum-weight matching under weights
+        // big - cost is a minimum-cost perfect matching.
+        int64_t big = 1;
         for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-                if (candidate(i, j, w)) {
-                    total += w;
-                }
-            }
-            if (boundary_dist[i] >= 0) {
-                total += boundary_dist[i];
-            }
+            BTWC_CHECK_MSG(boundary_dist[i] >= 0,
+                           "every defect reaches the boundary");
+            big += boundary_dist[i];
         }
-        const int64_t big = total + 1;
         for (int i = 0; i < k; ++i) {
             for (int j = i + 1; j < k; ++j) {
-                const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-                if (candidate(i, j, w)) {
-                    solver.set_weight(i, j, big - w);
-                }
+                const int64_t cost =
+                    direct(i, j) ? defect_w[static_cast<size_t>(i) * ks + j]
+                                 : boundary_dist[i] + boundary_dist[j];
+                solver.set_weight(i, j, big - cost);
             }
-            if (boundary_dist[i] >= 0) {
-                solver.set_weight(i, k + i, big - boundary_dist[i]);
-            }
-            for (int j = i + 1; j < k; ++j) {
-                solver.set_weight(k + i, k + j, big);
+            if (n > k) {
+                solver.set_weight(i, k, big - boundary_dist[i]);
             }
         }
 
@@ -341,10 +323,11 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         mate_defect.assign(ks, -1);
         for (int i = 0; i < k; ++i) {
             BTWC_CHECK_MSG(mate[i] >= 0,
-                           "defect graph always admits a perfect matching");
-            // Matched to own boundary twin (twin-twin edges are only
-            // interconnected among themselves) or to another defect.
-            mate_defect[i] = mate[i] < k ? mate[i] : -1;
+                           "a complete graph on an even vertex count "
+                           "admits a perfect matching");
+            if (mate[i] < k && direct(i, mate[i])) {
+                mate_defect[i] = mate[i];
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 namespace btwc {
 
 /**
- * Fast-path knobs of `MwpmDecoder` (all on by default; the legacy
+ * Fast-path knob of `MwpmDecoder` (on by default; the legacy
  * configuration is the exact reference the property tests pin the
  * fast path against, bit-for-bit).
  */
@@ -26,50 +26,23 @@ struct FastPathConfig
      * tie-breaking, so corrections are bit-exact). Only applies under
      * unit `space_weight`/`time_weight` (the default, and the exact
      * setting for the paper's p_data == p_meas model); non-unit
-     * weights always take the Dijkstra fallback.
+     * weights always take the Dijkstra fallback. Both paths build the
+     * same matching instance from the same distances.
      */
     bool distance_oracle = true;
 
-    /**
-     * Hand the blossom stage a sparse candidate edge set — exactly
-     * the non-dominated defect pairs — instead of the complete defect
-     * graph (above 32 defects; smaller instances keep every edge). A
-     * dominated edge costs strictly more than the two boundary
-     * retirements it replaces, so it appears in *no* optimal
-     * matching: the pruning provably preserves the optimal-matching
-     * set, and the bit-exactness property tests pin that the solver's
-     * tie selection survives too (tests/test_fastpath.cpp, including
-     * a d = 13 / ~200-defect stress corpus). Boundary and twin edges
-     * are always kept, so a perfect matching always exists.
-     */
-    bool sparse_candidates = true;
-
-    /** The default: oracle distances + domination-pruned candidates. */
+    /** The default: oracle distances. */
     static FastPathConfig fast() { return FastPathConfig(); }
 
     /**
-     * Oracle distances over the complete defect graph: for decoders
-     * that serve as exact references themselves (`ExactDecoder`),
-     * where even provably-optimum-preserving pruning is unwanted in
-     * the rare blossom fallback.
-     */
-    static FastPathConfig oracle_only()
-    {
-        FastPathConfig config;
-        config.sparse_candidates = false;
-        return config;
-    }
-
-    /**
-     * The pre-oracle reference configuration: per-defect Dijkstra and
-     * the complete defect graph. Kept as the exact baseline the
-     * property tests (tests/test_fastpath.cpp) compare against.
+     * The pre-oracle reference configuration: per-defect Dijkstra.
+     * Kept as the exact baseline the property tests
+     * (tests/test_fastpath.cpp) compare against.
      */
     static FastPathConfig legacy()
     {
         FastPathConfig config;
         config.distance_oracle = false;
-        config.sparse_candidates = false;
         return config;
     }
 };
@@ -123,11 +96,19 @@ struct MwpmMatches
  * Defect pairwise distances come from the precomputed distance oracle
  * (surface/distance.hpp) under the default unit weights, or from
  * per-defect Dijkstra otherwise (see `FastPathConfig`); the pairing is
- * solved with the configured `Matcher` backend: the blossom algorithm
- * (each defect also gets a zero-cost-interconnected boundary twin, the
- * standard construction for codes with boundaries), or the brute-force
- * subset DP of matching/exact.hpp, which is exact by construction and
- * backs the `ExactDecoder` cross-validation tier.
+ * solved with the configured `Matcher` backend: the blossom algorithm,
+ * or the brute-force subset DP of matching/exact.hpp, which is exact
+ * by construction and backs the `ExactDecoder` cross-validation tier.
+ *
+ * The blossom instance has one vertex per defect, plus one virtual
+ * boundary vertex when the defect count is odd. A defect pair costs
+ * the cheaper of its spacetime distance and the two boundary
+ * retirements it could take instead, b_i + b_j; a defect's edge to the
+ * virtual vertex costs b_i. A minimum perfect matching of this
+ * instance has the boundary matching's optimum weight, and maps back
+ * to it: a mate no farther than b_i + b_j is a direct pair, and every
+ * other mate, the virtual vertex included, means retirement to the
+ * boundary.
  *
  * Hot-path contract: each decoder instance owns one persistent graph /
  * matcher scratch (grown once, reused by every `decode` and

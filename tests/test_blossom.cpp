@@ -2,12 +2,13 @@
  * @file
  * Property tests for the blossom matcher: structural validity plus
  * optimality against the brute-force subset-DP oracle on hundreds of
- * random instances, including the boundary-twin construction used by
- * the MWPM decoder.
+ * random instances, including the boundary reductions behind the MWPM
+ * decoder.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -169,8 +170,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BlossomSparse,
 
 TEST(Blossom, BoundaryTwinConstructionMatchesOracle)
 {
-    // The exact structure the MWPM decoder builds: k defects with
-    // pairwise distances, k boundary twins, twin-twin edges free.
+    // Two reductions of boundary matching to perfect matching, on the
+    // same random weights: k defects plus k boundary twins with free
+    // twin-twin edges, and the instance the MWPM decoder builds — the
+    // k defects alone, pair (i, j) costing min(w_ij, b_i + b_j), plus
+    // one virtual boundary vertex costing b_i when k is odd.
     Rng rng(4242);
     for (int iter = 0; iter < 120; ++iter) {
         const int k = 2 + static_cast<int>(rng.next_below(7));
@@ -202,6 +206,23 @@ TEST(Blossom, BoundaryTwinConstructionMatchesOracle)
         const int64_t want =
             exact_min_weight_with_boundary(k, dist, boundary);
         ASSERT_EQ(got, want) << "k=" << k << " iter=" << iter;
+
+        const int m = k + k % 2;
+        std::vector<std::vector<int64_t>> reduced(
+            m, std::vector<int64_t>(m, -1));
+        for (int i = 0; i < k; ++i) {
+            for (int j = i + 1; j < k; ++j) {
+                reduced[i][j] = reduced[j][i] =
+                    std::min(dist[i][j], boundary[i] + boundary[j]);
+            }
+            if (m > k) {
+                reduced[i][k] = reduced[k][i] = boundary[i];
+            }
+        }
+        const auto reduced_mate = min_weight_perfect_matching(m, reduced);
+        expect_valid_perfect(reduced_mate);
+        ASSERT_EQ(matching_weight(reduced_mate, reduced), want)
+            << "k=" << k << " iter=" << iter;
     }
 }
 

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the decode hot path: the precomputed distance oracle
- * (surface/distance.hpp), the oracle-backed MWPM fast path and its
- * sparse candidate-edge matcher — pinned *bit-exact* against the
- * legacy per-defect Dijkstra + complete-graph solve — the pooled
+ * (surface/distance.hpp), the oracle-backed MWPM fast path — pinned
+ * *bit-exact* against the legacy per-defect Dijkstra — the pooled
  * blossom scratch (`MaxWeightMatching::reset`), the persistent
  * per-decoder scratch, and the `LookupTableDecoder` (`lut`) tier.
  */
@@ -145,8 +144,7 @@ sample_events(const RotatedSurfaceCode &code, CheckType detector,
  * The load-bearing property: for every tested distance, rounds value,
  * detector type, and random syndrome, the decoder under `probe` must
  * produce the *bit-identical* correction and weight the legacy
- * configuration (per-defect Dijkstra + complete defect graph)
- * produces.
+ * configuration (per-defect Dijkstra) produces.
  */
 void
 expect_bit_exact_with_legacy(const FastPathConfig &probe,
@@ -188,19 +186,11 @@ TEST(MwpmFastPath, DefaultConfigBitExactWithLegacy)
                                  MwpmDecoder::Matcher::Blossom, 0);
 }
 
-TEST(MwpmFastPath, OracleAloneBitExactWithLegacy)
-{
-    FastPathConfig probe;
-    probe.sparse_candidates = false;
-    expect_bit_exact_with_legacy(probe, MwpmDecoder::Matcher::Blossom,
-                                 77);
-}
-
 TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
 {
-    // Domination pruning removes only edges provably in no optimal
-    // matching, and the solver's tie selection survives it: the
-    // default stays bit-exact on windows of ~200 defects.
+    // Both paths build the same reduced instance from bit-exact
+    // distances: the default stays bit-exact on windows of ~200
+    // defects.
     const int d = 13;
     const RotatedSurfaceCode code(d);
     const int rounds = d + 1;

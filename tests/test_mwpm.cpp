@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -307,50 +309,205 @@ bfs_distances(const RotatedSurfaceCode &code, CheckType det, int rounds,
     return dist;
 }
 
+/** Pairwise and boundary distances of `events`, by `bfs_distances`. */
+void
+independent_distances(const RotatedSurfaceCode &code, CheckType det,
+                      int rounds, const std::vector<DetectionEvent> &events,
+                      std::vector<std::vector<int64_t>> &w,
+                      std::vector<int64_t> &boundary)
+{
+    const int k = static_cast<int>(events.size());
+    const int num_checks = code.num_checks(det);
+    w.assign(k, std::vector<int64_t>(k, -1));
+    boundary.assign(k, -1);
+    for (int i = 0; i < k; ++i) {
+        const auto dist = bfs_distances(code, det, rounds, events[i].check,
+                                        events[i].round, boundary[i]);
+        for (int j = 0; j < k; ++j) {
+            if (j != i) {
+                w[i][j] = dist[events[j].round * num_checks +
+                               events[j].check];
+            }
+        }
+    }
+}
+
+/**
+ * Check a match record against its Result: every event lies in
+ * exactly one entry, each entry weighs its independently derived
+ * distance (`w` for a pair, `boundary` for a retirement), the entry
+ * weights sum to `Result::weight`, and the XOR of the entry paths is
+ * `Result::correction`.
+ */
+void
+expect_consistent_matches(const MwpmMatches &matches,
+                          const MwpmDecoder::Result &fix,
+                          const std::vector<std::vector<int64_t>> &w,
+                          const std::vector<int64_t> &boundary)
+{
+    std::vector<int> seen(boundary.size(), 0);
+    std::vector<uint8_t> mask(fix.correction.size(), 0);
+    int64_t total = 0;
+    for (const MwpmMatches::Pair &p : matches.pairs) {
+        ASSERT_GE(p.a, 0);
+        ++seen[static_cast<size_t>(p.a)];
+        if (p.b >= 0) {
+            ++seen[static_cast<size_t>(p.b)];
+            EXPECT_EQ(p.weight, w[p.a][p.b]) << "a=" << p.a << " b=" << p.b;
+        } else {
+            EXPECT_EQ(p.weight, boundary[p.a]) << "a=" << p.a;
+        }
+        total += p.weight;
+        for (int i = p.path_begin; i < p.path_end; ++i) {
+            mask[static_cast<size_t>(matches.path_data[i])] ^= 1;
+        }
+    }
+    for (size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i], 1) << "event " << i;
+    }
+    EXPECT_EQ(total, fix.weight);
+    EXPECT_EQ(mask, fix.correction);
+}
+
 TEST(Mwpm, MatchingWeightIsOptimal)
 {
     // The decoder's reported weight must equal the exact subset-DP
-    // optimum computed from independently derived distances.
-    const RotatedSurfaceCode code(5);
+    // optimum computed from independently derived distances, through
+    // both `decode` and `decode_matched`, on 1..18 defects (odd counts
+    // included). The corpus must hold pairs that cost exactly their
+    // two boundary retirements and pairs that cost more.
+    const CheckType det = CheckType::Z;
+    int with_tied_pair = 0;
+    int with_dominated_pair = 0;
+    for (const int d : {5, 9, 21}) {
+        const RotatedSurfaceCode code(d);
+        const MwpmDecoder decoder(code, det);
+        const int num_checks = code.num_checks(det);
+        MwpmMatches matches;
+        for (const int rounds : {1, 4, 8}) {
+            Rng rng(555 + 1000 * static_cast<uint64_t>(d) +
+                    static_cast<uint64_t>(rounds));
+            for (int iter = 0; iter < 36; ++iter) {
+                const int k = std::min(1 + iter % 18, rounds * num_checks);
+                std::vector<DetectionEvent> events;
+                std::set<std::pair<int, int>> used;
+                while (static_cast<int>(events.size()) < k) {
+                    const int c =
+                        static_cast<int>(rng.next_below(num_checks));
+                    const int t = static_cast<int>(rng.next_below(rounds));
+                    if (used.insert({c, t}).second) {
+                        events.push_back(DetectionEvent{c, t});
+                    }
+                }
+                std::vector<std::vector<int64_t>> w;
+                std::vector<int64_t> boundary;
+                independent_distances(code, det, rounds, events, w,
+                                      boundary);
+                bool tied = false;
+                bool dominated = false;
+                for (int i = 0; i < k; ++i) {
+                    for (int j = i + 1; j < k; ++j) {
+                        tied |= w[i][j] == boundary[i] + boundary[j];
+                        dominated |= w[i][j] > boundary[i] + boundary[j];
+                    }
+                }
+                with_tied_pair += tied ? 1 : 0;
+                with_dominated_pair += dominated ? 1 : 0;
+
+                const int64_t want =
+                    exact_min_weight_with_boundary(k, w, boundary);
+                const auto fix = decoder.decode(events, rounds);
+                ASSERT_EQ(fix.weight, want)
+                    << "d=" << d << " rounds=" << rounds << " iter=" << iter;
+                const auto matched =
+                    decoder.decode_matched(events, rounds, matches);
+                ASSERT_EQ(matched.weight, want)
+                    << "d=" << d << " rounds=" << rounds << " iter=" << iter;
+                EXPECT_EQ(matched.correction, fix.correction);
+                expect_consistent_matches(matches, matched, w, boundary);
+            }
+        }
+    }
+    EXPECT_GE(with_tied_pair, 20);
+    EXPECT_GE(with_dominated_pair, 20);
+}
+
+TEST(Mwpm, BoundaryPairTieRule)
+{
+    // A mate that costs no more than the two boundary retirements it
+    // replaces comes back as one direct pair; a dearer one as two
+    // retirements. Single-round d = 9 instances, chosen by their
+    // independently derived distances.
+    const RotatedSurfaceCode code(9);
     const CheckType det = CheckType::Z;
     const MwpmDecoder decoder(code, det);
-    const int rounds = 4;
     const int num_checks = code.num_checks(det);
-    Rng rng(555);
-    for (int iter = 0; iter < 120; ++iter) {
-        const int k = 2 + static_cast<int>(rng.next_below(9));
-        std::vector<DetectionEvent> events;
-        std::set<std::pair<int, int>> used;
-        for (int i = 0; i < k; ++i) {
-            const int c = static_cast<int>(rng.next_below(num_checks));
-            const int t = static_cast<int>(rng.next_below(rounds));
-            if (used.insert({c, t}).second) {
-                events.push_back(DetectionEvent{c, t});
-            }
-        }
-        const int n = static_cast<int>(events.size());
-        std::vector<std::vector<int64_t>> w(n,
-                                            std::vector<int64_t>(n, -1));
-        std::vector<int64_t> boundary(n);
-        for (int i = 0; i < n; ++i) {
-            int64_t bdist = -1;
-            const auto dist = bfs_distances(code, det, rounds,
-                                            events[i].check,
-                                            events[i].round, bdist);
-            boundary[i] = bdist;
-            for (int j = 0; j < n; ++j) {
-                if (j != i) {
-                    w[i][j] =
-                        dist[events[j].round * num_checks +
-                             events[j].check];
-                }
-            }
-        }
-        const auto fix = decoder.decode(events, rounds);
-        const int64_t want =
-            exact_min_weight_with_boundary(n, w, boundary);
-        ASSERT_EQ(fix.weight, want) << "iter=" << iter;
+    std::vector<int64_t> boundary(num_checks);
+    std::vector<std::vector<int>> dist(num_checks);
+    for (int c = 0; c < num_checks; ++c) {
+        dist[c] = bfs_distances(code, det, 1, c, 0, boundary[c]);
     }
+
+    // Decode `checks` as one round and compare the match record with
+    // `want`, a list of (a, b) entries in record order.
+    auto expect_entries = [&](const std::vector<int> &checks,
+                              const std::vector<std::pair<int, int>> &want) {
+        std::vector<DetectionEvent> events;
+        for (const int c : checks) {
+            events.push_back(DetectionEvent{c, 0});
+        }
+        std::vector<std::vector<int64_t>> w;
+        std::vector<int64_t> b;
+        independent_distances(code, det, 1, events, w, b);
+        MwpmMatches matches;
+        const auto fix = decoder.decode_matched(events, 1, matches);
+        EXPECT_EQ(fix.weight, exact_min_weight_with_boundary(
+                                  static_cast<int>(events.size()), w, b));
+        expect_consistent_matches(matches, fix, w, b);
+        ASSERT_EQ(matches.pairs.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(matches.pairs[i].a, want[i].first) << "entry " << i;
+            EXPECT_EQ(matches.pairs[i].b, want[i].second) << "entry " << i;
+        }
+    };
+
+    int tied_checked = 0;
+    int dominated_checked = 0;
+    for (int a = 0; a < num_checks; ++a) {
+        for (int c = a + 1; c < num_checks; ++c) {
+            const int64_t retire = boundary[a] + boundary[c];
+            if (dist[a][c] == retire) {
+                expect_entries({a, c}, {{0, 1}});
+                ++tied_checked;
+            } else if (dist[a][c] > retire) {
+                expect_entries({a, c}, {{0, -1}, {1, -1}});
+                ++dominated_checked;
+            }
+        }
+    }
+    EXPECT_GT(tied_checked, 0);
+    EXPECT_GT(dominated_checked, 0);
+
+    // Two adjacent checks deep inside the lattice and one boundary
+    // check far from both: one pair plus one retirement.
+    int inner = 0;
+    for (int c = 0; c < num_checks; ++c) {
+        if (boundary[c] > boundary[inner]) {
+            inner = c;
+        }
+    }
+    const int neighbor = code.clique_neighbors(det, inner)[0].check;
+    int far = -1;
+    for (int c = 0; c < num_checks; ++c) {
+        if (boundary[c] == 1 &&
+            (far < 0 || dist[inner][c] > dist[inner][far])) {
+            far = c;
+        }
+    }
+    ASSERT_GE(far, 0);
+    ASSERT_GT(dist[inner][far], boundary[inner] + 1);
+    expect_entries({inner, neighbor, far}, {{0, 1}, {2, -1}});
+    expect_entries({far, inner, neighbor}, {{0, -1}, {1, 2}});
 }
 
 } // namespace

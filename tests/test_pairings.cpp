@@ -3,18 +3,26 @@
  * Golden pin of the matcher's tie-breaking. `tests/golden/
  * mwpm_pairings.txt` records, for every seeded instance below, the
  * defect count, the matched weight, and an FNV-1a-64 of the solved
- * pair (or mate) list. The decode and pool lines were generated once
- * from the blossom engine as it stood before its storage was
- * flattened, the general lines from the flat engine before it gained
- * its speculative stage; any later drift in which of several
- * equal-weight matchings the engine returns fails here, even where the
- * weight (and hence every optimality check) is unchanged.
+ * pair (or mate) list. The pool lines were generated once from the
+ * blossom engine as it stood before its storage was flattened, the
+ * general lines from the flat engine before it gained its speculative
+ * stage; any later drift in which of several equal-weight matchings
+ * the engine returns fails here, even where the weight (and hence
+ * every optimality check) is unchanged.
+ *
+ * The decode lines were first generated with the pool lines. Their
+ * hash column was regenerated once when `MwpmDecoder` stopped solving
+ * a 2k-vertex boundary-twin instance and began solving the k defects
+ * (plus one virtual boundary vertex for odd k) with pair costs
+ * min(w_ij, b_i + b_j): the matcher sees a different graph, so it may
+ * return a different one of several equal-weight matchings. Their
+ * defects and weight columns were left unchanged by that
+ * regeneration.
  *
  * Three corpora:
  *   decode   `MwpmDecoder::decode_matched` over d in {5, 9, 13, 21} x
  *            rounds in {1, 8, d+1} x both detectors, at noise rates
- *            chosen so defect counts run from 0 to over 100 (crossing
- *            the sparse-candidate threshold of 32 defects);
+ *            chosen so defect counts run from 0 to over 100;
  *   pool     one pooled `MaxWeightMatching` solving random
  *            twin-construction instances with weights in 1..4 (dense
  *            ties), their sizes shrinking and growing at random;
@@ -308,7 +316,7 @@ TEST(MwpmPairingGolden, MatchesCommittedPairings)
         }
     }
     EXPECT_EQ(mismatches, 0);
-    // The decode corpus must span the sparse-candidate threshold.
+    // The decode corpus must run from tiny to large windows.
     EXPECT_LE(min_defects, 2);
     EXPECT_GT(max_defects, 100);
 }

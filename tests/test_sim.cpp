@@ -145,6 +145,34 @@ TEST(Memory, DistanceSuppressesLer)
     const auto r7 = run_memory_experiment(d7, DecoderArm::MwpmOnly);
     EXPECT_GT(r3.failures, 0u);
     EXPECT_LT(r7.ler(), r3.ler());
+
+    // Seeded MWPM-only sweeps over d = 3, 5, 7 on each side of the
+    // ~3% phenomenological threshold: the logical error rate falls
+    // with distance below it and rises above it.
+    auto failures = [](int distance, double p, uint64_t trials) {
+        MemoryConfig config;
+        config.distance = distance;
+        config.p = p;
+        config.max_trials = trials;
+        config.target_failures = 1000000;
+        config.seed = 11;
+        const MemoryResult r =
+            run_memory_experiment(config, DecoderArm::MwpmOnly);
+        EXPECT_EQ(r.trials, trials);
+        EXPECT_EQ(r.unclear_syndromes, 0u);
+        return r.failures;
+    };
+    const uint64_t below3 = failures(3, 1e-2, 10000);
+    const uint64_t below5 = failures(5, 1e-2, 10000);
+    const uint64_t below7 = failures(7, 1e-2, 10000);
+    EXPECT_GT(below3, below5);
+    EXPECT_GT(below5, below7);
+    EXPECT_GT(below7, 0u);
+    const uint64_t above3 = failures(3, 5e-2, 2000);
+    const uint64_t above5 = failures(5, 5e-2, 2000);
+    const uint64_t above7 = failures(7, 5e-2, 2000);
+    EXPECT_LT(above3, above5);
+    EXPECT_LT(above5, above7);
 }
 
 TEST(Memory, CliqueArmTracksBaseline)
