@@ -578,13 +578,28 @@ apply_key(SpecBuilder &builder, const std::string &key,
 
 /**
  * Cross-field validation shared by `try_parse` and `apply_flags`:
- * stream window geometry and the stream-tier placement rules. Keeping
- * it here (not only in the harness) turns a mis-specified scenario
- * into a parse-time diagnostic instead of a CheckFailure mid-run.
+ * kind-scoped keys, the probabilities weighted matching needs, stream
+ * window geometry and the stream-tier placement rules. Keeping it here
+ * (not only in the harness) turns a mis-specified scenario into a
+ * parse-time diagnostic instead of a CheckFailure mid-run.
  */
 bool
 validate_spec(const ScenarioSpec &spec, std::string *error)
 {
+    if (spec.weighted_matching) {
+        // Log-likelihood weights ln((1 - p) / p) are finite only for
+        // channels strictly inside (0, 1).
+        const double p = spec.code.p;
+        const double p_meas = spec.code.p_meas < 0.0 ? p : spec.code.p_meas;
+        if (!(p > 0.0 && p < 1.0) || !(p_meas > 0.0 && p_meas < 1.0)) {
+            set_error(error,
+                      "weighted matching needs p and p_meas strictly "
+                      "inside (0, 1) (log-likelihood weights); got p=" +
+                          format_double(p) +
+                          ", p_meas=" + format_double(p_meas));
+            return false;
+        }
+    }
     if (spec.kind != ScenarioKind::Fabric) {
         const ScenarioSpec defaults;
         if (spec.service.links != defaults.service.links ||

@@ -46,10 +46,9 @@ struct OffchipQueueConfig
     uint64_t latency = 0;
     /**
      * Largest group of same-cycle served requests handed to one
-     * `Decoder::decode_batch` call (graph-setup amortization
-     * granularity). 0 = one batch per serve cycle. Only affects the
-     * batch-size accounting and how callers group decodes; scheduling
-     * is independent of it.
+     * `Decoder::decode_batch` call. 0 = one batch per serve cycle.
+     * Only affects the batch-size accounting and how callers group
+     * decodes; scheduling is independent of it.
      */
     uint64_t max_batch = 0;
 };
@@ -196,9 +195,9 @@ class OffchipQueue
 
     /**
      * Size of every served per-cycle group, sliced at
-     * `OffchipQueueConfig::max_batch`: the granularity a decoder
-     * serving this link amortizes `decode_batch` setup over. This is
-     * a *link-level* statistic -- a single `BtwcSystem`'s own decode
+     * `OffchipQueueConfig::max_batch`: the groups a decoder serving
+     * this link receives per `decode_batch` call. This is a
+     * *link-level* statistic -- a single `BtwcSystem`'s own decode
      * batches are additionally bounded by its
      * one-outstanding-request-per-half contract (see system.hpp).
      */

@@ -25,12 +25,11 @@ namespace btwc {
  * shares one instance, its systems only *enqueue* tagged requests
  * during their step, and the fleet harness advances the link exactly
  * once per machine cycle via `step()`, after every tenant has stepped.
- * Served batches therefore mix requests from different qubits, which
- * is what makes `TierChain::decode_batch_from` amortization measurable
- * at fleet scale: within one qubit, batches are bounded by the
- * one-outstanding-request-per-half reconciliation contract
- * (core/system.hpp), but N qubits escalating in the same cycle share
- * one decoder invocation per lattice half.
+ * Served batches therefore mix requests from different qubits: within
+ * one qubit, batches are bounded by the one-outstanding-request-per-
+ * half reconciliation contract (core/system.hpp), but N qubits
+ * escalating in the same cycle share one `TierChain::decode_batch_from`
+ * call per lattice half.
  *
  * The service owns one `TierChain` per lattice half (indexed by error
  * type, like `BtwcSystem`'s frames) for the code it was constructed

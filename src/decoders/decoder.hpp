@@ -96,15 +96,13 @@ class Decoder
 
     /**
      * Decode a batch of independent event sets observed over the same
-     * number of rounds, returning one Result per entry in order. The
-     * base implementation is a plain loop over `decode`; backends with
-     * per-call setup cost (graph scratch allocation in `MwpmDecoder` /
-     * `ExactDecoder`) override it to amortize that setup across the
-     * batch. Semantics are identical to the loop by contract: the
-     * async off-chip service (core/offchip_queue.hpp) relies on
-     * batched and per-item decoding being bit-identical.
+     * number of rounds, returning one Result per entry in order: a
+     * plain loop over `decode`. Every backend keeps its scratch per
+     * instance, so there is no per-call setup left for a batch to
+     * amortize; the async off-chip service (core/offchip_queue.hpp)
+     * groups its drains through this call.
      */
-    virtual std::vector<Result>
+    std::vector<Result>
     decode_batch(const std::vector<std::vector<DetectionEvent>> &batch,
                  int rounds) const;
 

@@ -198,11 +198,10 @@ class TierChain
 
     /**
      * Batched form of `decode_from` over independent event sets: tier
-     * `first_tier` runs once via `Decoder::decode_batch` (amortizing
-     * graph setup across the batch), and the rare entries it declines
-     * or escalates-on-effort fall through to the deeper tiers
-     * per-item. Results are bit-identical to calling `decode_from`
-     * per entry.
+     * `first_tier` runs once via `Decoder::decode_batch`, and the rare
+     * entries it declines or escalates-on-effort fall through to the
+     * deeper tiers per-item. Results are bit-identical to calling
+     * `decode_from` per entry.
      */
     std::vector<Result>
     decode_batch_from(size_t first_tier,

@@ -10,44 +10,6 @@
 namespace btwc {
 
 /**
- * Fast-path knob of `MwpmDecoder` (on by default; the legacy
- * configuration is the exact reference the property tests pin the
- * fast path against, bit-for-bit).
- */
-struct FastPathConfig
-{
-    /**
-     * Answer defect-defect and defect-boundary spacetime distances
-     * from the per-code precomputed tables
-     * (`RotatedSurfaceCode::check_distances`) in O(1) closed form —
-     * space hops plus time separation — instead of running one
-     * Dijkstra per defect, and recover correction paths by walking the
-     * same geodesics the Dijkstra parent trees encode (identical
-     * tie-breaking, so corrections are bit-exact). Only applies under
-     * unit `space_weight`/`time_weight` (the default, and the exact
-     * setting for the paper's p_data == p_meas model); non-unit
-     * weights always take the Dijkstra fallback. Both paths build the
-     * same matching instance from the same distances.
-     */
-    bool distance_oracle = true;
-
-    /** The default: oracle distances. */
-    static FastPathConfig fast() { return FastPathConfig(); }
-
-    /**
-     * The pre-oracle reference configuration: per-defect Dijkstra.
-     * Kept as the exact baseline the property tests
-     * (tests/test_fastpath.cpp) compare against.
-     */
-    static FastPathConfig legacy()
-    {
-        FastPathConfig config;
-        config.distance_oracle = false;
-        return config;
-    }
-};
-
-/**
  * The pairing behind one MWPM decode, exposed for consumers that must
  * attribute the correction to individual matched pairs — the
  * sliding-window stream decoder (decoders/stream_window.hpp) commits
@@ -89,16 +51,23 @@ struct MwpmMatches
  * Nodes are (check, round) pairs; space edges are data qubits shared
  * by two same-type checks, time edges connect a check to itself in the
  * next round (measurement errors), and boundary half-edges let chains
- * terminate on the lattice boundary. All edges have unit weight, which
- * is exact for the paper's phenomenological model with equal data and
- * measurement error probabilities.
+ * terminate on the lattice boundary. Space and boundary edges weigh
+ * `space_weight`, time edges `time_weight`; unit weights are exact for
+ * the paper's phenomenological model with equal data and measurement
+ * error probabilities.
  *
- * Defect pairwise distances come from the precomputed distance oracle
- * (surface/distance.hpp) under the default unit weights, or from
- * per-defect Dijkstra otherwise (see `FastPathConfig`); the pairing is
- * solved with the configured `Matcher` backend: the blossom algorithm,
- * or the brute-force subset DP of matching/exact.hpp, which is exact
- * by construction and backs the `ExactDecoder` cross-validation tier.
+ * The graph is the product of the check graph and the round path, one
+ * uniform weight per dimension, so every spacetime distance comes in
+ * O(1) from the precomputed check-graph tables (surface/distance.hpp):
+ * w_ij = hops(c_i, c_j) * space_weight + |r_i - r_j| * time_weight,
+ * b_i = (boundary_hops(c_i) + 1) * space_weight. A correction path is
+ * the geodesic a per-defect Dijkstra's parent pointers would trace
+ * (tie rule in surface/distance.hpp); tests/golden/
+ * mwpm_corrections.txt, generated from that Dijkstra, pins it under
+ * unit and non-unit weights. The pairing is solved with
+ * the configured `Matcher` backend: the blossom algorithm, or the
+ * brute-force subset DP of matching/exact.hpp, which is exact by
+ * construction and backs the `ExactDecoder` cross-validation tier.
  *
  * The blossom instance has one vertex per defect, plus one virtual
  * boundary vertex when the defect count is odd. A defect pair costs
@@ -110,12 +79,12 @@ struct MwpmMatches
  * other mate, the virtual vertex included, means retirement to the
  * boundary.
  *
- * Hot-path contract: each decoder instance owns one persistent graph /
- * matcher scratch (grown once, reused by every `decode` and
- * `decode_batch` call), so steady-state decoding is allocation-free.
- * Instances are therefore not safe for concurrent `decode` calls from
- * multiple threads — the sharded Monte-Carlo engine gives every shard
- * its own decoder stack, which is the intended usage.
+ * Hot-path contract: each decoder instance owns one persistent
+ * distance / matcher scratch (grown once, reused by every decode
+ * call), so steady-state decoding is allocation-free. Instances are
+ * therefore not safe for concurrent `decode` calls from multiple
+ * threads — the sharded Monte-Carlo engine gives every shard its own
+ * decoder stack, which is the intended usage.
  */
 class MwpmDecoder : public Decoder
 {
@@ -137,7 +106,6 @@ class MwpmDecoder : public Decoder
      * @param space_weight weight of space (data qubit) and boundary edges
      * @param time_weight  weight of time (measurement) edges
      * @param matcher      pairing engine (see Matcher)
-     * @param fast         fast-path knobs (see FastPathConfig)
      *
      * Unit weights are exact for the paper's p_data == p_meas model;
      * for asymmetric noise pass log-likelihood weights (see
@@ -145,8 +113,7 @@ class MwpmDecoder : public Decoder
      */
     MwpmDecoder(const RotatedSurfaceCode &code, CheckType detector,
                 int space_weight = 1, int time_weight = 1,
-                Matcher matcher = Matcher::Blossom,
-                FastPathConfig fast = FastPathConfig());
+                Matcher matcher = Matcher::Blossom);
 
     ~MwpmDecoder() override;
 
@@ -161,18 +128,6 @@ class MwpmDecoder : public Decoder
      */
     Result decode(const std::vector<DetectionEvent> &events,
                   int rounds) const override;
-
-    /**
-     * Batched decoding with shared graph scratch: the per-defect
-     * distance / parent arrays (the dominant per-call allocation) are
-     * set up once and reused across the whole batch, which is how the
-     * async off-chip service amortizes graph setup over the
-     * escalations it drains per cycle. Results are bit-identical to
-     * looping `decode`. `ExactDecoder` inherits the specialization.
-     */
-    std::vector<Result>
-    decode_batch(const std::vector<std::vector<DetectionEvent>> &batch,
-                 int rounds) const override;
 
     /**
      * As `decode`, but also report the solved pairing into `matches`
@@ -190,20 +145,15 @@ class MwpmDecoder : public Decoder
     struct Scratch;
 
     Result decode_impl(const std::vector<DetectionEvent> &events,
-                       int rounds, Scratch &scratch,
-                       MwpmMatches *matches = nullptr) const;
-
-    int node_id(int check, int round) const { return round * num_checks_ + check; }
+                       int rounds, MwpmMatches *matches = nullptr) const;
 
     const RotatedSurfaceCode &code_;
     CheckType detector_;
-    int num_checks_;
     int space_weight_;
     int time_weight_;
     Matcher matcher_;
-    FastPathConfig fast_;
     /**
-     * Persistent per-instance working set (graph arrays + the pooled
+     * Persistent per-instance working set (distance arrays + the pooled
      * blossom matcher); every decode entry point routes through it, so
      * single-shot `decode()` calls — the dominant `BtwcSystem`
      * per-cycle path — reuse grown capacity instead of reallocating.

@@ -45,7 +45,7 @@ CheckGraphDistances::CheckGraphDistances(const RotatedSurfaceCode &code,
 
     // Nearest boundary-adjacent check per source, ties broken toward
     // the smallest check id — the order Dijkstra settles equal-distance
-    // nodes in, which the fast path's boundary retirement must match.
+    // nodes in, which MwpmDecoder's boundary retirement must match.
     boundary_hops_.assign(n, 0);
     boundary_check_.assign(n, -1);
     for (int src = 0; src < n_; ++src) {
@@ -109,7 +109,7 @@ CheckGraphDistances::audit(const RotatedSurfaceCode &code,
         }
 
         // Re-derive the boundary argmin with the same (hops, id)
-        // tie-break the fast path's boundary retirement depends on.
+        // tie-break MwpmDecoder's boundary retirement depends on.
         int best_hops = std::numeric_limits<int>::max();
         int best_check = -1;
         for (int b = 0; b < n_; ++b) {

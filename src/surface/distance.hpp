@@ -12,8 +12,8 @@ namespace btwc {
  * hop distances between same-type checks plus, per check, the hop
  * distance to (and identity of) its nearest boundary-adjacent check.
  *
- * This is the spacetime distance oracle behind `MwpmDecoder`'s fast
- * path. The decoding graph over `(check, round)` nodes is the
+ * This is the spacetime distance oracle behind `MwpmDecoder`. The
+ * decoding graph over `(check, round)` nodes is the
  * Cartesian product of this 2-D check graph (space edges, weight
  * `space_weight`) with a path graph over rounds (time edges, weight
  * `time_weight`), and every edge of one dimension carries one uniform
@@ -24,16 +24,27 @@ namespace btwc {
  *
  * and the boundary distance from `(c, r)` is
  * `(boundary_hops(c) + 1) * space_weight` (time moves never help reach
- * a boundary). The per-defect Dijkstra this replaces costs
- * O(rounds * num_checks * log) per defect; the oracle answers in O(1)
- * from a table built once per code (sparse-blossom-style precomputed
- * geometry, cf. Higgott et al., arXiv:2203.04948).
+ * a boundary). A per-defect Dijkstra costs O(rounds * num_checks * log)
+ * per defect; the oracle answers in O(1) from a table built once per
+ * code (sparse-blossom-style precomputed geometry, cf. Higgott et al.,
+ * arXiv:2203.04948).
  *
- * Tie-breaking contract: `boundary_check(c)` is the boundary-adjacent
- * check with the smallest (hops, id) pair — exactly the first
- * boundary-adjacent node the legacy Dijkstra settles under unit
- * weights, which is what keeps the fast path's corrections bit-exact
- * with the Dijkstra fallback (see MwpmDecoder).
+ * Tie-breaking contract: the paths `MwpmDecoder` walks are the parent
+ * chains of a Dijkstra that settles nodes in (distance, node id)
+ * order, node id = round * num_checks + check. A node's parent is its
+ * optimal predecessor with the smallest (distance, id); time
+ * predecessors sit at D - time_weight and space predecessors at
+ * D - space_weight, so walking from (c, r) back to the source
+ * (c_src, r_src) takes
+ *   - the time step whenever r != r_src, if time_weight > space_weight;
+ *   - a space step whenever c != c_src, if space_weight > time_weight;
+ *   - if the weights are equal: the first of (c, r-1), a space step
+ *     and (c, r+1) that lies on a geodesic.
+ * A space step goes to the smallest-id neighbour one hop closer to
+ * c_src. `boundary_check(c)` is the boundary-adjacent check with the
+ * smallest (hops, id) pair, the first boundary-adjacent node that
+ * Dijkstra settles under any weights. tests/golden/
+ * mwpm_corrections.txt, generated from such a Dijkstra, pins both.
  *
  * Tables are O(num_checks^2) `uint16_t`s (~190 KB at d = 21); they are
  * built lazily per check type via

@@ -191,7 +191,7 @@ class RotatedSurfaceCode
      * Precomputed matching-graph geometry of one check type
      * (surface/distance.hpp): all-pairs check hop distances plus
      * per-check boundary hops — the spacetime distance oracle behind
-     * `MwpmDecoder`'s fast path. Built lazily on first request
+     * `MwpmDecoder`. Built lazily on first request
      * (thread-safe), so Clique-only and Oracle-policy runs never pay
      * the O(num_checks^2) table.
      */

@@ -129,6 +129,9 @@ TEST(ScenarioSpec, RejectsMalformedSpecs)
         "hot_mult=nan",
         "fleet=0",
         "weighted=maybe",
+        // Log-likelihood weights need p and p_meas inside (0, 1).
+        "kind=memory,d=5,p=1e-2,p_meas=0,weighted,arm=mwpm,trials=100",
+        "kind=memory,d=5,p=0,weighted,arm=mwpm,trials=100",
         "mwpm",            // tier token outside a tiers= run
         "kind=fabric,links=0",
         "kind=fabric,scheduler=bogus",

@@ -243,8 +243,7 @@ TEST(TierChainConfig, ParseThrowsOnMalformedSpec)
 TEST(DecodeBatch, DefaultAndSpecializedBatchesMatchSequentialDecodes)
 {
     // The decode_batch contract: batched results are bit-identical to
-    // looping decode, for the default loop (UnionFind) and the
-    // scratch-reusing specialization (Mwpm and, inherited, Exact).
+    // looping decode, for every backend's pooled scratch.
     const RotatedSurfaceCode code(7);
     const MwpmDecoder mwpm(code, CheckType::Z);
     const ExactDecoder exact(code, CheckType::Z);

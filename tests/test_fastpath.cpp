@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the decode hot path: the precomputed distance oracle
- * (surface/distance.hpp), the oracle-backed MWPM fast path — pinned
- * *bit-exact* against the legacy per-defect Dijkstra — the pooled
- * blossom scratch (`MaxWeightMatching::reset`), the persistent
- * per-decoder scratch, and the `LookupTableDecoder` (`lut`) tier.
+ * (surface/distance.hpp), the pooled blossom scratch
+ * (`MaxWeightMatching::reset`), the persistent per-decoder scratch,
+ * and the `LookupTableDecoder` (`lut`) tier. The oracle-backed MWPM
+ * corrections are pinned against the per-defect Dijkstra they replaced
+ * by tests/golden/mwpm_corrections.txt (tests/test_mwpm_corrections.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -111,7 +112,7 @@ TEST(CheckGraphDistances, CachedPerCodeAndType)
     EXPECT_NE(&a, &code.check_distances(CheckType::Z));
 }
 
-// ------------------------- fast path bit-exact against legacy Dijkstra
+// ------------------------------------------ the persistent scratch
 
 /** Random spacetime detection events: noisy rounds + a perfect one. */
 std::vector<DetectionEvent>
@@ -138,111 +139,6 @@ sample_events(const RotatedSurfaceCode &code, CheckType detector,
         }
     }
     return events;
-}
-
-/**
- * The load-bearing property: for every tested distance, rounds value,
- * detector type, and random syndrome, the decoder under `probe` must
- * produce the *bit-identical* correction and weight the legacy
- * configuration (per-defect Dijkstra) produces.
- */
-void
-expect_bit_exact_with_legacy(const FastPathConfig &probe,
-                             MwpmDecoder::Matcher matcher, uint64_t salt)
-{
-    for (const int d : {3, 5, 7, 9}) {
-        const RotatedSurfaceCode code(d);
-        for (const CheckType det : {CheckType::X, CheckType::Z}) {
-            for (const int rounds : {1, 3, d + 1}) {
-                const MwpmDecoder fast(code, det, 1, 1, matcher, probe);
-                const MwpmDecoder legacy(code, det, 1, 1, matcher,
-                                         FastPathConfig::legacy());
-                Rng rng(salt + 1000 * static_cast<uint64_t>(d) +
-                        10 * static_cast<uint64_t>(det) +
-                        static_cast<uint64_t>(rounds));
-                for (int iter = 0; iter < 60; ++iter) {
-                    const double p = 0.01 + 0.01 * (iter % 5);
-                    const std::vector<DetectionEvent> events =
-                        sample_events(code, det, rounds, p, rng);
-                    const auto a = fast.decode(events, rounds);
-                    const auto b = legacy.decode(events, rounds);
-                    ASSERT_EQ(a.weight, b.weight)
-                        << "d=" << d << " rounds=" << rounds
-                        << " iter=" << iter << " k=" << events.size();
-                    ASSERT_EQ(a.correction, b.correction)
-                        << "d=" << d << " rounds=" << rounds
-                        << " iter=" << iter << " k=" << events.size();
-                    ASSERT_EQ(a.defects, b.defects);
-                    ASSERT_EQ(a.resolved, b.resolved);
-                }
-            }
-        }
-    }
-}
-
-TEST(MwpmFastPath, DefaultConfigBitExactWithLegacy)
-{
-    expect_bit_exact_with_legacy(FastPathConfig::fast(),
-                                 MwpmDecoder::Matcher::Blossom, 0);
-}
-
-TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
-{
-    // Both paths build the same reduced instance from bit-exact
-    // distances: the default stays bit-exact on windows of ~200
-    // defects.
-    const int d = 13;
-    const RotatedSurfaceCode code(d);
-    const int rounds = d + 1;
-    const MwpmDecoder fast(code, CheckType::Z);
-    const MwpmDecoder legacy(code, CheckType::Z, 1, 1,
-                             MwpmDecoder::Matcher::Blossom,
-                             FastPathConfig::legacy());
-    Rng rng(99);
-    int decoded = 0;
-    for (int iter = 0; iter < 40 && decoded < 4; ++iter) {
-        const std::vector<DetectionEvent> events =
-            sample_events(code, CheckType::Z, rounds, 0.03, rng);
-        if (events.size() < 140) {
-            continue;  // only the expensive large windows matter here
-        }
-        ++decoded;
-        const auto a = fast.decode(events, rounds);
-        const auto b = legacy.decode(events, rounds);
-        ASSERT_EQ(a.weight, b.weight)
-            << "iter=" << iter << " k=" << events.size();
-        ASSERT_EQ(a.correction, b.correction)
-            << "iter=" << iter << " k=" << events.size();
-    }
-    ASSERT_EQ(decoded, 4) << "stress corpus must reach large windows";
-}
-
-TEST(MwpmFastPath, ExactDpBackendBitExactWithLegacy)
-{
-    expect_bit_exact_with_legacy(FastPathConfig::fast(),
-                                 MwpmDecoder::Matcher::ExactDp, 231);
-}
-
-TEST(MwpmFastPath, NonUnitWeightsTakeTheDijkstraFallback)
-{
-    // Weighted decoders must behave identically whether or not the
-    // fast path is requested (it only covers unit weights).
-    const RotatedSurfaceCode code(7);
-    const MwpmDecoder weighted_fast(code, CheckType::Z, 3, 2,
-                                    MwpmDecoder::Matcher::Blossom,
-                                    FastPathConfig::fast());
-    const MwpmDecoder weighted_legacy(code, CheckType::Z, 3, 2,
-                                      MwpmDecoder::Matcher::Blossom,
-                                      FastPathConfig::legacy());
-    Rng rng(99);
-    for (int iter = 0; iter < 40; ++iter) {
-        const std::vector<DetectionEvent> events =
-            sample_events(code, CheckType::Z, 4, 0.02, rng);
-        const auto a = weighted_fast.decode(events, 4);
-        const auto b = weighted_legacy.decode(events, 4);
-        ASSERT_EQ(a.weight, b.weight) << "iter=" << iter;
-        ASSERT_EQ(a.correction, b.correction) << "iter=" << iter;
-    }
 }
 
 TEST(MwpmFastPath, PersistentScratchIsInvisible)

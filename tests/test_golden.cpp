@@ -15,9 +15,12 @@
  *   fleet_shared_fifo          exact fleet on one shared FIFO link
  *   fleet_shared_fifo_faults   the same under outage/drop/surge faults
  *   fabric_fifo_shed           FIFO fabric with shedding + give-ups
- * and one pins the d=21 streaming decode end to end (frame noise and
+ * one pins the d=21 streaming decode end to end (frame noise and
  * extraction, UF screening, windowed MWPM pairings):
  *   stream_d21                 the stream-d21 benchmark spec, 2k rounds
+ * and one pins log-likelihood weighted spacetime matching (non-unit
+ * space and time weights) under asymmetric noise:
+ *   memory_weighted            d=7 memory, p_meas = 2p, 2k trials
  *
  * Regenerate a pin (only when a metrics change is deliberate) with
  *   btwc_run "$(spec)" --threads 1 --json tests/golden/<name>.json
@@ -74,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("lifetime_inline_oracle", "lifetime_deep_chain",
                       "lifetime_contended_queue", "fleet_private_links",
                       "fleet_shared_fifo", "fleet_shared_fifo_faults",
-                      "fabric_fifo_shed", "stream_d21"),
+                      "fabric_fifo_shed", "stream_d21", "memory_weighted"),
     [](const ::testing::TestParamInfo<const char *> &info) {
         return std::string(info.param);
     });

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "golden_corpus.hpp"
 #include "matching/blossom.hpp"
 #include "matching/mwpm.hpp"
 #include "surface/lattice.hpp"
@@ -60,20 +61,6 @@
 namespace btwc {
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-/** Fold the 8 little-endian bytes of `v` into an FNV-1a-64 hash. */
-uint64_t
-fnv1a(uint64_t h, int64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (static_cast<uint64_t>(v) >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 std::string
 format_line(const std::string &label, int defects, int64_t weight,
             uint64_t hash)
@@ -82,41 +69,6 @@ format_line(const std::string &label, int defects, int64_t weight,
     std::snprintf(buf, sizeof buf, "%s %d %" PRId64 " %016" PRIx64,
                   label.c_str(), defects, weight, hash);
     return buf;
-}
-
-/**
- * Phenomenological detection events: `rounds - 1` noisy rounds (data
- * flips and measurement flips at rate p) closed by one perfect round.
- * Self-contained (code geometry and Rng only) so the corpus does not
- * move when the frame or extraction code does.
- */
-std::vector<DetectionEvent>
-phenomenological_events(const RotatedSurfaceCode &code, CheckType detector,
-                        int rounds, double p, Rng &rng)
-{
-    const int nc = code.num_checks(detector);
-    std::vector<uint8_t> error(static_cast<size_t>(code.num_data()), 0);
-    std::vector<uint8_t> prev(static_cast<size_t>(nc), 0);
-    std::vector<uint8_t> cur;
-    std::vector<DetectionEvent> events;
-    for (int t = 0; t < rounds; ++t) {
-        for (uint8_t &e : error) {
-            e ^= rng.bernoulli(p) ? 1 : 0;
-        }
-        code.syndrome_of(detector, error, cur);
-        if (t + 1 < rounds) {
-            for (uint8_t &s : cur) {
-                s ^= rng.bernoulli(p) ? 1 : 0;
-            }
-        }
-        for (int c = 0; c < nc; ++c) {
-            if ((cur[c] ^ prev[c]) & 1) {
-                events.push_back(DetectionEvent{c, t});
-            }
-        }
-        prev.swap(cur);
-    }
-    return events;
 }
 
 void
@@ -143,7 +95,8 @@ append_decode_corpus(std::vector<std::string> &lines)
                     const double p =
                         std::min(0.2, targets[i / 2] / (5.0 * nodes));
                     const std::vector<DetectionEvent> events =
-                        phenomenological_events(code, det, rounds, p, rng);
+                        phenomenological_events(code, det, rounds, p, true,
+                                                rng);
                     const Decoder::Result result =
                         decoder.decode_matched(events, rounds, matches);
                     uint64_t h = kFnvOffset;

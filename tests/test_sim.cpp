@@ -175,6 +175,32 @@ TEST(Memory, DistanceSuppressesLer)
     EXPECT_LT(above5, above7);
 }
 
+TEST(Memory, WeightedMatchingHelpsUnderAsymmetricNoise)
+{
+    // With measurement flips twice as likely as data flips, unit
+    // weights overprice time edges; log-likelihood weights (Higgott et
+    // al.) price each edge by its channel. Both arms see the same
+    // seeded noise, so the comparison is paired: 440 vs 561 failures.
+    MemoryConfig config;
+    config.distance = 5;
+    config.p = 2e-2;
+    config.p_meas = 0.04;
+    config.max_trials = 10000;
+    config.target_failures = 1000000;
+    config.seed = 3;
+    const MemoryResult unit =
+        run_memory_experiment(config, DecoderArm::MwpmOnly);
+    config.weighted_matching = true;
+    const MemoryResult weighted =
+        run_memory_experiment(config, DecoderArm::MwpmOnly);
+    EXPECT_EQ(unit.trials, 10000u);
+    EXPECT_EQ(weighted.trials, 10000u);
+    EXPECT_EQ(unit.unclear_syndromes, 0u);
+    EXPECT_EQ(weighted.unclear_syndromes, 0u);
+    EXPECT_LT(weighted.failures * 10, unit.failures * 9)
+        << "weighted " << weighted.failures << " unit " << unit.failures;
+}
+
 TEST(Memory, CliqueArmTracksBaseline)
 {
     // Fig. 14's headline: Clique+Baseline is nearly indistinguishable

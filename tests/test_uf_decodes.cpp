@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "golden_corpus.hpp"
 #include "matching/union_find.hpp"
 #include "surface/lattice.hpp"
 
@@ -49,20 +50,6 @@
 
 namespace btwc {
 namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-/** Fold the 8 little-endian bytes of `v` into an FNV-1a-64 hash. */
-uint64_t
-fnv1a(uint64_t h, int64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (static_cast<uint64_t>(v) >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 /** Decode once and format the instance's golden line. */
 std::string
@@ -81,43 +68,6 @@ decode_line(const std::string &label, const UnionFindDecoder &uf,
                   label.c_str(), result.defects, result.weight,
                   result.effort, h);
     return buf;
-}
-
-/**
- * Phenomenological detection events over `rounds` rounds: data flips
- * and measurement flips at rate p. With `close` the last round is
- * measured perfectly (a full memory window); without it every round
- * is noisy (a window cut from the middle of a stream). Self-contained
- * (code geometry and Rng only) so the corpus does not move when the
- * frame or extraction code does.
- */
-std::vector<DetectionEvent>
-phenomenological_events(const RotatedSurfaceCode &code, CheckType detector,
-                        int rounds, double p, bool close, Rng &rng)
-{
-    const int nc = code.num_checks(detector);
-    std::vector<uint8_t> error(static_cast<size_t>(code.num_data()), 0);
-    std::vector<uint8_t> prev(static_cast<size_t>(nc), 0);
-    std::vector<uint8_t> cur;
-    std::vector<DetectionEvent> events;
-    for (int t = 0; t < rounds; ++t) {
-        for (uint8_t &e : error) {
-            e ^= rng.bernoulli(p) ? 1 : 0;
-        }
-        code.syndrome_of(detector, error, cur);
-        if (!close || t + 1 < rounds) {
-            for (uint8_t &s : cur) {
-                s ^= rng.bernoulli(p) ? 1 : 0;
-            }
-        }
-        for (int c = 0; c < nc; ++c) {
-            if ((cur[c] ^ prev[c]) & 1) {
-                events.push_back(DetectionEvent{c, t});
-            }
-        }
-        prev.swap(cur);
-    }
-    return events;
 }
 
 void
