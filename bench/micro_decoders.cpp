@@ -276,6 +276,24 @@ BM_UnionFindDecodeWindow(benchmark::State &state)
 BENCHMARK(BM_UnionFindDecodeWindow);
 
 void
+BM_FrameInject(benchmark::State &state)
+{
+    // The data walk of one lifetime half at p=1e-3: a reset, then a
+    // GapSampler walk over the d^2 data qubits that usually ends on
+    // its first draw (for d=21, (1-p)^441 = 0.64 of the time).
+    const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
+    ErrorFrame frame(code, CheckType::X);
+    Rng rng(15);
+    for (auto _ : state) {
+        frame.reset();
+        frame.inject(1e-3, rng);
+        benchmark::DoNotOptimize(frame.error().data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_FrameInject)->Arg(9)->Arg(21);
+
+void
 BM_SyndromeExtractByte(benchmark::State &state)
 {
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));

@@ -17,10 +17,29 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
+/**
+ * The inverse-CDF Geometric formula at uniform u in (0, 1], with
+ * log_q = log1p(-p): floor(log(u) / log_q), saturated. The one
+ * evaluation both Rng::geometric and GapSampler run.
+ */
 uint64_t
-rotl(uint64_t x, int k)
+inverse_cdf(double u, double log_q)
 {
-    return (x << k) | (x >> (64 - k));
+    double g = std::floor(std::log(u) / log_q);
+    if (g < 0.0) {
+        g = 0.0;
+    }
+    if (g > 1e18) {
+        return std::numeric_limits<uint64_t>::max();
+    }
+    return static_cast<uint64_t>(g);
+}
+
+/** u = 1 - k 2^-53 of the 53-bit draw k, exact in double. */
+double
+uniform_of_draw(uint64_t k)
+{
+    return 1.0 - static_cast<double>(k) * 0x1.0p-53;
 }
 
 } // namespace
@@ -35,27 +54,6 @@ Rng::Rng(uint64_t seed)
     if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
         state_[0] = 1;
     }
-}
-
-uint64_t
-Rng::next_u64()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::next_double()
-{
-    // 53 top bits -> uniform in [0, 1).
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 uint64_t
@@ -100,16 +98,7 @@ Rng::geometric(double p)
     if (p <= 0.0) {
         return std::numeric_limits<uint64_t>::max();
     }
-    // Inverse CDF: floor(log(U) / log(1-p)) with U in (0, 1].
-    double u = 1.0 - next_double(); // (0, 1]
-    double g = std::floor(std::log(u) / std::log1p(-p));
-    if (g < 0.0) {
-        g = 0.0;
-    }
-    if (g > 1e18) {
-        return std::numeric_limits<uint64_t>::max();
-    }
-    return static_cast<uint64_t>(g);
+    return inverse_cdf(uniform_of_draw(next_u64() >> 11), std::log1p(-p));
 }
 
 uint64_t
@@ -147,15 +136,7 @@ Rng::binomial(uint64_t n, double p)
         // Gap skipping: jump across runs of failures. Expected number
         // of iterations is n * p + 1.
         uint64_t count = 0;
-        uint64_t i = geometric(p);
-        while (i < n) {
-            ++count;
-            const uint64_t gap = geometric(p);
-            if (gap >= n - i) {
-                break;
-            }
-            i += gap + 1;
-        }
+        GapSampler(p, n).for_each_hit(*this, [&count](uint64_t) { ++count; });
         return count;
     }
     uint64_t count = 0;
@@ -169,6 +150,38 @@ Rng
 Rng::split()
 {
     return Rng(next_u64());
+}
+
+GapSampler::GapSampler(double p, uint64_t width) : p_(p), width_(width)
+{
+    if (p >= 1.0 || p <= 0.0) {
+        return; // gap() answers without a draw
+    }
+    log_q_ = std::log1p(-p);
+    // The exactness argument in rng.hpp fixes both constants.
+    constexpr double kMargin = 0x1.0p-32;
+    constexpr double kMinAllMiss = 0x1.0p-20;
+    const double all_miss = std::exp(static_cast<double>(width) * log_q_);
+    if (!(all_miss >= kMinAllMiss)) {
+        return;
+    }
+    const double limit = all_miss - kMargin;
+    // The first draw with uniform_of_draw(k) <= limit: the estimate is
+    // within a few draws, and the exact comparisons settle it.
+    uint64_t k = static_cast<uint64_t>((1.0 - limit) * 0x1.0p53);
+    while (uniform_of_draw(k) > limit) {
+        ++k;
+    }
+    while (k > 0 && uniform_of_draw(k - 1) <= limit) {
+        --k;
+    }
+    cutoff_ = k;
+}
+
+uint64_t
+GapSampler::formula(uint64_t k) const
+{
+    return inverse_cdf(uniform_of_draw(k), log_q_);
 }
 
 } // namespace btwc

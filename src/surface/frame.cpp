@@ -7,8 +7,19 @@ ErrorFrame::ErrorFrame(const RotatedSurfaceCode &code, CheckType error_type)
       detector_(detector_of_error(error_type)),
       err_(static_cast<size_t>(code.num_data()), 0),
       packed_(code.num_data()),
-      syndrome_(code.num_checks(detector_))
+      syndrome_(code.num_checks(detector_)),
+      data_walk_(0.0, err_.size()),
+      meas_walk_(0.0, static_cast<uint64_t>(syndrome_.size()))
 {
+}
+
+const GapSampler &
+ErrorFrame::walk(GapSampler &cache, double p)
+{
+    if (p != cache.p()) {
+        cache = GapSampler(p, cache.width());
+    }
+    return cache;
 }
 
 void
@@ -32,19 +43,8 @@ ErrorFrame::reset()
 void
 ErrorFrame::inject(double p, Rng &rng)
 {
-    if (p <= 0.0) {
-        return;
-    }
-    const uint64_t n = err_.size();
-    uint64_t i = rng.geometric(p);
-    while (i < n) {
-        flip(static_cast<int>(i));
-        const uint64_t gap = rng.geometric(p);
-        if (gap >= n - i) {
-            break;
-        }
-        i += gap + 1;
-    }
+    walk(data_walk_, p).for_each_hit(
+        rng, [this](uint64_t data) { flip(static_cast<int>(data)); });
 }
 
 void
@@ -75,19 +75,8 @@ void
 ErrorFrame::measure(double p_meas, Rng &rng, std::vector<uint8_t> &out) const
 {
     syndrome_.to_bytes(out);
-    if (p_meas <= 0.0) {
-        return;
-    }
-    const uint64_t n = out.size();
-    uint64_t i = rng.geometric(p_meas);
-    while (i < n) {
-        out[i] ^= 1;
-        const uint64_t gap = rng.geometric(p_meas);
-        if (gap >= n - i) {
-            break;
-        }
-        i += gap + 1;
-    }
+    walk(meas_walk_, p_meas).for_each_hit(
+        rng, [&out](uint64_t check) { out[check] ^= 1; });
 }
 
 void
@@ -97,21 +86,10 @@ ErrorFrame::measure_packed(double p_meas, Rng &rng,
     // The noiseless syndrome is maintained by the mutators; copying it
     // reuses out's capacity once it has the check width.
     out = syndrome_;
-    if (p_meas <= 0.0) {
-        return;
-    }
-    // Identical geometric gap-skipping walk (and therefore identical
-    // RNG stream) as the byte path: Monte-Carlo runs stay bit-exact.
-    const uint64_t n = static_cast<uint64_t>(out.size());
-    uint64_t i = rng.geometric(p_meas);
-    while (i < n) {
-        out.flip(static_cast<int>(i));
-        const uint64_t gap = rng.geometric(p_meas);
-        if (gap >= n - i) {
-            break;
-        }
-        i += gap + 1;
-    }
+    // The byte path's walk on the same sampler (and therefore the same
+    // RNG stream): Monte-Carlo runs stay bit-exact.
+    walk(meas_walk_, p_meas).for_each_hit(
+        rng, [&out](uint64_t check) { out.flip(static_cast<int>(check)); });
 }
 
 void

@@ -27,11 +27,21 @@ namespace btwc {
  * owning checks in `syndrome_`. `audit()` re-derives the other two
  * from `err_`.
  *
- * Costs: `flip` O(1); `inject` O(d^2 p + 1); `apply` O(list length);
+ * Noise: `inject` walks `data_walk_` over the data qubits and the
+ * noisy reads walk `meas_walk_` over the checks. Both are GapSamplers
+ * kept by the frame and rebuilt only when the rate changes, so a walk
+ * that flips nothing costs one generator step and a compare. They
+ * draw exactly what gap skipping on `Rng::geometric` drew. The noisy
+ * reads are const yet may rebuild `meas_walk_`, so a frame serves one
+ * thread at a time, even through const references.
+ *
+ * Costs: `flip` O(1); `inject` O(d^2 p + 1), plus one exp/log1p pair
+ * when p differs from the previous call's; `apply` O(list length);
  * `apply_mask` O(d^2); `apply_packed` O(words + mask weight); `reset`
  * O(d^2). Reads: `measure_packed` is a word copy of `syndrome_` plus
  * the measurement-flip walk, O(checks/64 + checks * p_meas + 1);
- * `measure` and `measure_perfect` unpack `syndrome_`, O(checks);
+ * `measure` and `measure_perfect` unpack `syndrome_`, O(checks); a
+ * noisy read at a new p_meas adds one exp/log1p pair;
  * `syndrome_clear` and `weight` are whole-word scans. No read
  * allocates once its output has the check width, and none depends on
  * the error weight.
@@ -56,7 +66,7 @@ class ErrorFrame
 
     /**
      * Inject i.i.d. errors: each data qubit flips with probability p.
-     * Uses geometric gap skipping, so cost is O(d^2 p + 1).
+     * Walks `data_walk_`, so cost is O(d^2 p + 1).
      */
     void inject(double p, Rng &rng);
 
@@ -122,12 +132,18 @@ class ErrorFrame
     const RotatedSurfaceCode &code() const { return code_; }
 
   private:
+    /** `cache`, rebuilt at rate p over its width when p changed. */
+    static const GapSampler &walk(GapSampler &cache, double p);
+
     const RotatedSurfaceCode &code_;
     CheckType error_type_;
     CheckType detector_;
     std::vector<uint8_t> err_;
     PackedBits packed_;
     PackedSyndrome syndrome_;
+    GapSampler data_walk_;
+    // A cache, not frame state: the const noisy reads rebuild it.
+    mutable GapSampler meas_walk_;
 };
 
 } // namespace btwc

@@ -54,6 +54,15 @@ if grep_code 'random_device' src; then
     fail "std::random_device in src/; all randomness must flow from seeds"
 fi
 
+# One Bernoulli walk: every gap-skipping sweep runs on GapSampler,
+# which draws what Rng::geometric draws but skips the logarithm on the
+# draw that ends a walk. A direct geometric() call outside
+# common/rng.* would grow a second walk beside it.
+if grep_code '(\.|->)geometric[[:space:]]*\(' src |
+        grep -v '^src/common/rng\.'; then
+    fail "geometric() called outside src/common/rng.*; walk a GapSampler"
+fi
+
 # -- header hygiene -----------------------------------------------------
 # Every header carries #pragma once (the include graph is flat enough
 # that guard macros would only invite copy-paste collisions).
