@@ -7,7 +7,7 @@
  *
  * The lifetime / memory / fleet / exact-fleet commands are thin
  * wrappers over the src/api layer: flags build a `ScenarioSpec`
- * (`ScenarioSpec::from_flags`), `run_scenario` runs it, and the
+ * (`ScenarioSpec::apply_flags`), `run_scenario` runs it, and the
  * uniform `Report` is rendered as a metric table (and as JSON with
  * `--json PATH`). `btwc_run` accepts the same grammar plus named
  * registry scenarios; this binary keeps the historical per-experiment

@@ -1,8 +1,11 @@
 #include "api/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "api/report.hpp"
 #include "common/check.hpp"
@@ -10,54 +13,16 @@
 
 namespace btwc {
 
-const char *
-scenario_kind_name(ScenarioKind kind)
-{
-    switch (kind) {
-      case ScenarioKind::Lifetime:
-        return "lifetime";
-      case ScenarioKind::Memory:
-        return "memory";
-      case ScenarioKind::Fleet:
-        return "fleet";
-      case ScenarioKind::ExactFleet:
-        return "exact-fleet";
-      case ScenarioKind::Stream:
-        return "stream";
-      case ScenarioKind::Fabric:
-        return "fabric";
-    }
-    return "?";
-}
-
 std::string
 tiers_spec_string(const TierChainConfig &config)
 {
     std::string out;
     for (const TierSpec &tier : config.tiers) {
-        if (!out.empty()) {
-            out += ',';
-        }
-        switch (tier.kind) {
-          case DecoderTier::Clique:
-            out += "clique";
-            break;
-          case DecoderTier::UnionFind:
-            out += "uf";
-            break;
-          case DecoderTier::Mwpm:
-            out += "mwpm";
-            break;
-          case DecoderTier::Exact:
-            out += "exact";
-            break;
-          case DecoderTier::Lut:
-            out += "lut";
-            break;
-          case DecoderTier::Stream:
-            out += "stream";
-            break;
-        }
+        out += out.empty() ? "" : ",";
+        // The grammar's short "uf"; every other tier prints its name.
+        out += tier.kind == DecoderTier::UnionFind
+                   ? "uf"
+                   : decoder_tier_name(tier.kind);
         // Union-Find thresholds are always explicit (a bare "uf" would
         // re-parse under the caller's uf_threshold default); the other
         // tiers default to -1 (never escalate on effort).
@@ -72,6 +37,9 @@ tiers_spec_string(const TierChainConfig &config)
 
 namespace {
 
+/** TierChainConfig::parse's threshold for bare "uf" tiers. */
+constexpr int kDefaultUfThreshold = 2;
+
 void
 set_error(std::string *error, const std::string &message)
 {
@@ -80,512 +48,645 @@ set_error(std::string *error, const std::string &message)
     }
 }
 
-/**
- * Field setters shared by the grammar parser and `apply_flags`, so
- * validation can never diverge between the two entry points. Each
- * returns false with a diagnostic on a bad value.
- */
-struct SpecBuilder
+// ------------------------------------------------------- value names
+
+/** One spelling of an enum value; a value's first spelling is canonical. */
+template <typename T>
+struct Name
 {
-    ScenarioSpec spec;
-    int uf_threshold = 2;  ///< default for bare "uf" tiers
-    bool uf_threshold_set = false;
-    std::string tiers_value;
-    bool tiers_set = false;
+    const char *text;
+    T value;
+};
 
-    bool kind(const std::string &v, std::string *error)
-    {
-        if (v == "lifetime") {
-            spec.kind = ScenarioKind::Lifetime;
-        } else if (v == "memory") {
-            spec.kind = ScenarioKind::Memory;
-        } else if (v == "fleet") {
-            spec.kind = ScenarioKind::Fleet;
-        } else if (v == "exact-fleet" || v == "exact_fleet" ||
-                   v == "exactfleet") {
-            spec.kind = ScenarioKind::ExactFleet;
-        } else if (v == "stream") {
-            spec.kind = ScenarioKind::Stream;
-        } else if (v == "fabric") {
-            spec.kind = ScenarioKind::Fabric;
-        } else {
-            set_error(error, "unknown scenario kind '" + v +
-                                 "'; expected lifetime | memory | "
-                                 "fleet | exact-fleet | stream | "
-                                 "fabric");
-            return false;
+const Name<ScenarioKind> kKindNames[] = {
+    {"lifetime", ScenarioKind::Lifetime},
+    {"memory", ScenarioKind::Memory},
+    {"fleet", ScenarioKind::Fleet},
+    {"exact-fleet", ScenarioKind::ExactFleet},
+    {"exact_fleet", ScenarioKind::ExactFleet},
+    {"exactfleet", ScenarioKind::ExactFleet},
+    {"stream", ScenarioKind::Stream},
+    {"fabric", ScenarioKind::Fabric},
+};
+const Name<CheckType> kErrorTypeNames[] = {
+    {"x", CheckType::X}, {"X", CheckType::X},
+    {"z", CheckType::Z}, {"Z", CheckType::Z},
+};
+const Name<LifetimeMode> kModeNames[] = {
+    {"signature", LifetimeMode::Signature},
+    {"pipeline", LifetimeMode::Pipeline},
+};
+const Name<OffchipPolicy> kPolicyNames[] = {
+    {"oracle", OffchipPolicy::Oracle},
+    {"mwpm", OffchipPolicy::Mwpm}, {"real", OffchipPolicy::Mwpm},
+};
+const Name<DecoderArm> kArmNames[] = {
+    {"clique", DecoderArm::CliqueMwpm},
+    {"clique+mwpm", DecoderArm::CliqueMwpm},
+    {"mwpm", DecoderArm::MwpmOnly},
+    {"uf", DecoderArm::UnionFindOnly},
+    {"union-find", DecoderArm::UnionFindOnly},
+};
+
+template <typename T, size_t N>
+const char *
+name_of(const Name<T> (&names)[N], T value)
+{
+    for (const Name<T> &name : names) {
+        if (name.value == value) {
+            return name.text;
         }
-        return true;
     }
+    return "?";
+}
 
-    bool distance(const std::string &v, std::string *error)
-    {
-        int64_t d = 0;
-        if (!parse_i64(v, &d) || d < 3) {
-            set_error(error, "bad distance '" + v +
-                                 "'; expected an integer >= 3");
-            return false;
+/**
+ * "a | b | c": the canonical spelling of each value whose bit
+ * (`1 << value`) is set in `values`, for diagnostics.
+ */
+template <typename T, size_t N>
+std::string
+name_list(const Name<T> (&names)[N], uint32_t values = ~0u)
+{
+    std::string out;
+    for (const Name<T> &name : names) {
+        // name_of returns the first entry of a value: the canonical one.
+        if (((values >> static_cast<unsigned>(name.value)) & 1u) != 0 &&
+            name_of(names, name.value) == name.text) {
+            out += out.empty() ? "" : " | ";
+            out += name.text;
         }
-        spec.code.distance = static_cast<int>(d);
-        return true;
     }
+    return out;
+}
 
-    bool probability(const char *key, const std::string &v, double *out,
-                     std::string *error)
-    {
-        double p = 0.0;
-        // Negated-range form so NaN (which fails every comparison)
-        // is rejected too.
-        if (!parse_f64(v, &p) || !(p >= 0.0 && p <= 1.0)) {
-            set_error(error, std::string("bad ") + key + " '" + v +
-                                 "'; expected a probability in [0, 1]");
-            return false;
-        }
-        *out = p;
-        return true;
-    }
+// ------------------------------------------------------ typed values
 
-    bool p_meas(const std::string &v, std::string *error)
-    {
-        double p = 0.0;
-        if (!parse_f64(v, &p) || std::isnan(p) || p > 1.0) {
-            set_error(error, "bad p_meas '" + v +
-                                 "'; expected a probability in [0, 1] "
-                                 "(negative = use p)");
-            return false;
-        }
-        spec.code.p_meas = p;
-        return true;
-    }
-
-    bool positive_int(const char *key, const std::string &v, int *out,
-                      std::string *error)
-    {
+/**
+ * Strict parse of one field value: ints within `int`, counts
+ * (uint64_t) non-negative, doubles never NaN. `out` is written only
+ * on success.
+ */
+template <typename T>
+bool
+parse_value(const std::string &text, T *out)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return parse_bool(text, out);
+    } else if constexpr (std::is_same_v<T, int>) {
+        return parse_int(text, out);
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
         int64_t n = 0;
-        if (!parse_i64(v, &n) || n < 1) {
-            set_error(error, std::string("bad ") + key + " '" + v +
-                                 "'; expected an integer >= 1");
-            return false;
-        }
-        *out = static_cast<int>(n);
-        return true;
-    }
-
-    bool u64(const char *key, const std::string &v, uint64_t *out,
-             std::string *error)
-    {
-        int64_t n = 0;
-        if (!parse_i64(v, &n) || n < 0) {
-            set_error(error, std::string("bad ") + key + " '" + v +
-                                 "'; expected a non-negative integer");
+        if (!parse_i64(text, &n) || n < 0) {
             return false;
         }
         *out = static_cast<uint64_t>(n);
         return true;
-    }
-
-    bool error_type(const std::string &v, std::string *error)
-    {
-        if (v == "x" || v == "X") {
-            spec.code.error_type = CheckType::X;
-        } else if (v == "z" || v == "Z") {
-            spec.code.error_type = CheckType::Z;
-        } else {
-            set_error(error, "bad error_type '" + v +
-                                 "'; expected x | z");
+    } else {
+        double v = 0.0;
+        if (!parse_f64(text, &v) || std::isnan(v)) {
             return false;
         }
+        *out = v;
         return true;
     }
+}
 
-    bool mode(const std::string &v, std::string *error)
-    {
-        if (v == "signature") {
-            spec.mode = LifetimeMode::Signature;
-        } else if (v == "pipeline") {
-            spec.mode = LifetimeMode::Pipeline;
-        } else {
-            set_error(error, "bad mode '" + v +
-                                 "'; expected signature | pipeline");
-            return false;
-        }
-        return true;
+template <typename T>
+std::string
+print_value(T v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return v ? "true" : "false";
+    } else if constexpr (std::is_same_v<T, double>) {
+        return format_double(v);
+    } else {
+        return std::to_string(v);
     }
+}
 
-    bool policy(const std::string &v, std::string *error)
-    {
-        if (v == "oracle") {
-            spec.service.policy = OffchipPolicy::Oracle;
-        } else if (v == "mwpm" || v == "real") {
-            spec.service.policy = OffchipPolicy::Mwpm;
-        } else {
-            set_error(error, "bad policy '" + v +
-                                 "'; expected oracle | mwpm");
-            return false;
-        }
-        return true;
+/** What `parse_value` accepts within [lo, hi], for diagnostics. */
+template <typename T>
+std::string
+describe_range(T lo, T hi)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return "a boolean";
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+        return "a non-negative integer";  // every count spans [0, max]
+    } else {
+        return std::string(std::is_same_v<T, int> ? "an integer"
+                                                  : "a number") +
+               " in [" + print_value(lo) + ", " + print_value(hi) + "]";
     }
+}
 
-    bool arm(const std::string &v, std::string *error)
-    {
-        if (v == "mwpm") {
-            spec.arm = DecoderArm::MwpmOnly;
-        } else if (v == "clique" || v == "clique+mwpm") {
-            spec.arm = DecoderArm::CliqueMwpm;
-        } else if (v == "uf" || v == "union-find") {
-            spec.arm = DecoderArm::UnionFindOnly;
-        } else {
-            set_error(error, "bad arm '" + v +
-                                 "'; expected mwpm | clique | uf");
-            return false;
-        }
-        return true;
-    }
+// ---------------------------------------------------------- key table
 
-    bool boolean(const char *key, const std::string &v, bool *out,
-                 std::string *error)
-    {
-        if (!parse_bool(v, out)) {
-            set_error(error, std::string("bad ") + key + " '" + v +
-                                 "'; expected a boolean");
-            return false;
-        }
-        return true;
-    }
-
-    bool fraction(const char *key, const std::string &v, double *out,
-                  std::string *error)
-    {
-        return probability(key, v, out, error);
-    }
-
-    bool non_negative_double(const char *key, const std::string &v,
-                             double *out, std::string *error)
-    {
-        double d = 0.0;
-        if (!parse_f64(v, &d) || !(d >= 0.0)) {
-            set_error(error, std::string("bad ") + key + " '" + v +
-                                 "'; expected a non-negative number");
-            return false;
-        }
-        *out = d;
-        return true;
-    }
-
-    bool threads(const std::string &v, std::string *error)
-    {
-        int64_t n = 0;
-        if (!parse_i64(v, &n)) {
-            set_error(error, "bad threads '" + v +
-                                 "'; expected an integer (0 = all "
-                                 "hardware threads)");
-            return false;
-        }
-        spec.engine.threads = n < 0 ? 0 : static_cast<int>(n);
-        return true;
-    }
-
-    /** Resolve the accumulated tier spec (must run after parsing). */
-    bool finish_tiers(std::string *error)
-    {
-        if (!tiers_set) {
-            // No new tier list, but an explicit uf_threshold still
-            // re-thresholds the already-resolved chain's Union-Find
-            // tiers (e.g. `btwc_run deep-chain --uf_threshold 5`) —
-            // an accepted override must never be silently dropped.
-            if (uf_threshold_set) {
-                for (TierSpec &tier : spec.tiers.tiers) {
-                    if (tier.kind == DecoderTier::UnionFind) {
-                        tier.escalation_threshold = uf_threshold;
-                    }
-                }
-            }
-            return true;
-        }
-        TierChainConfig config;
-        std::string tier_error;
-        if (!TierChainConfig::try_parse(tiers_value, uf_threshold,
-                                        &config, &tier_error)) {
-            set_error(error, "tiers: " + tier_error);
-            return false;
-        }
-        spec.tiers = config;
-        return true;
-    }
+/** What a spec string or flag set assigns: the spec + parse-only inputs. */
+struct SpecBuilder
+{
+    ScenarioSpec spec;
+    int uf_threshold = kDefaultUfThreshold;  ///< for bare "uf" tiers
+    bool uf_threshold_set = false;
+    std::string tiers;  ///< pending tier list, resolved by finish_tiers
+    bool tiers_set = false;
 };
 
-/** True if `token` (e.g. "uf:3") names a tier of the --tiers grammar. */
-bool
-is_tier_token(const std::string &token)
+const ScenarioSpec &
+default_spec()
 {
-    std::string name = token;
-    const size_t colon = token.find(':');
-    if (colon != std::string::npos) {
-        int64_t threshold = 0;
-        if (!parse_i64(token.substr(colon + 1), &threshold)) {
-            return false;
-        }
-        name = token.substr(0, colon);
-    }
-    return name == "clique" || name == "uf" || name == "union-find" ||
-           name == "unionfind" || name == "mwpm" || name == "matching" ||
-           name == "exact" || name == "lut" || name == "stream";
+    static const ScenarioSpec kDefault;
+    return kDefault;
 }
 
 /**
- * Flag spellings `apply_flags` feeds through the grammar's `apply_key`
- * validation. Every spec-grammar key has its own-name spelling here
- * (so an override can be copied straight off a printed spec string)
- * next to the historical CLI spelling; when both are present the
- * later row wins.
+ * A row's typed behavior. `parse` stores a valid value (or returns
+ * false with the expected form in `detail`, leaving the builder as it
+ * was); `print` appends the canonical value text (empty: the key never
+ * prints); `is_default` compares the value with the default spec's
+ * (its int is the parse-only uf_threshold; to_string passes the
+ * default).
  */
-const struct FlagKeyMapping
+struct Codec
 {
-    const char *flag;
-    const char *key;
-} kFlagKeyMappings[] = {
-    {"kind", "kind"},
-    {"d", "d"},                 {"distance", "d"},
-    {"p", "p"},                 {"p_meas", "p_meas"},
-    {"filter", "filter"},       {"filter_rounds", "filter"},
-    {"rounds", "rounds"},       {"error_type", "error_type"},
-    {"uf_threshold", "uf_threshold"},
-    {"mode", "mode"},           {"policy", "policy"},
-    {"arm", "arm"},
-    {"latency", "latency"},     {"offchip-latency", "latency"},
-    {"offchip-bandwidth", "bandwidth"},
-    {"bandwidth", "bandwidth"}, {"batch", "batch"},
-    {"fleet", "fleet"},         {"fleet-size", "fleet"},
-    {"qubits", "qubits"},       {"q", "q"},
-    {"hot_fraction", "hot_fraction"}, {"hot-fraction", "hot_fraction"},
-    {"hot_mult", "hot_mult"},   {"hot-mult", "hot_mult"},
-    {"links", "links"},         {"scheduler", "scheduler"},
-    {"placement", "placement"}, {"deadline", "deadline"},
-    {"faults", "faults"},       {"timeout", "timeout"},
-    {"retries", "retries"},     {"migrate", "migrate"},
-    {"window", "window"},       {"overlap", "overlap"},
-    {"cycles", "cycles"},       {"trials", "trials"},
-    {"failures", "failures"},   {"threads", "threads"},
-    {"seed", "seed"},           {"audit", "audit"},
+    std::function<bool(SpecBuilder &, const std::string &, std::string *)>
+        parse;
+    std::function<void(const ScenarioSpec &, std::string &)> print;
+    std::function<bool(const ScenarioSpec &, int uf_threshold)> is_default;
 };
 
-/** Boolean / shortcut flags with their own historical spellings. */
-const char *const kBoolFlagSpellings[] = {
-    "weighted", "shared", "shared-link", "pipeline", "real_offchip",
-    "shed",
-};
+template <typename Get>
+using FieldOf = std::remove_cv_t<std::remove_reference_t<
+    decltype(std::declval<Get>()(std::declval<ScenarioSpec &>()))>>;
 
-/** Dispatch one `key=value` token into the builder. */
+/** The is-default test of a plain field: compare with the default spec. */
+template <typename Get>
+auto
+equals_default(Get get)
+{
+    return [get](const ScenarioSpec &s, int) {
+        return get(s) == get(default_spec());
+    };
+}
+
+/**
+ * A number or boolean field, valid in [lo, hi]. `get` is a generic
+ * lambda `(auto &spec) -> auto &` naming the field, so one accessor
+ * serves the parse (mutable) and the print / compare (const) paths.
+ */
+template <typename Get>
+Codec
+field(Get get, FieldOf<Get> lo = std::numeric_limits<FieldOf<Get>>::lowest(),
+      FieldOf<Get> hi = std::numeric_limits<FieldOf<Get>>::max())
+{
+    using T = FieldOf<Get>;
+    Codec codec;
+    codec.parse = [get, lo, hi](SpecBuilder &b, const std::string &text,
+                                std::string *detail) {
+        T value{};
+        if (!parse_value(text, &value) || value < lo || hi < value) {
+            set_error(detail, "expected " + describe_range(lo, hi));
+            return false;
+        }
+        get(b.spec) = value;
+        return true;
+    };
+    codec.print = [get](const ScenarioSpec &s, std::string &out) {
+        out += print_value(get(s));
+    };
+    codec.is_default = equals_default(get);
+    return codec;
+}
+
+/**
+ * An enum field: `parse(text, &value)` stores a named value (false on
+ * an unknown name), `name(value)` gives its canonical spelling.
+ */
+template <typename Get, typename Parse, typename Print>
+Codec
+choice(Get get, Parse parse, Print name, const std::string &expected)
+{
+    Codec codec;
+    codec.parse = [get, parse, expected](SpecBuilder &b,
+                                         const std::string &text,
+                                         std::string *detail) {
+        if (!parse(text, &get(b.spec))) {
+            set_error(detail, "expected " + expected);
+            return false;
+        }
+        return true;
+    };
+    codec.print = [get, name](const ScenarioSpec &s, std::string &out) {
+        out += name(get(s));
+    };
+    codec.is_default = equals_default(get);
+    return codec;
+}
+
+/** An enum field spelled by a Name table. */
+template <typename Get, typename T, size_t N>
+Codec
+choice(Get get, const Name<T> (&names)[N])
+{
+    const auto parse = [&names](const std::string &text, T *out) {
+        for (const Name<T> &name : names) {
+            if (text == name.text) {
+                *out = name.value;
+                return true;
+            }
+        }
+        return false;
+    };
+    const auto print = [&names](T value) { return name_of(names, value); };
+    return choice(get, parse, print, name_list(names));
+}
+
+/** Tier by tier equal in kind and threshold (what describe() shows). */
 bool
-apply_key(SpecBuilder &builder, const std::string &key,
-          const std::string &value, std::string *error)
+same_chain(const TierChainConfig &a, const TierChainConfig &b)
 {
-    ScenarioSpec &spec = builder.spec;
-    if (key == "kind") {
-        return builder.kind(value, error);
-    }
-    if (key == "d" || key == "distance") {
-        return builder.distance(value, error);
-    }
-    if (key == "p") {
-        return builder.probability("p", value, &spec.code.p, error);
-    }
-    if (key == "p_meas") {
-        return builder.p_meas(value, error);
-    }
-    if (key == "filter" || key == "filter_rounds") {
-        return builder.positive_int("filter", value,
-                                    &spec.code.filter_rounds, error);
-    }
-    if (key == "rounds") {
-        int64_t n = 0;
-        if (!parse_i64(value, &n) || n < 0) {
-            set_error(error, "bad rounds '" + value +
-                                 "'; expected an integer >= 0 (0 = d)");
+    return std::equal(a.tiers.begin(), a.tiers.end(), b.tiers.begin(),
+                      b.tiers.end(),
+                      [](const TierSpec &x, const TierSpec &y) {
+                          return x.kind == y.kind &&
+                                 x.escalation_threshold ==
+                                     y.escalation_threshold;
+                      });
+}
+
+/** tiers=: collected here, resolved by finish_tiers once all keys are in. */
+Codec
+tiers_codec()
+{
+    Codec codec;
+    codec.parse = [](SpecBuilder &b, const std::string &text,
+                     std::string *) {
+        b.tiers = text;
+        b.tiers_set = true;
+        return true;
+    };
+    codec.print = [](const ScenarioSpec &s, std::string &out) {
+        out += tiers_spec_string(s.tiers);
+    };
+    codec.is_default = [](const ScenarioSpec &s, int) {
+        return same_chain(s.tiers, default_spec().tiers);
+    };
+    return codec;
+}
+
+/** uf_threshold=: a parse-only input folded into the tiers it resolves. */
+Codec
+uf_threshold_codec()
+{
+    Codec codec;
+    codec.parse = [](SpecBuilder &b, const std::string &text,
+                     std::string *detail) {
+        if (!parse_value(text, &b.uf_threshold)) {
+            set_error(detail,
+                      "expected " + describe_range(
+                                        std::numeric_limits<int>::min(),
+                                        std::numeric_limits<int>::max()));
             return false;
         }
-        spec.code.rounds = static_cast<int>(n);
+        b.uf_threshold_set = true;
         return true;
-    }
-    if (key == "error_type") {
-        return builder.error_type(value, error);
-    }
-    if (key == "tiers") {
-        builder.tiers_value = value;
-        builder.tiers_set = true;
-        return true;
-    }
-    if (key == "uf_threshold") {
-        int64_t n = 0;
-        if (!parse_i64(value, &n)) {
-            set_error(error, "bad uf_threshold '" + value +
-                                 "'; expected an integer");
+    };
+    codec.is_default = [](const ScenarioSpec &, int uf_threshold) {
+        return uf_threshold == kDefaultUfThreshold;
+    };
+    return codec;
+}
+
+Codec
+faults_codec()
+{
+    Codec codec;
+    codec.parse = [](SpecBuilder &b, const std::string &text,
+                     std::string *detail) {
+        return FaultPlan::try_parse(text, &b.spec.service.faults, detail);
+    };
+    codec.print = [](const ScenarioSpec &s, std::string &out) {
+        out += s.service.faults.to_string();
+    };
+    codec.is_default = [](const ScenarioSpec &s, int) {
+        return !s.service.faults.enabled;
+    };
+    return codec;
+}
+
+/** threads=: any int; negative clamps to 0 (all cores). */
+Codec
+threads_codec()
+{
+    Codec codec = field([](auto &s) -> auto & { return s.engine.threads; });
+    codec.parse = [parse = codec.parse](SpecBuilder &b,
+                                        const std::string &text,
+                                        std::string *detail) {
+        if (!parse(b, text, detail)) {
             return false;
         }
-        builder.uf_threshold = static_cast<int>(n);
-        builder.uf_threshold_set = true;
+        b.spec.engine.threads = std::max(b.spec.engine.threads, 0);
         return true;
-    }
-    if (key == "mode") {
-        return builder.mode(value, error);
-    }
-    if (key == "policy") {
-        return builder.policy(value, error);
-    }
-    if (key == "arm") {
-        return builder.arm(value, error);
-    }
-    if (key == "weighted") {
-        return builder.boolean("weighted", value,
-                               &spec.weighted_matching, error);
-    }
-    if (key == "latency") {
-        return builder.u64("latency", value, &spec.service.latency,
-                           error);
-    }
-    if (key == "bandwidth") {
-        return builder.u64("bandwidth", value, &spec.service.bandwidth,
-                           error);
-    }
-    if (key == "batch") {
-        return builder.u64("batch", value, &spec.service.batch, error);
-    }
-    if (key == "shared") {
-        return builder.boolean("shared", value,
-                               &spec.service.shared_link, error);
-    }
-    if (key == "fleet" || key == "fleet_size") {
-        return builder.positive_int("fleet", value,
-                                    &spec.service.fleet_size, error);
-    }
-    if (key == "qubits") {
-        return builder.positive_int("qubits", value,
-                                    &spec.service.num_qubits, error);
-    }
-    if (key == "q") {
-        return builder.probability("q", value,
-                                   &spec.service.offchip_prob, error);
-    }
-    if (key == "hot_fraction" || key == "hot-fraction") {
-        return builder.fraction("hot_fraction", value,
-                                &spec.service.hot_fraction, error);
-    }
-    if (key == "hot_mult" || key == "hot-mult") {
-        return builder.non_negative_double(
-            "hot_mult", value, &spec.service.hot_mult, error);
-    }
-    if (key == "links") {
-        return builder.positive_int("links", value, &spec.service.links,
-                                    error);
-    }
-    if (key == "scheduler") {
-        if (!parse_scheduler_kind(value, &spec.service.scheduler)) {
-            set_error(error, "bad scheduler '" + value +
-                                 "'; expected fifo | priority | "
-                                 "deadline | wfq");
-            return false;
-        }
-        return true;
-    }
-    if (key == "placement") {
-        if (!parse_placement_kind(value, &spec.service.placement)) {
-            set_error(error, "bad placement '" + value +
-                                 "'; expected hash | least-loaded | "
-                                 "isolate");
-            return false;
-        }
-        return true;
-    }
-    if (key == "deadline") {
-        return builder.u64("deadline", value, &spec.service.deadline,
-                           error);
-    }
-    if (key == "faults") {
-        std::string plan_error;
-        if (!FaultPlan::try_parse(value, &spec.service.faults,
-                                  &plan_error)) {
-            set_error(error, "faults: " + plan_error);
-            return false;
-        }
-        return true;
-    }
-    if (key == "timeout") {
-        return builder.u64("timeout", value, &spec.service.timeout,
-                           error);
-    }
-    if (key == "retries") {
-        int64_t n = 0;
-        if (!parse_i64(value, &n) || n < 0) {
-            set_error(error, "bad retries '" + value +
-                                 "'; expected an integer >= 0");
-            return false;
-        }
-        spec.service.retries = static_cast<int>(n);
-        return true;
-    }
-    if (key == "shed") {
-        return builder.boolean("shed", value, &spec.service.shed, error);
-    }
-    if (key == "migrate") {
-        return builder.u64("migrate", value, &spec.service.migrate,
-                           error);
-    }
-    if (key == "window") {
-        return builder.positive_int("window", value, &spec.stream.window,
-                                    error);
-    }
-    if (key == "overlap") {
-        int64_t n = 0;
-        if (!parse_i64(value, &n) || n < 0) {
-            set_error(error, "bad overlap '" + value +
-                                 "'; expected an integer >= 0 smaller "
-                                 "than window");
-            return false;
-        }
-        spec.stream.overlap = static_cast<int>(n);
-        return true;
-    }
-    if (key == "cycles") {
-        return builder.u64("cycles", value, &spec.engine.cycles, error);
-    }
-    if (key == "trials") {
-        return builder.u64("trials", value, &spec.engine.trials, error);
-    }
-    if (key == "failures") {
-        return builder.u64("failures", value,
-                           &spec.engine.target_failures, error);
-    }
-    if (key == "threads") {
-        return builder.threads(value, error);
-    }
-    if (key == "seed") {
-        return builder.u64("seed", value, &spec.engine.seed, error);
-    }
-    if (key == "audit") {
+    };
+    return codec;
+}
+
+/** audit=: an AuditLevel stored as int; negative = process default. */
+Codec
+audit_codec()
+{
+    Codec codec;
+    codec.parse = [](SpecBuilder &b, const std::string &text,
+                     std::string *detail) {
         AuditLevel level = AuditLevel::Off;
-        if (!parse_audit_level(value, &level)) {
-            set_error(error, "bad audit '" + value +
-                                 "'; expected off | basic | deep");
+        if (!parse_audit_level(text, &level)) {
+            set_error(detail, "expected off | basic | deep");
             return false;
         }
-        spec.engine.audit = static_cast<int>(level);
+        b.spec.engine.audit = static_cast<int>(level);
+        return true;
+    };
+    codec.print = [](const ScenarioSpec &s, std::string &out) {
+        out += audit_level_name(static_cast<AuditLevel>(s.engine.audit));
+    };
+    codec.is_default = [](const ScenarioSpec &s, int) {
+        return s.engine.audit < 0;
+    };
+    return codec;
+}
+
+/** The kind always prints, so every canonical string starts kind=. */
+Codec
+kind_codec()
+{
+    Codec codec = choice([](auto &s) -> auto & { return s.kind; },
+                         kKindNames);
+    codec.is_default = [](const ScenarioSpec &, int) { return false; };
+    return codec;
+}
+
+constexpr uint32_t
+kind_bit(ScenarioKind kind)
+{
+    return 1u << static_cast<unsigned>(kind);
+}
+
+constexpr uint32_t kLifetime = kind_bit(ScenarioKind::Lifetime);
+constexpr uint32_t kMemory = kind_bit(ScenarioKind::Memory);
+constexpr uint32_t kFleet = kind_bit(ScenarioKind::Fleet);
+constexpr uint32_t kExactFleet = kind_bit(ScenarioKind::ExactFleet);
+constexpr uint32_t kStream = kind_bit(ScenarioKind::Stream);
+constexpr uint32_t kFabric = kind_bit(ScenarioKind::Fabric);
+constexpr uint32_t kAllKinds =
+    kLifetime | kMemory | kFleet | kExactFleet | kStream | kFabric;
+
+/** Row traits. */
+enum : unsigned
+{
+    kBareName = 1u,       ///< booleans: a bare spelling means `=true`
+    kBareValues = 2u,     ///< kind, mode: a bare value name means `=name`
+    kTierList = 4u,       ///< bare tier tokens after it continue its value
+    kMetricNeutral = 8u,  ///< see ScenarioKey::metric_neutral
+};
+
+/** A historical boolean flag that assigns one value (`--pipeline`). */
+struct Shortcut
+{
+    const char *token = nullptr;
+    const char *value = nullptr;
+};
+
+/**
+ * One grammar key: its spellings (`[0]` canonical; each is accepted
+ * alike as `key=` and `--flag`), the kinds that read it, its typed
+ * codec, how bare tokens name it, and its flag shortcut if any.
+ */
+struct Row
+{
+    std::vector<std::string> spellings;
+    uint32_t kinds;
+    Codec codec;
+    unsigned traits = 0;
+    Shortcut shortcut = {};
+};
+
+/**
+ * The key table, in canonical (`to_string`) order. try_parse,
+ * to_string, apply_flags, scenario_override_flags and the ownership
+ * check all loop over these rows; src/api/README.md's grammar table
+ * mirrors them (tests/test_api.cpp checks the two agree).
+ */
+const std::vector<Row> &
+rows()
+{
+    static const std::vector<Row> kRows = {
+        {{"kind"}, kAllKinds, kind_codec(), kBareValues},
+        {{"d", "distance"}, kAllKinds & ~kFleet,
+         field([](auto &s) -> auto & { return s.code.distance; }, 3)},
+        {{"p"}, kAllKinds & ~kFleet,
+         field([](auto &s) -> auto & { return s.code.p; }, 0.0, 1.0)},
+        {{"p_meas"}, kLifetime | kMemory | kStream,
+         field([](auto &s) -> auto & { return s.code.p_meas; },
+               -HUGE_VAL, 1.0)},
+        {{"filter", "filter_rounds"}, kLifetime | kMemory,
+         field([](auto &s) -> auto & { return s.code.filter_rounds; }, 1)},
+        {{"rounds"}, kMemory,
+         field([](auto &s) -> auto & { return s.code.rounds; }, 0)},
+        {{"error_type"}, kMemory | kStream,
+         choice([](auto &s) -> auto & { return s.code.error_type; },
+                kErrorTypeNames)},
+        {{"window"}, kStream,
+         field([](auto &s) -> auto & { return s.stream.window; }, 1)},
+        {{"overlap"}, kStream,
+         field([](auto &s) -> auto & { return s.stream.overlap; }, 0)},
+        {{"tiers"}, kLifetime | kExactFleet | kStream | kFabric,
+         tiers_codec(), kTierList},
+        {{"uf_threshold"}, kLifetime | kExactFleet | kStream | kFabric,
+         uf_threshold_codec()},
+        {{"mode"}, kLifetime,
+         choice([](auto &s) -> auto & { return s.mode; }, kModeNames),
+         kBareValues, {"pipeline", "pipeline"}},
+        {{"policy"}, kLifetime | kExactFleet | kFabric,
+         choice([](auto &s) -> auto & { return s.service.policy; },
+                kPolicyNames),
+         0, {"real_offchip", "mwpm"}},
+        {{"arm"}, kMemory,
+         choice([](auto &s) -> auto & { return s.arm; }, kArmNames)},
+        {{"weighted"}, kMemory,
+         field([](auto &s) -> auto & { return s.weighted_matching; }),
+         kBareName},
+        {{"latency", "offchip-latency"},
+         kLifetime | kFleet | kExactFleet | kFabric,
+         field([](auto &s) -> auto & { return s.service.latency; })},
+        {{"bandwidth", "offchip-bandwidth"},
+         kLifetime | kFleet | kExactFleet | kFabric,
+         field([](auto &s) -> auto & { return s.service.bandwidth; })},
+        {{"batch"}, kLifetime | kFleet | kExactFleet | kFabric,
+         field([](auto &s) -> auto & { return s.service.batch; })},
+        {{"shared", "shared-link"}, kExactFleet,
+         field([](auto &s) -> auto & { return s.service.shared_link; }),
+         kBareName},
+        {{"scheduler"}, kFabric,
+         choice([](auto &s) -> auto & { return s.service.scheduler; },
+                parse_scheduler_kind, scheduler_kind_name,
+                "fifo | priority | deadline | wfq")},
+        {{"links"}, kFabric,
+         field([](auto &s) -> auto & { return s.service.links; }, 1)},
+        {{"placement"}, kFabric,
+         choice([](auto &s) -> auto & { return s.service.placement; },
+                parse_placement_kind, placement_kind_name,
+                "hash | least-loaded | isolate")},
+        {{"deadline"}, kFabric,
+         field([](auto &s) -> auto & { return s.service.deadline; })},
+        {{"faults"}, kExactFleet | kFabric, faults_codec()},
+        {{"timeout"}, kFabric,
+         field([](auto &s) -> auto & { return s.service.timeout; })},
+        {{"retries"}, kFabric,
+         field([](auto &s) -> auto & { return s.service.retries; }, 0)},
+        {{"shed"}, kFabric,
+         field([](auto &s) -> auto & { return s.service.shed; }),
+         kBareName},
+        {{"migrate"}, kFabric,
+         field([](auto &s) -> auto & { return s.service.migrate; })},
+        {{"fleet", "fleet_size", "fleet-size"}, kExactFleet | kFabric,
+         field([](auto &s) -> auto & { return s.service.fleet_size; }, 1)},
+        {{"qubits"}, kFleet,
+         field([](auto &s) -> auto & { return s.service.num_qubits; }, 1)},
+        {{"q"}, kFleet,
+         field([](auto &s) -> auto & { return s.service.offchip_prob; },
+               0.0, 1.0)},
+        {{"hot_fraction", "hot-fraction"}, kFleet | kExactFleet | kFabric,
+         field([](auto &s) -> auto & { return s.service.hot_fraction; },
+               0.0, 1.0)},
+        {{"hot_mult", "hot-mult"}, kFleet | kExactFleet | kFabric,
+         field([](auto &s) -> auto & { return s.service.hot_mult; }, 0.0,
+               HUGE_VAL)},
+        {{"cycles"}, kAllKinds & ~kMemory,
+         field([](auto &s) -> auto & { return s.engine.cycles; })},
+        {{"trials"}, kMemory,
+         field([](auto &s) -> auto & { return s.engine.trials; })},
+        {{"failures"}, kMemory,
+         field([](auto &s) -> auto & { return s.engine.target_failures; })},
+        {{"threads"}, kAllKinds, threads_codec(), kMetricNeutral},
+        {{"seed"}, kAllKinds,
+         field([](auto &s) -> auto & { return s.engine.seed; })},
+        {{"audit"}, kAllKinds, audit_codec(), kMetricNeutral},
+    };
+    return kRows;
+}
+
+const Row *
+find_row(const std::string &spelling)
+{
+    for (const Row &row : rows()) {
+        for (const std::string &name : row.spellings) {
+            if (name == spelling) {
+                return &row;
+            }
+        }
+    }
+    return nullptr;
+}
+
+/** Parse `value` into `row`, with a diagnostic naming the spelling used. */
+bool
+apply(const Row &row, const std::string &spelling, const std::string &value,
+      SpecBuilder &b, std::string *error)
+{
+    std::string detail;
+    if (row.codec.parse(b, value, &detail)) {
         return true;
     }
-    set_error(error, "unknown scenario key '" + key +
-                         "' (see src/api/README.md for the grammar)");
+    set_error(error, "bad " + spelling + " '" + value + "'; " + detail);
     return false;
 }
 
+/** Apply a token without '=': a bare boolean name or a bare value. */
+bool
+apply_bare(const std::string &token, SpecBuilder &b)
+{
+    for (const Row &row : rows()) {
+        const char *value = nullptr;
+        if ((row.traits & kBareName) != 0 &&
+                   std::find(row.spellings.begin(), row.spellings.end(),
+                             token) != row.spellings.end()) {
+            value = "true";
+        } else if ((row.traits & kBareValues) != 0) {
+            value = token.c_str();
+        }
+        if (value != nullptr && row.codec.parse(b, value, nullptr)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/** True if `token` (e.g. "uf:3") is one tier of the --tiers grammar. */
+bool
+is_tier_token(const std::string &token)
+{
+    TierChainConfig unused;
+    return TierChainConfig::try_parse(token, kDefaultUfThreshold, &unused,
+                                      nullptr);
+}
+
+/** Resolve the collected tier list (after every key is in). */
+bool
+finish_tiers(SpecBuilder &b, std::string *error)
+{
+    if (!b.tiers_set) {
+        // No new tier list, but an explicit uf_threshold still
+        // re-thresholds the already-resolved chain's Union-Find tiers
+        // (e.g. `btwc_run deep-chain --uf_threshold 5`) -- an accepted
+        // override must never be silently dropped.
+        if (b.uf_threshold_set) {
+            for (TierSpec &tier : b.spec.tiers.tiers) {
+                if (tier.kind == DecoderTier::UnionFind) {
+                    tier.escalation_threshold = b.uf_threshold;
+                }
+            }
+        }
+        return true;
+    }
+    TierChainConfig config;
+    std::string tier_error;
+    if (!TierChainConfig::try_parse(b.tiers, b.uf_threshold, &config,
+                                    &tier_error)) {
+        set_error(error, "tiers: " + tier_error);
+        return false;
+    }
+    b.spec.tiers = config;
+    return true;
+}
+
 /**
- * Cross-field validation shared by `try_parse` and `apply_flags`:
- * kind-scoped keys, the probabilities weighted matching needs, stream
- * window geometry and the stream-tier placement rules. Keeping it here
- * (not only in the harness) turns a mis-specified scenario into a
- * parse-time diagnostic instead of a CheckFailure mid-run.
+ * Everything `try_parse` and `apply_flags` check once all keys are
+ * in. First ownership: a non-default value for a key the kind never
+ * reads is a diagnostic, not a silent no-op. Then the cross-field
+ * rules (weighted-matching probabilities, the shared link that faults
+ * on an exact fleet need, stream window geometry, stream-tier
+ * placement). Keeping them here (not only in the harness) turns a
+ * mis-specified scenario into a parse-time diagnostic instead of a
+ * CheckFailure mid-run.
  */
 bool
-validate_spec(const ScenarioSpec &spec, std::string *error)
+finish(SpecBuilder &b, std::string *error)
 {
+    if (!finish_tiers(b, error)) {
+        return false;
+    }
+    const ScenarioSpec &spec = b.spec;
+    for (const Row &row : rows()) {
+        if ((row.kinds & kind_bit(spec.kind)) == 0 &&
+            !row.codec.is_default(spec, b.uf_threshold)) {
+            set_error(error, row.spellings[0] + "= does nothing in kind=" +
+                                 scenario_kind_name(spec.kind) +
+                                 " scenarios; it is only valid in kind=" +
+                                 name_list(kKindNames, row.kinds));
+            return false;
+        }
+    }
     if (spec.weighted_matching) {
         // Log-likelihood weights ln((1 - p) / p) are finite only for
         // channels strictly inside (0, 1).
@@ -600,50 +701,15 @@ validate_spec(const ScenarioSpec &spec, std::string *error)
             return false;
         }
     }
-    if (spec.kind != ScenarioKind::Fabric) {
-        const ScenarioSpec defaults;
-        if (spec.service.links != defaults.service.links ||
-            spec.service.scheduler != defaults.service.scheduler ||
-            spec.service.placement != defaults.service.placement ||
-            spec.service.deadline != defaults.service.deadline) {
-            set_error(error,
-                      "links= / scheduler= / placement= / deadline= "
-                      "are only valid in kind=fabric scenarios (the "
-                      "decode fabric); add the bare token 'fabric'");
-            return false;
-        }
-        if (spec.service.timeout != defaults.service.timeout ||
-            spec.service.retries != defaults.service.retries ||
-            spec.service.shed != defaults.service.shed ||
-            spec.service.migrate != defaults.service.migrate) {
-            set_error(error,
-                      "timeout= / retries= / shed= / migrate= are only "
-                      "valid in kind=fabric scenarios (the graceful-"
-                      "degradation knobs of the decode fabric); add "
-                      "the bare token 'fabric'");
-            return false;
-        }
-    }
-    if (spec.service.faults.enabled) {
-        // Fault plans inject into the shared off-chip service, so they
-        // need one: every fabric link has one; an exact fleet only
-        // with shared=true; the remaining kinds have nowhere to inject.
-        if (spec.kind == ScenarioKind::ExactFleet) {
-            if (!spec.service.shared_link) {
-                set_error(error,
-                          "faults= on kind=exact-fleet needs the "
-                          "shared link (add the bare token 'shared'); "
-                          "private per-qubit queues have no fault "
-                          "injection point");
-                return false;
-            }
-        } else if (spec.kind != ScenarioKind::Fabric) {
-            set_error(error,
-                      "faults= is only valid in kind=fabric and "
-                      "shared-link kind=exact-fleet scenarios (the "
-                      "off-chip link fault injectors)");
-            return false;
-        }
+    if (spec.service.faults.enabled &&
+        spec.kind == ScenarioKind::ExactFleet && !spec.service.shared_link) {
+        // Fault plans inject into the shared off-chip service; private
+        // per-qubit queues have none.
+        set_error(error,
+                  "faults= on kind=exact-fleet needs the shared link (add "
+                  "the bare token 'shared'); private per-qubit queues "
+                  "have no fault injection point");
+        return false;
     }
     if (spec.stream.overlap >= spec.stream.window) {
         set_error(error,
@@ -669,7 +735,7 @@ validate_spec(const ScenarioSpec &spec, std::string *error)
     if (!has_stream) {
         // The untouched default chain denotes the bare sliding-window
         // MWPM; any other explicit chain is a mistake.
-        if (spec.tiers.describe() != TierChainConfig::legacy().describe()) {
+        if (!same_chain(spec.tiers, default_spec().tiers)) {
             set_error(error,
                       "a kind=stream chain must end with the stream "
                       "tier (e.g. tiers=uf:2,stream)");
@@ -700,18 +766,38 @@ validate_spec(const ScenarioSpec &spec, std::string *error)
 
 } // namespace
 
+const char *
+scenario_kind_name(ScenarioKind kind)
+{
+    return name_of(kKindNames, kind);
+}
+
+const std::vector<ScenarioKey> &
+scenario_keys()
+{
+    static const std::vector<ScenarioKey> kKeys = [] {
+        std::vector<ScenarioKey> keys;
+        for (const Row &row : rows()) {
+            keys.push_back({row.spellings, row.kinds,
+                            (row.traits & kMetricNeutral) != 0});
+        }
+        return keys;
+    }();
+    return kKeys;
+}
+
 const std::vector<std::string> &
 scenario_override_flags()
 {
     static const std::vector<std::string> kFlags = [] {
         std::vector<std::string> flags;
-        for (const auto &mapping : kFlagKeyMappings) {
-            flags.push_back(mapping.flag);
+        for (const Row &row : rows()) {
+            flags.insert(flags.end(), row.spellings.begin(),
+                         row.spellings.end());
+            if (row.shortcut.token != nullptr) {
+                flags.push_back(row.shortcut.token);
+            }
         }
-        for (const char *flag : kBoolFlagSpellings) {
-            flags.push_back(flag);
-        }
-        flags.push_back("tiers");
         return flags;
     }();
     return kFlags;
@@ -722,71 +808,47 @@ ScenarioSpec::try_parse(const std::string &spec, ScenarioSpec *out,
                         std::string *error)
 {
     SpecBuilder builder;
-    bool tiers_accumulating = false;
+    bool in_tiers = false;  // a bare tier token continues tiers=
     size_t start = 0;
-    while (start <= spec.size()) {
+    while (start < spec.size()) {
         size_t end = spec.find(',', start);
         if (end == std::string::npos) {
             end = spec.size();
         }
         const std::string token = spec.substr(start, end - start);
-        const bool at_end = end == spec.size();
         start = end + 1;
         if (token.empty()) {
-            if (at_end) {
-                break;
-            }
             continue;
         }
         const size_t eq = token.find('=');
         if (eq != std::string::npos) {
             const std::string key = token.substr(0, eq);
-            const std::string value = token.substr(eq + 1);
-            if (!apply_key(builder, key, value, error)) {
+            const Row *row = find_row(key);
+            if (row == nullptr) {
+                set_error(error, "unknown scenario key '" + key +
+                                     "' (see src/api/README.md for the "
+                                     "grammar)");
                 return false;
             }
-            tiers_accumulating = key == "tiers";
-        } else if (tiers_accumulating && is_tier_token(token)) {
-            builder.tiers_value += ',';
-            builder.tiers_value += token;
-        } else if (token == "lifetime" || token == "memory" ||
-                   token == "fleet" || token == "exact-fleet" ||
-                   token == "exact_fleet" || token == "stream" ||
-                   token == "fabric") {
-            tiers_accumulating = false;
-            if (!builder.kind(token, error)) {
+            if (!apply(*row, key, token.substr(eq + 1), builder, error)) {
                 return false;
             }
-        } else if (token == "pipeline" || token == "signature") {
-            tiers_accumulating = false;
-            if (!builder.mode(token, error)) {
-                return false;
-            }
-        } else if (token == "shared") {
-            tiers_accumulating = false;
-            builder.spec.service.shared_link = true;
-        } else if (token == "weighted") {
-            tiers_accumulating = false;
-            builder.spec.weighted_matching = true;
+            in_tiers = (row->traits & kTierList) != 0;
+        } else if (in_tiers && is_tier_token(token)) {
+            builder.tiers += ',';
+            builder.tiers += token;
+        } else if (apply_bare(token, builder)) {
+            in_tiers = false;
         } else {
             set_error(error,
-                      "unknown scenario token '" + token + "' in '" +
-                          spec +
-                          "'; expected key=value, a kind (lifetime | "
-                          "memory | fleet | exact-fleet | stream | "
-                          "fabric), "
-                          "pipeline | signature | shared | weighted, "
-                          "or a tier continuation after tiers=");
+                      "unknown scenario token '" + token + "' in '" + spec +
+                          "'; expected key=value, a bare kind, mode or "
+                          "boolean key name, or a tier continuation "
+                          "after tiers= (see src/api/README.md)");
             return false;
         }
-        if (at_end) {
-            break;
-        }
     }
-    if (!builder.finish_tiers(error)) {
-        return false;
-    }
-    if (!validate_spec(builder.spec, error)) {
+    if (!finish(builder, error)) {
         return false;
     }
     *out = std::move(builder.spec);
@@ -807,145 +869,20 @@ ScenarioSpec::parse(const std::string &spec)
 std::string
 ScenarioSpec::to_string() const
 {
-    const ScenarioSpec defaults;
-    std::string out = "kind=";
-    out += scenario_kind_name(kind);
-    const auto emit = [&out](const char *key, const std::string &value) {
-        out += ',';
-        out += key;
+    std::string out;
+    for (const Row &row : rows()) {
+        if (!row.codec.print ||
+            row.codec.is_default(*this, kDefaultUfThreshold)) {
+            continue;
+        }
+        if (!out.empty()) {
+            out += ',';
+        }
+        out += row.spellings[0];
         out += '=';
-        out += value;
-    };
-    if (code.distance != defaults.code.distance) {
-        emit("d", std::to_string(code.distance));
-    }
-    if (code.p != defaults.code.p) {
-        emit("p", format_double(code.p));
-    }
-    if (code.p_meas != defaults.code.p_meas) {
-        emit("p_meas", format_double(code.p_meas));
-    }
-    if (code.filter_rounds != defaults.code.filter_rounds) {
-        emit("filter", std::to_string(code.filter_rounds));
-    }
-    if (code.rounds != defaults.code.rounds) {
-        emit("rounds", std::to_string(code.rounds));
-    }
-    if (code.error_type != defaults.code.error_type) {
-        emit("error_type", code.error_type == CheckType::X ? "x" : "z");
-    }
-    if (stream.window != defaults.stream.window) {
-        emit("window", std::to_string(stream.window));
-    }
-    if (stream.overlap != defaults.stream.overlap) {
-        emit("overlap", std::to_string(stream.overlap));
-    }
-    if (tiers.describe() != defaults.tiers.describe()) {
-        emit("tiers", tiers_spec_string(tiers));
-    }
-    if (mode != defaults.mode) {
-        emit("mode", mode == LifetimeMode::Pipeline ? "pipeline"
-                                                    : "signature");
-    }
-    if (service.policy != defaults.service.policy) {
-        emit("policy", service.policy == OffchipPolicy::Mwpm ? "mwpm"
-                                                             : "oracle");
-    }
-    if (arm != defaults.arm) {
-        emit("arm", arm == DecoderArm::MwpmOnly
-                        ? "mwpm"
-                        : (arm == DecoderArm::UnionFindOnly ? "uf"
-                                                            : "clique"));
-    }
-    if (weighted_matching != defaults.weighted_matching) {
-        emit("weighted", weighted_matching ? "true" : "false");
-    }
-    if (service.latency != defaults.service.latency) {
-        emit("latency", std::to_string(service.latency));
-    }
-    if (service.bandwidth != defaults.service.bandwidth) {
-        emit("bandwidth", std::to_string(service.bandwidth));
-    }
-    if (service.batch != defaults.service.batch) {
-        emit("batch", std::to_string(service.batch));
-    }
-    if (service.shared_link != defaults.service.shared_link) {
-        emit("shared", service.shared_link ? "true" : "false");
-    }
-    if (service.scheduler != defaults.service.scheduler) {
-        emit("scheduler", scheduler_kind_name(service.scheduler));
-    }
-    if (service.links != defaults.service.links) {
-        emit("links", std::to_string(service.links));
-    }
-    if (service.placement != defaults.service.placement) {
-        emit("placement", placement_kind_name(service.placement));
-    }
-    if (service.deadline != defaults.service.deadline) {
-        emit("deadline", std::to_string(service.deadline));
-    }
-    if (service.faults.enabled) {
-        emit("faults", service.faults.to_string());
-    }
-    if (service.timeout != defaults.service.timeout) {
-        emit("timeout", std::to_string(service.timeout));
-    }
-    if (service.retries != defaults.service.retries) {
-        emit("retries", std::to_string(service.retries));
-    }
-    if (service.shed != defaults.service.shed) {
-        emit("shed", service.shed ? "true" : "false");
-    }
-    if (service.migrate != defaults.service.migrate) {
-        emit("migrate", std::to_string(service.migrate));
-    }
-    if (service.fleet_size != defaults.service.fleet_size) {
-        emit("fleet", std::to_string(service.fleet_size));
-    }
-    if (service.num_qubits != defaults.service.num_qubits) {
-        emit("qubits", std::to_string(service.num_qubits));
-    }
-    if (service.offchip_prob != defaults.service.offchip_prob) {
-        emit("q", format_double(service.offchip_prob));
-    }
-    if (service.hot_fraction != defaults.service.hot_fraction) {
-        emit("hot_fraction", format_double(service.hot_fraction));
-    }
-    if (service.hot_mult != defaults.service.hot_mult) {
-        emit("hot_mult", format_double(service.hot_mult));
-    }
-    if (engine.cycles != defaults.engine.cycles) {
-        emit("cycles", std::to_string(engine.cycles));
-    }
-    if (engine.trials != defaults.engine.trials) {
-        emit("trials", std::to_string(engine.trials));
-    }
-    if (engine.target_failures != defaults.engine.target_failures) {
-        emit("failures", std::to_string(engine.target_failures));
-    }
-    if (engine.threads != defaults.engine.threads) {
-        emit("threads", std::to_string(engine.threads));
-    }
-    if (engine.seed != defaults.engine.seed) {
-        emit("seed", std::to_string(engine.seed));
-    }
-    if (engine.audit >= 0) {
-        emit("audit",
-             audit_level_name(static_cast<AuditLevel>(engine.audit)));
+        row.codec.print(*this, out);
     }
     return out;
-}
-
-bool
-ScenarioSpec::from_flags(const Flags &flags, ScenarioSpec *out,
-                         std::string *error)
-{
-    ScenarioSpec spec;
-    if (!spec.apply_flags(flags, error)) {
-        return false;
-    }
-    *out = std::move(spec);
-    return true;
 }
 
 bool
@@ -953,50 +890,26 @@ ScenarioSpec::apply_flags(const Flags &flags, std::string *error)
 {
     SpecBuilder builder;
     builder.spec = *this;
-
-    // `key=value` grammar keys fed straight from flags (validation
-    // shared with try_parse via apply_key; see kFlagKeyMappings).
-    for (const auto &mapping : kFlagKeyMappings) {
-        if (!flags.has(mapping.flag)) {
-            continue;
+    for (const Row &row : rows()) {
+        for (const std::string &spelling : row.spellings) {
+            if (flags.has(spelling) &&
+                !apply(row, spelling, flags.get(spelling, ""), builder,
+                       error)) {
+                return false;
+            }
         }
-        if (!apply_key(builder, mapping.key,
-                       flags.get(mapping.flag, ""), error)) {
+        const char *shortcut = row.shortcut.token;
+        if (shortcut != nullptr && flags.has(shortcut) &&
+            flags.get_bool(shortcut) &&
+            !apply(row, shortcut, row.shortcut.value, builder, error)) {
             return false;
         }
     }
-
-    // Boolean / shortcut flags (kBoolFlagSpellings).
-    if (flags.has("weighted")) {
-        builder.spec.weighted_matching = flags.get_bool("weighted");
-    }
-    if (flags.has("shared")) {
-        builder.spec.service.shared_link = flags.get_bool("shared");
-    }
-    if (flags.has("shared-link")) {
-        builder.spec.service.shared_link = flags.get_bool("shared-link");
-    }
-    if (flags.has("pipeline") && flags.get_bool("pipeline")) {
-        builder.spec.mode = LifetimeMode::Pipeline;
-    }
-    if (flags.has("real_offchip") && flags.get_bool("real_offchip")) {
-        builder.spec.service.policy = OffchipPolicy::Mwpm;
-    }
-    if (flags.has("shed")) {
-        builder.spec.service.shed = flags.get_bool("shed");
-    }
-    if (flags.has("tiers")) {
-        builder.tiers_value = flags.get("tiers", "");
-        builder.tiers_set = true;
-    }
-    if (!builder.finish_tiers(error)) {
-        return false;
-    }
-    if (!validate_spec(builder.spec, error)) {
-        return false;
-    }
     if (!flags.ok()) {
         set_error(error, flags.error());
+        return false;
+    }
+    if (!finish(builder, error)) {
         return false;
     }
     *this = std::move(builder.spec);

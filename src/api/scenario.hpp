@@ -98,7 +98,8 @@ struct ServiceSpec
 
 /**
  * The sliding-window geometry of a Stream scenario (grammar keys
- * `window=` / `overlap=`; ignored by the batch kinds). Cross-field
+ * `window=` / `overlap=`; stream-only, like every key the table
+ * scopes to one kind). Cross-field
  * validation — a non-empty commit region needs overlap < window — is
  * enforced by the spec parser with a diagnostic.
  */
@@ -133,18 +134,20 @@ struct EngineSpec
  * simulation harness. A `ScenarioSpec` round-trips through a compact
  * comma-separated grammar:
  *
- *     d=21,p=1e-3,tiers=clique,uf:3,mwpm,latency=2,bandwidth=1,fleet=50
+ *     kind=exact-fleet,d=21,p=1e-3,tiers=clique,uf:3,mwpm,latency=2,
+ *     bandwidth=1,fleet=50
  *
  * Tokens are `key=value` pairs; a bare token is a scenario kind
  * (`lifetime` | `memory` | `fleet` | `exact-fleet` | `stream` |
- * `fabric`), a
- * mode / boolean shortcut (`pipeline`, `signature`, `shared`,
- * `weighted`), or — immediately after a `tiers=` assignment — a
- * continuation of the tier list (`uf:3`, `mwpm`, ... as in
- * TierChainConfig::parse; `stream` right after `tiers=` is a tier,
- * elsewhere the kind).
- * Full grammar: src/api/README.md. `to_string()` emits the canonical
- * ordering with defaulted fields omitted, and
+ * `fabric`), a mode (`pipeline`, `signature`), a boolean key's name
+ * (`shared`, `weighted`, `shed`), or — immediately after a `tiers=`
+ * assignment — a continuation of the tier list (`uf:3`, `mwpm`, ...
+ * as in TierChainConfig::parse; `stream` right after `tiers=` is a
+ * tier, elsewhere the kind). Every key, its spellings and the kinds
+ * that read it come from one key table (scenario_keys()); a
+ * non-default value for a key its kind does not read is a
+ * diagnostic. Full grammar: src/api/README.md. `to_string()` emits
+ * the table's order with defaulted fields omitted, and
  * `parse(spec.to_string()) == spec` for every valid spec.
  */
 struct ScenarioSpec
@@ -175,25 +178,13 @@ struct ScenarioSpec
     std::string to_string() const;
 
     /**
-     * Build a spec from the shared CLI flag conventions
-     * (common/flags.hpp) — the consolidation of the per-binary flag
-     * plumbing. Equivalent to `apply_flags` on a default spec.
-     */
-    static bool from_flags(const Flags &flags, ScenarioSpec *out,
-                           std::string *error);
-
-    /**
      * Override this spec with every recognized flag present in
      * `flags` (absent flags leave fields untouched) — how btwc_run
-     * layers CLI overrides over a registry scenario. Recognized:
-     * --kind --distance --p --p_meas --filter_rounds --rounds
-     * --error_type --tiers --uf_threshold --mode --pipeline
-     * --real_offchip --policy --arm --weighted --offchip-latency
-     * --offchip-bandwidth --batch --shared-link --fleet-size --qubits
-     * --q --hot-fraction --hot-mult --bandwidth --links --scheduler
-     * --placement --deadline --faults --timeout --retries --shed
-     * --migrate --cycles --trials --failures --threads
-     * --seed. Returns false with a diagnostic on a malformed value.
+     * layers CLI overrides over a registry scenario, and how a CLI
+     * builds a spec from a default one. Recognized: every spelling of
+     * every key-table row (scenario_override_flags()). Returns false
+     * with a diagnostic on a malformed value, and validates like
+     * `try_parse`.
      */
     bool apply_flags(const Flags &flags, std::string *error);
 
@@ -236,10 +227,37 @@ struct ScenarioSpec
 std::string tiers_spec_string(const TierChainConfig &config);
 
 /**
- * Every flag spelling `ScenarioSpec::apply_flags` recognizes (grammar
- * keys, historical CLI spellings, boolean shortcuts, "tiers"). CLIs
- * whose whole flag surface is the override set (btwc_run) use this to
- * reject unknown flags instead of silently dropping them.
+ * One row of the scenario key table (src/api/scenario.cpp) as tests
+ * and docs see it; the row's typed parser and printer stay private.
+ */
+struct ScenarioKey
+{
+    /** [0] is canonical; each is accepted as `key=` and `--flag`. */
+    std::vector<std::string> spellings;
+    /** Bit `1 << kind` for each ScenarioKind that reads the key. */
+    uint32_t kinds = 0;
+    /**
+     * Execution knobs (threads, audit): they change how a run
+     * executes, not the experiment, so the key-effect test exempts
+     * them.
+     */
+    bool metric_neutral = false;
+
+    bool owns(ScenarioKind kind) const
+    {
+        return ((kinds >> static_cast<unsigned>(kind)) & 1u) != 0;
+    }
+};
+
+/** The key table's rows, in canonical (`to_string`) order. */
+const std::vector<ScenarioKey> &scenario_keys();
+
+/**
+ * Every flag spelling `ScenarioSpec::apply_flags` recognizes: each
+ * row's spellings plus the historical `--pipeline` / `--real_offchip`
+ * shortcuts. CLIs whose whole flag surface is the override set
+ * (btwc_run) use this to reject unknown flags instead of silently
+ * dropping them.
  */
 const std::vector<std::string> &scenario_override_flags();
 

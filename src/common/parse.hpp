@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -31,6 +32,21 @@ parse_i64(const std::string &text, int64_t *out)
         return false;
     }
     *out = static_cast<int64_t>(value);
+    return true;
+}
+
+/**
+ * As `parse_i64`, for `int` fields: a value outside `int` is rejected,
+ * never narrowed ("d=4294967301" must not run at d=5).
+ */
+inline bool
+parse_int(const std::string &text, int *out)
+{
+    int64_t value = 0;
+    if (!parse_i64(text, &value) || value < INT_MIN || value > INT_MAX) {
+        return false;
+    }
+    *out = static_cast<int>(value);
     return true;
 }
 

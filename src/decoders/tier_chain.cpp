@@ -1,10 +1,10 @@
 #include "decoders/tier_chain.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 #include "decoders/clique_tier.hpp"
 #include "decoders/exact_decoder.hpp"
@@ -136,18 +136,15 @@ TierChainConfig::try_parse(const std::string &spec, int uf_threshold,
             continue;
         }
         bool has_threshold = false;
-        long threshold = 0;
+        int threshold = 0;
         const size_t colon = token.find(':');
         if (colon != std::string::npos) {
             const std::string suffix = token.substr(colon + 1);
-            char *suffix_end = nullptr;
-            threshold = std::strtol(suffix.c_str(), &suffix_end, 10);
-            if (suffix.empty() || suffix_end == nullptr ||
-                *suffix_end != '\0') {
+            if (!parse_int(suffix, &threshold)) {
                 if (error != nullptr) {
                     *error = "malformed tier threshold '" + suffix +
                              "' in spec '" + spec +
-                             "'; expected an integer after ':'";
+                             "'; expected an int-range integer after ':'";
                 }
                 return false;
             }
@@ -179,7 +176,7 @@ TierChainConfig::try_parse(const std::string &spec, int uf_threshold,
             return false;
         }
         if (has_threshold) {
-            tier.escalation_threshold = static_cast<int>(threshold);
+            tier.escalation_threshold = threshold;
         }
         config.tiers.push_back(tier);
     }

@@ -115,6 +115,9 @@ Fabric::Fabric(const FabricTopology &topology,
             make_scheduler(topology.scheduler, topology.aging));
         links_.push_back(std::move(service));
     }
+    // Backlog alone can trigger failover, so the streaks exist with or
+    // without a fault plan.
+    down_streak_.assign(links_.size(), 0);
     // Lane derivation from the noise profile: cold tenants (at the
     // fleet-minimum p) get priority 1 / weight 2 / the full deadline
     // budget, hot ones priority 0 / weight 1 / a 2x budget -- so every

@@ -57,14 +57,14 @@ bool
 parse_link_field(const std::string &clause, const std::string &field,
                  int *link, std::string *error)
 {
-    int64_t k = 0;
-    if (!parse_i64(field, &k) || k < -1) {
+    int k = 0;
+    if (!parse_int(field, &k) || k < -1) {
         set_error(error, "bad link index in fault clause '" + clause +
-                             "'; expected an integer >= -1 (-1 = every "
-                             "link)");
+                             "'; expected an int-range integer >= -1 "
+                             "(-1 = every link)");
         return false;
     }
-    *link = static_cast<int>(k);
+    *link = k;
     return true;
 }
 
@@ -225,14 +225,14 @@ FaultPlan::try_parse(const std::string &text, FaultPlan *out,
             }
             surge.count = static_cast<uint64_t>(count);
             if (fields.size() == 5) {
-                int64_t tenant = 0;
-                if (!parse_i64(fields[4], &tenant) || tenant < 0) {
+                if (!parse_int(fields[4], &surge.tenant) ||
+                    surge.tenant < 0) {
                     set_error(error,
                               "bad surge tenant in '" + clause +
-                                  "'; expected an integer >= 0");
+                                  "'; expected an int-range integer "
+                                  ">= 0");
                     return false;
                 }
-                surge.tenant = static_cast<int>(tenant);
             }
             plan.surges.push_back(surge);
             continue;

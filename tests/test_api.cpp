@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/memory.hpp"
+#include "spec_corpus.hpp"
 
 namespace btwc {
 namespace {
@@ -34,9 +36,9 @@ namespace {
 TEST(ScenarioSpec, ParsesTheIssueExample)
 {
     const ScenarioSpec spec = ScenarioSpec::parse(
-        "d=21,p=1e-3,tiers=clique,uf:3,mwpm,latency=2,bandwidth=1,"
-        "fleet=50");
-    EXPECT_EQ(spec.kind, ScenarioKind::Lifetime);
+        "kind=exact-fleet,d=21,p=1e-3,tiers=clique,uf:3,mwpm,latency=2,"
+        "bandwidth=1,fleet=50");
+    EXPECT_EQ(spec.kind, ScenarioKind::ExactFleet);
     EXPECT_EQ(spec.code.distance, 21);
     EXPECT_DOUBLE_EQ(spec.code.p, 1e-3);
     EXPECT_EQ(spec.tiers.describe(), "clique>union-find(3)>mwpm");
@@ -50,8 +52,8 @@ TEST(ScenarioSpec, ToStringRoundTripsEveryField)
     const std::vector<std::string> specs = {
         "",
         "kind=lifetime",
-        "d=21,p=1e-3,tiers=clique,uf:3,mwpm,latency=2,bandwidth=1,"
-        "fleet=50",
+        "kind=exact-fleet,d=21,p=1e-3,tiers=clique,uf:3,mwpm,latency=2,"
+        "bandwidth=1,fleet=50",
         "kind=lifetime,d=9,p=5e-3,p_meas=0.01,filter=3,"
         "tiers=clique,uf:2,mwpm,mode=pipeline,policy=mwpm,latency=4,"
         "bandwidth=1,batch=8,cycles=20000,threads=4,seed=7",
@@ -65,7 +67,11 @@ TEST(ScenarioSpec, ToStringRoundTripsEveryField)
         "kind=fabric,d=5,p=8e-3,policy=mwpm,latency=2,bandwidth=1,"
         "scheduler=deadline,links=2,placement=isolate,deadline=8,"
         "fleet=12,hot_fraction=0.25,hot_mult=3,cycles=4000",
-        "pipeline,shared,weighted",
+        // Bare kinds, modes and boolean key names.
+        "pipeline",
+        "exactfleet,shared",
+        "memory,weighted",
+        "fabric,shed",
         "tiers=clique,exact",
         "tiers=uf:-1,mwpm",
     };
@@ -141,6 +147,15 @@ TEST(ScenarioSpec, RejectsMalformedSpecs)
         "scheduler=priority",
         "kind=stream,placement=isolate",
         "kind=memory,deadline=6",
+        // Integer keys reject values outside int instead of narrowing.
+        "d=4294967301",
+        "d=2147483648",
+        "kind=exact-fleet,fleet=4294967297",
+        "kind=stream,window=4294967304",
+        "uf_threshold=4294967299",
+        "tiers=clique,uf:4294967298,mwpm",
+        "kind=fabric,faults=outage:50:10:4294967297",
+        "kind=fabric,faults=surge:300:50:2:4294967297",
     };
     for (const std::string &text : bad) {
         SCOPED_TRACE(text);
@@ -168,6 +183,9 @@ TEST(ScenarioSpec, BareTokensAfterTiersEndWithAnyKeyValue)
 
 TEST(ScenarioSpec, FromFlagsMatchesGrammar)
 {
+    // Flags over a default spec build the same spec as the grammar,
+    // historical spellings and shortcuts (--pipeline, --real_offchip,
+    // --shared-link) included.
     const char *argv[] = {
         "prog",           "--kind",          "lifetime",
         "--distance=11",  "--p=0.005",       "--p_meas=0.01",
@@ -179,13 +197,20 @@ TEST(ScenarioSpec, FromFlagsMatchesGrammar)
     const Flags flags(static_cast<int>(std::size(argv)), argv);
     ScenarioSpec from_flags;
     std::string error;
-    ASSERT_TRUE(ScenarioSpec::from_flags(flags, &from_flags, &error))
-        << error;
+    ASSERT_TRUE(from_flags.apply_flags(flags, &error)) << error;
     const ScenarioSpec from_grammar = ScenarioSpec::parse(
         "kind=lifetime,d=11,p=0.005,p_meas=0.01,filter=3,"
         "tiers=clique,uf:2,mwpm,mode=pipeline,policy=mwpm,latency=4,"
         "bandwidth=1,batch=8,cycles=12345,threads=4,seed=9");
     EXPECT_EQ(from_flags, from_grammar);
+
+    const char *fleet_argv[] = {"prog", "--kind=exact-fleet",
+                                "--shared-link", "--fleet-size=12"};
+    const Flags fleet_flags(4, fleet_argv);
+    ScenarioSpec fleet;
+    ASSERT_TRUE(fleet.apply_flags(fleet_flags, &error)) << error;
+    EXPECT_EQ(fleet,
+              ScenarioSpec::parse("kind=exact-fleet,shared,fleet=12"));
 }
 
 TEST(ScenarioSpec, ApplyFlagsOverridesOnlyPresentFlags)
@@ -208,17 +233,22 @@ TEST(ScenarioSpec, GrammarKeysWorkAsFlagSpellings)
     // every grammar key is its own flag spelling next to the
     // historical one (--latency == --offchip-latency, --fleet ==
     // --fleet-size, --d == --distance, --shared == --shared-link).
-    const char *argv[] = {"prog",        "--d=11",     "--filter=3",
-                          "--latency=8", "--fleet=20", "--shared=true"};
+    const char *argv[] = {"prog",        "--kind=exact-fleet", "--d=11",
+                          "--latency=8", "--fleet=20",
+                          "--shared=true"};
     const Flags flags(6, argv);
     ScenarioSpec spec;
     std::string error;
     ASSERT_TRUE(spec.apply_flags(flags, &error)) << error;
     EXPECT_EQ(spec.code.distance, 11);
-    EXPECT_EQ(spec.code.filter_rounds, 3);
     EXPECT_EQ(spec.service.latency, 8u);
     EXPECT_EQ(spec.service.fleet_size, 20);
     EXPECT_TRUE(spec.service.shared_link);
+    const char *filter_argv[] = {"prog", "--filter=3"};
+    ScenarioSpec lifetime;
+    ASSERT_TRUE(lifetime.apply_flags(Flags(2, filter_argv), &error))
+        << error;
+    EXPECT_EQ(lifetime.code.filter_rounds, 3);
     // The override surface is enumerable (btwc_run rejects unknown
     // flags against it) and covers both spellings.
     const auto &known = scenario_override_flags();
@@ -229,6 +259,98 @@ TEST(ScenarioSpec, GrammarKeysWorkAsFlagSpellings)
                   known.end())
             << flag;
     }
+    // One spelling list per key: each spelling is accepted alike as
+    // `spelling=` and `--spelling`, and every boolean key also takes
+    // its bare name (e.g. `shed`, `shared-link`).
+    for (const ScenarioKey &key : scenario_keys()) {
+        const std::string &name = key.spellings[0];
+        ASSERT_EQ(key_samples().count(name), 1u) << name;
+        const std::string value = key_samples().at(name)[0];
+        ScenarioKind owner = ScenarioKind::Lifetime;
+        for (const ScenarioKind kind : kEveryKind) {
+            owner = key.owns(kind) ? kind : owner;
+        }
+        const std::string base =
+            std::string("kind=") + scenario_kind_name(owner);
+        const ScenarioSpec expected =
+            ScenarioSpec::parse(base + "," + name + "=" + value);
+        for (const std::string &spelling : key.spellings) {
+            SCOPED_TRACE(spelling);
+            EXPECT_EQ(ScenarioSpec::parse(base + "," + spelling + "=" +
+                                          value),
+                      expected);
+            const std::string flag = "--" + spelling + "=" + value;
+            const char *flag_argv[] = {"prog", flag.c_str()};
+            ScenarioSpec from_flag = ScenarioSpec::parse(base);
+            ASSERT_TRUE(from_flag.apply_flags(Flags(2, flag_argv), &error))
+                << error;
+            EXPECT_EQ(from_flag, expected);
+            EXPECT_NE(std::find(known.begin(), known.end(), spelling),
+                      known.end());
+            if (value == "true") {
+                EXPECT_EQ(ScenarioSpec::parse(base + "," + spelling),
+                          expected);
+            }
+        }
+    }
+}
+
+TEST(ScenarioSpec, ReadmeGrammarTableMatchesTheKeyTable)
+{
+    // src/api/README.md documents one row per key, in to_string order,
+    // with the key's aliases and owning kinds: those three columns must
+    // say exactly what the key table says.
+    std::ifstream readme(repo_path("src/api/README.md"));
+    ASSERT_TRUE(readme.good());
+    const auto cells = [](const std::string &line) {
+        std::vector<std::string> out;
+        std::string cell;
+        for (size_t i = 1; i < line.size(); ++i) {
+            if (line[i] == '|' && line[i - 1] != '\\') {
+                const size_t first = cell.find_first_not_of(' ');
+                const size_t last = cell.find_last_not_of(' ');
+                out.push_back(first == std::string::npos
+                                  ? ""
+                                  : cell.substr(first, last - first + 1));
+                cell.clear();
+            } else {
+                cell += line[i];
+            }
+        }
+        return out;
+    };
+    std::vector<std::string> documented;
+    bool in_grammar = false;
+    for (std::string line; std::getline(readme, line);) {
+        if (line.rfind("## ", 0) == 0) {
+            in_grammar = line == "## Spec grammar";
+        } else if (in_grammar && line.rfind("| `", 0) == 0) {
+            const std::vector<std::string> row = cells(line);
+            ASSERT_GE(row.size(), 3u) << line;
+            documented.push_back(row[0] + " | " + row[1] + " | " + row[2]);
+        }
+    }
+    std::vector<std::string> table;
+    for (const ScenarioKey &key : scenario_keys()) {
+        std::string aliases;
+        for (size_t i = 1; i < key.spellings.size(); ++i) {
+            aliases += (i > 1 ? ", `" : "`") + key.spellings[i] + "`";
+        }
+        std::string kinds;
+        size_t owners = 0;
+        for (const ScenarioKind kind : kEveryKind) {
+            if (key.owns(kind)) {
+                kinds += (owners++ == 0 ? "" : ", ") +
+                         std::string(scenario_kind_name(kind));
+            }
+        }
+        if (owners == std::size(kEveryKind)) {
+            kinds = "all";
+        }
+        table.push_back("`" + key.spellings[0] + "` | " + aliases + " | " +
+                        kinds);
+    }
+    EXPECT_EQ(documented, table);
 }
 
 TEST(ScenarioSpec, UfThresholdAloneRethresholdsAnExistingChain)

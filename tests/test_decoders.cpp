@@ -219,6 +219,14 @@ TEST(TierChainConfig, TryParseReportsMalformedSpecsWithoutExiting)
     EXPECT_NE(error.find("threshold"), std::string::npos);
 
     EXPECT_FALSE(TierChainConfig::try_parse("uf:", 2, &config, &error));
+    // Thresholds are ints: out-of-range values are rejected, not
+    // narrowed (uf:4294967298 must not become uf:2).
+    EXPECT_FALSE(TierChainConfig::try_parse("clique,uf:4294967298,mwpm",
+                                            2, &config, &error));
+    EXPECT_NE(error.find("threshold"), std::string::npos);
+    EXPECT_FALSE(
+        TierChainConfig::try_parse("uf:-2147483649", 2, &config, &error));
+    EXPECT_EQ(config.describe(), before.describe());
     EXPECT_FALSE(
         TierChainConfig::try_parse("clique,mwpm:3junk", 2, &config,
                                    &error));

@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "api/report.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "common/check.hpp"
 #include "core/offchip_queue.hpp"
@@ -30,6 +32,7 @@
 #include "fabric/scheduler.hpp"
 #include "faults/fault_plan.hpp"
 #include "sim/fleet.hpp"
+#include "spec_corpus.hpp"
 #include "surface/lattice.hpp"
 
 namespace btwc {
@@ -83,7 +86,10 @@ TEST(FaultPlan, RejectsMalformedClausesWithDiagnostics)
     for (const char *bad :
          {"", "outage:10", "outage:5:9", "outage:5:5", "spike:10:2:0",
           "drop:1.5", "drop:nan", "dup:-0.1", "surge:10:2:0",
-          "fseed:-1", "none:1", "bogus:1", "drop:0.1;;drop:0.2"}) {
+          "fseed:-1", "none:1", "bogus:1", "drop:0.1;;drop:0.2",
+          // Link and tenant indices are ints: no silent narrowing.
+          "outage:50:10:4294967297", "spike:50:10:2:2147483648",
+          "surge:300:50:2:4294967297"}) {
         FaultPlan plan;
         std::string error;
         EXPECT_FALSE(FaultPlan::try_parse(bad, &plan, &error))
@@ -630,6 +636,22 @@ TEST(Degradation, OutageTriggersFailoverMigration)
     EXPECT_GT(stats.landed, 0u);
 }
 
+TEST(Degradation, BacklogMigrationNeedsNoFaultPlan)
+{
+    // migrate= fails over on backlog as well as on outages, so it must
+    // run without a fault plan (the per-link streaks once existed only
+    // when a plan was installed).
+    FabricFleetConfig config = quick_fabric_config();
+    config.fleet.distance = 5;
+    config.fleet.p = 2e-2;
+    config.fleet.tenant_probs = hotspot_probs(6, config.fleet.p, 0.25, 4.0);
+    config.fleet.cycles = 300;
+    config.topology.migrate_threshold = 2;
+    const FabricStats stats = run_fabric(config);
+    EXPECT_GT(stats.faults.migrations, 0u);
+    EXPECT_GT(stats.landed, 0u);
+}
+
 // --------------------------------------------- spec validation matrix
 
 TEST(SpecValidation, ChaosKeysAreFabricOnly)
@@ -667,6 +689,90 @@ TEST(SpecValidation, ChaosKeysAreFabricOnly)
     EXPECT_FALSE(ScenarioSpec::try_parse("kind=fabric,faults=drop:2",
                                          &spec, &error));
     EXPECT_NE(error.find("faults"), std::string::npos);
+
+    // The whole matrix, from the key table. A non-default value for a
+    // key its kind does not own is a diagnostic naming an owner ...
+    for (const ScenarioKey &key : scenario_keys()) {
+        const std::string &name = key.spellings[0];
+        ASSERT_EQ(key_samples().count(name), 1u) << name;
+        for (const ScenarioKind kind : kEveryKind) {
+            if (key.owns(kind)) {
+                continue;
+            }
+            const std::string text = std::string("kind=") +
+                                     scenario_kind_name(kind) + "," +
+                                     name + "=" +
+                                     key_samples().at(name)[0];
+            EXPECT_FALSE(ScenarioSpec::try_parse(text, &spec, &error))
+                << text;
+            bool names_owner = false;
+            for (const ScenarioKind owner : kEveryKind) {
+                names_owner =
+                    names_owner ||
+                    (key.owns(owner) &&
+                     error.find(scenario_kind_name(owner)) !=
+                         std::string::npos);
+            }
+            EXPECT_TRUE(names_owner) << text << ": " << error;
+        }
+    }
+
+    // ... and every owned key acts: against a tiny base run of its
+    // kind, a value the base does not hold changes the Report's config
+    // or metrics. Each base lets every key act: a hot set of more than
+    // one tenant at hot_mult != 1, a bare `uf` tier for uf_threshold,
+    // enough load for tiers, batch and the degradation knobs to bite.
+    const std::pair<ScenarioKind, const char *> bases[] = {
+        {ScenarioKind::Lifetime,
+         "kind=lifetime,d=5,p=0.02,mode=pipeline,policy=mwpm,latency=2,"
+         "bandwidth=1,batch=2,tiers=clique,uf,mwpm,cycles=300"},
+        {ScenarioKind::Memory,
+         "kind=memory,d=5,p=0.02,trials=200,failures=1000000"},
+        {ScenarioKind::Fleet,
+         "kind=fleet,qubits=200,q=0.01,bandwidth=2,latency=1,batch=2,"
+         "hot_fraction=0.25,hot_mult=4,cycles=1000"},
+        {ScenarioKind::ExactFleet,
+         "kind=exact-fleet,d=5,p=0.02,shared,fleet=4,policy=mwpm,"
+         "latency=2,bandwidth=1,batch=2,hot_fraction=0.25,hot_mult=4,"
+         "cycles=300,tiers=clique,uf,mwpm"},
+        {ScenarioKind::Stream,
+         "kind=stream,d=5,p=0.01,cycles=300,tiers=uf,stream,"
+         "uf_threshold=0"},
+        {ScenarioKind::Fabric,
+         "kind=fabric,d=5,p=0.02,policy=mwpm,fleet=4,links=2,latency=2,"
+         "bandwidth=1,batch=2,hot_fraction=0.25,hot_mult=4,deadline=6,"
+         "timeout=8,cycles=300,tiers=clique,uf,mwpm"},
+    };
+    const auto effect = [](const ScenarioSpec &run) {
+        Report report = run_scenario(run);
+        return report.child("config").to_json() +
+               report.child("metrics").to_json();
+    };
+    for (const auto &[kind, base_text] : bases) {
+        const ScenarioSpec base = ScenarioSpec::parse(base_text);
+        ASSERT_EQ(base.kind, kind) << base_text;
+        const std::string base_effect = effect(base);
+        for (const ScenarioKey &key : scenario_keys()) {
+            const std::string &name = key.spellings[0];
+            // The kind row selects the harness itself.
+            if (!key.owns(kind) || key.metric_neutral || name == "kind") {
+                continue;
+            }
+            std::string text;
+            ScenarioSpec changed;
+            for (const std::string &value : key_samples().at(name)) {
+                text = std::string(base_text) + "," + name + "=" + value;
+                if (ScenarioSpec::try_parse(text, &changed, &error) &&
+                    changed != base) {
+                    break;
+                }
+                text.clear();
+            }
+            ASSERT_FALSE(text.empty())
+                << name << ": no sample changes " << base_text;
+            EXPECT_TRUE(effect(changed) != base_effect) << text;
+        }
+    }
 }
 
 TEST(SpecValidation, ChaosSpecRoundTripsThroughTheGrammar)

@@ -24,6 +24,11 @@
  *
  * Regenerate a pin (only when a metrics change is deliberate) with
  *   btwc_run "$(spec)" --threads 1 --json tests/golden/<name>.json
+ *
+ * Each pin's `scenario.spec`, and that of every committed BENCH_*
+ * gate, is also pinned as canonical: `parse(spec).to_string()` must
+ * give it back byte for byte, so the grammar's printed form cannot
+ * drift while the metrics hold.
  */
 
 #include <gtest/gtest.h>
@@ -35,10 +40,7 @@
 #include "api/report_diff.hpp"
 #include "api/run.hpp"
 #include "api/scenario.hpp"
-
-#ifndef BTWC_GOLDEN_DIR
-#error "BTWC_GOLDEN_DIR must name the tests/golden directory"
-#endif
+#include "spec_corpus.hpp"
 
 namespace btwc {
 namespace {
@@ -73,14 +75,32 @@ TEST_P(GoldenReport, MetricsMatchBitExactlyUnderDeepAudit)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transport, GoldenReport,
-    ::testing::Values("lifetime_inline_oracle", "lifetime_deep_chain",
-                      "lifetime_contended_queue", "fleet_private_links",
-                      "fleet_shared_fifo", "fleet_shared_fifo_faults",
-                      "fabric_fifo_shed", "stream_d21", "memory_weighted"),
+    Transport, GoldenReport, ::testing::ValuesIn(golden_reports()),
     [](const ::testing::TestParamInfo<const char *> &info) {
         return std::string(info.param);
     });
+
+TEST(GoldenSpecs, CommittedSpecStringsAreCanonical)
+{
+    std::vector<std::string> paths;
+    for (const char *name : golden_reports()) {
+        paths.push_back(std::string(BTWC_GOLDEN_DIR) + "/" + name +
+                        ".json");
+    }
+    for (const char *name : {"BENCH_scenario", "BENCH_stream",
+                             "BENCH_fabric", "BENCH_chaos"}) {
+        paths.push_back(repo_path(std::string(name) + ".json"));
+    }
+    for (const std::string &path : paths) {
+        JsonValue report;
+        std::string error;
+        ASSERT_TRUE(json_parse_file(path, &report, &error)) << error;
+        const JsonValue *spec = report.find_path("scenario.spec");
+        ASSERT_NE(spec, nullptr) << path;
+        EXPECT_EQ(ScenarioSpec::parse(spec->s).to_string(), spec->s)
+            << path;
+    }
+}
 
 } // namespace
 } // namespace btwc

@@ -63,6 +63,14 @@ if grep_code '(\.|->)geometric[[:space:]]*\(' src |
     fail "geometric() called outside src/common/rng.*; walk a GapSampler"
 fi
 
+# One key table: every scenario key, spelling and enum value name lives
+# in a row or name list of src/api/scenario.cpp, matched by loops over
+# them. A string-literal comparison there would be a second,
+# hand-written grammar beside the table.
+if grep_code '[!=]=[[:space:]]*"' src/api/scenario.cpp; then
+    fail "string-literal comparison in src/api/scenario.cpp; add a key-table row or value name"
+fi
+
 # -- header hygiene -----------------------------------------------------
 # Every header carries #pragma once (the include graph is flat enough
 # that guard macros would only invite copy-paste collisions).
