@@ -210,18 +210,19 @@ constexpr int kStreamWindow = 8;
 constexpr int kStreamCommit = 6;
 
 /**
- * 64 windows of W=8 rounds from a d=21, p=1e-3 phenomenological
+ * 64 windows of `window` rounds from a d=21, p=1e-3 phenomenological
  * stream, shaped as stream-d21 presents them: each window diffs its
  * round 0 against a noiseless round, as if the stream had already
  * committed or carried every earlier defect. With `overlap` false a
- * window is kept only when every event lies in the commit region,
- * which is when the stream runs its screen; with `overlap` true only
- * when some event lies in rounds 6-7, which the screen cannot take.
- * `mean_defects` receives the kept windows' mean event count.
+ * window is kept only when every event lies in the commit region
+ * [0, commit), which is when the stream runs its screen; with
+ * `overlap` true only when some event lies past it, which the screen
+ * cannot take. `mean_defects` receives the kept windows' mean event
+ * count.
  */
 std::vector<std::vector<DetectionEvent>>
-stream_windows(const RotatedSurfaceCode &code, bool overlap,
-               double &mean_defects)
+stream_windows(const RotatedSurfaceCode &code, int window, int commit,
+               bool overlap, double &mean_defects)
 {
     ErrorFrame frame(code, CheckType::X);
     Rng rng(17);
@@ -233,7 +234,7 @@ stream_windows(const RotatedSurfaceCode &code, bool overlap,
     while (windows.size() < 64) {
         events.clear();
         frame.measure_packed(0.0, rng, prev);
-        for (int t = 0; t < kStreamWindow; ++t) {
+        for (int t = 0; t < window; ++t) {
             frame.inject(1e-3, rng);
             frame.measure_packed(1e-3, rng, raw);
             prev ^= raw;
@@ -243,8 +244,8 @@ stream_windows(const RotatedSurfaceCode &code, bool overlap,
         }
         const bool reaches_overlap =
             std::any_of(events.begin(), events.end(),
-                        [](const DetectionEvent &e) {
-                            return e.round >= kStreamCommit;
+                        [commit](const DetectionEvent &e) {
+                            return e.round >= commit;
                         });
         if (reaches_overlap == overlap) {
             defects += events.size();
@@ -264,7 +265,7 @@ BM_UnionFindDecodeWindow(benchmark::State &state)
     const UnionFindDecoder uf(code, CheckType::Z);
     double defects = 0.0;
     const std::vector<std::vector<DetectionEvent>> windows =
-        stream_windows(code, false, defects);
+        stream_windows(code, kStreamWindow, kStreamCommit, false, defects);
     Decoder::Result scalars;
     size_t i = 0;
     for (auto _ : state) {
@@ -405,24 +406,29 @@ BENCHMARK(BM_MwpmDecodeMemory);
 void
 BM_MwpmDecodeWindow(benchmark::State &state)
 {
-    // The stream's matched-window load at stream-d21: one pooled
-    // decoder over the windows of `stream_windows` that reach the
-    // overlap region, where the stream skips its screen and matches
-    // with pair attribution.
+    // The stream's matched-window load at d=21: one pooled decoder over
+    // the windows of `stream_windows` that reach the overlap region,
+    // where the stream skips its screen and matches with pair
+    // attribution. Args are the window W and overlap V: W=8, V=2 is
+    // stream-d21's geometry (~11 defects per window); W=42, V=21 is
+    // the geometry that keeps the distance (ROADMAP item 1, ~53
+    // defects).
+    const int window = static_cast<int>(state.range(0));
+    const int overlap = static_cast<int>(state.range(1));
     const RotatedSurfaceCode code(21);
     const MwpmDecoder mwpm(code, CheckType::Z);
     double defects = 0.0;
     const std::vector<std::vector<DetectionEvent>> windows =
-        stream_windows(code, true, defects);
+        stream_windows(code, window, window - overlap, true, defects);
     MwpmMatches matches;
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mwpm.decode_matched(
-            windows[i++ & 63], kStreamWindow, matches));
+        benchmark::DoNotOptimize(
+            mwpm.decode_matched(windows[i++ & 63], window, matches));
     }
     state.counters["defects"] = defects;
 }
-BENCHMARK(BM_MwpmDecodeWindow);
+BENCHMARK(BM_MwpmDecodeWindow)->Args({8, 2})->Args({42, 21});
 
 void
 BM_LutDecode(benchmark::State &state)

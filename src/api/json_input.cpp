@@ -76,6 +76,29 @@ JsonValue::kind_name(Kind kind)
 
 namespace {
 
+/**
+ * Deepest array/object nesting accepted. The parser recurses once per
+ * level, so without a cap a long run of '[' would overflow the stack;
+ * the deepest Report or benchmark artifact nests 5 levels.
+ */
+constexpr int kMaxJsonDepth = 64;
+
+/** Value of one hex digit, or -1. */
+int
+hex_digit(char c)
+{
+    if (c >= '0' && c <= '9') {
+        return c - '0';
+    }
+    if (c >= 'a' && c <= 'f') {
+        return c - 'a' + 10;
+    }
+    if (c >= 'A' && c <= 'F') {
+        return c - 'A' + 10;
+    }
+    return -1;
+}
+
 /** Recursive-descent parser over the whole document. */
 class JsonParser
 {
@@ -137,11 +160,15 @@ class JsonParser
             return fail("unexpected end of input");
         }
         const char c = text_[pos_];
-        if (c == '{') {
-            return parse_object(out);
-        }
-        if (c == '[') {
-            return parse_array(out);
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxJsonDepth) {
+                return fail("nesting deeper than " +
+                            std::to_string(kMaxJsonDepth) + " levels");
+            }
+            ++depth_;
+            const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+            --depth_;
+            return ok;
         }
         if (c == '"') {
             out->kind = JsonValue::Kind::String;
@@ -238,16 +265,19 @@ class JsonParser
                 break;
               case 'u': {
                 // Report emitters never produce \u escapes; decode the
-                // code point naively as UTF-8 for completeness.
+                // code point naively as UTF-8 for completeness. Exactly
+                // four hex digits: no sign, space or 0x prefix.
                 if (pos_ + 4 > text_.size()) {
                     return fail("truncated \\u escape");
                 }
-                const std::string hex = text_.substr(pos_, 4);
-                pos_ += 4;
-                char *end = nullptr;
-                const long cp = std::strtol(hex.c_str(), &end, 16);
-                if (end == nullptr || *end != '\0') {
-                    return fail("malformed \\u escape");
+                long cp = 0;
+                for (int i = 0; i < 4; ++i) {
+                    const int digit = hex_digit(text_[pos_++]);
+                    if (digit < 0) {
+                        return fail("malformed \\u escape; expected four "
+                                    "hex digits");
+                    }
+                    cp = cp * 16 + digit;
                 }
                 if (cp < 0x80) {
                     out->push_back(static_cast<char>(cp));
@@ -333,6 +363,7 @@ class JsonParser
     const std::string &text_;
     std::string *error_;
     size_t pos_ = 0;
+    int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 } // namespace

@@ -136,9 +136,9 @@ CliqueDecoder::decode_packed(const PackedSyndrome &syndrome,
             const uint64_t *mask =
                 &neighbor_masks_[static_cast<size_t>(c) *
                                  static_cast<size_t>(syndrome_words_)];
-            const int fired =
-                and_popcount(mask, syndrome.data(), syndrome_words_);
-            if (fired & 1) {
+            const AndParity fired =
+                and_parity(mask, syndrome.data(), syndrome_words_);
+            if (fired.odd) {
                 for (const CliqueNeighbor &nb :
                      code_.clique_neighbors(detector_, c)) {
                     if (syndrome.test(nb.check)) {
@@ -148,7 +148,7 @@ CliqueDecoder::decode_packed(const PackedSyndrome &syndrome,
                 continue;
             }
             const int bdata = first_boundary_data_[c];
-            if (fired == 0 && bdata >= 0) {
+            if (!fired.any && bdata >= 0) {
                 correction.set(bdata);
                 continue;
             }
@@ -170,12 +170,12 @@ CliqueDecoder::would_raise_complex(const PackedSyndrome &syndrome) const
             const uint64_t *mask =
                 &neighbor_masks_[static_cast<size_t>(c) *
                                  static_cast<size_t>(syndrome_words_)];
-            const int fired =
-                and_popcount(mask, syndrome.data(), syndrome_words_);
-            if (fired & 1) {
+            const AndParity fired =
+                and_parity(mask, syndrome.data(), syndrome_words_);
+            if (fired.odd) {
                 continue;
             }
-            if (fired == 0 && first_boundary_data_[c] >= 0) {
+            if (!fired.any && first_boundary_data_[c] >= 0) {
                 continue;
             }
             return true;

@@ -44,8 +44,10 @@ struct CliqueOutcome
  * Two evaluation paths share that contract bit-exactly (property
  * tests): the legacy byte-per-check `decode`, and the word-parallel
  * packed path (`decode_packed` / `would_raise_complex`) that iterates
- * only the fired bits and evaluates each clique's neighborhood parity
- * as one popcount over a precomputed per-check neighbor mask.
+ * only the fired bits and evaluates each clique's neighborhood over a
+ * precomputed per-check neighbor mask: the decision needs only the
+ * parity of the fired neighbors and whether any fired, so that is all
+ * it computes (`and_parity`, surface/packed.hpp).
  * Instances are not concurrency-safe (pooled byte-path scratch).
  */
 class CliqueDecoder

@@ -18,6 +18,23 @@ MaxWeightMatching::MaxWeightMatching(int n)
 void
 MaxWeightMatching::reset(int n)
 {
+    rearm(n);
+    // Zero the real (n+1)^2 region only. Blossom slots keep stale data
+    // from earlier instances (at other strides), which is never read:
+    // add_blossom writes a blossom's row and column before the first
+    // read.
+    for (int u = 0; u <= n_; ++u) {
+        std::fill_n(w_.begin() + static_cast<std::ptrdiff_t>(slot(u, 0)),
+                    n_ + 1, 0);
+    }
+    if (audit_deep()) {
+        audit_slots(true);
+    }
+}
+
+void
+MaxWeightMatching::rearm(int n)
+{
     BTWC_CHECK(n >= 0);
     n_ = n;
     n_x_ = n;
@@ -42,26 +59,16 @@ MaxWeightMatching::reset(int n)
         pa_.assign(stride_, 0);
         s_.assign(stride_, -1);
         vis_.assign(stride_, 0);
+        unmatched_.assign((stride_ >> 6) + 1, 0);
         flower_.assign(stride_, {});
         flower_from_.assign(stride_ * from_stride_, 0);
     } else {
-        // Reuse path: zero the real (n+1)^2 region only. Blossom slots
-        // keep stale data from earlier instances (at other strides),
-        // which is never read: add_blossom zeroes a blossom's row and
-        // column before the first read.
-        for (int u = 0; u <= n_; ++u) {
-            std::fill_n(w_.begin() + static_cast<std::ptrdiff_t>(slot(u, 0)),
-                        n_ + 1, 0);
-        }
         std::fill_n(vis_.begin(), size, 0);
     }
     // The visit stamp must restart with its array: a persistent pooled
     // matcher would otherwise march the int stamp toward overflow over
     // millions of decodes (fresh instances restarted it implicitly).
     visit_stamp_ = 0;
-    if (audit_deep()) {
-        audit_slots(true);
-    }
 }
 
 void
@@ -75,7 +82,8 @@ MaxWeightMatching::audit_slots(bool expect_cleared) const
                        flower_from_.size() >= cells * (n_ + 1) &&
                        best_cost_.size() >= cells &&
                        tight_free_.size() >= cells &&
-                       st_saved_.size() >= cells,
+                       st_saved_.size() >= cells &&
+                       unmatched_.size() > (cells >> 6),
                    "matcher capacity covers the active instance");
     for (int u = 0; u <= n_; ++u) {
         for (int v = 0; v <= n_; ++v) {
@@ -83,6 +91,8 @@ MaxWeightMatching::audit_slots(bool expect_cleared) const
             BTWC_CHECK_MSG(w >= 0 && w == weight(v, u),
                            "real-region weights must be symmetric and "
                            "non-negative");
+            BTWC_CHECK_MSG(u != v || w == 0,
+                           "a vertex has no edge to itself");
             if (expect_cleared) {
                 BTWC_CHECK_MSG(w == 0,
                                "reset must clear every real-region "
@@ -256,6 +266,7 @@ MaxWeightMatching::set_match(int u, int v)
 {
     match_[u] = end_v(u, v);
     if (u <= n_) {
+        unmatched_[static_cast<size_t>(u) >> 6] &= ~(uint64_t(1) << (u & 63));
         return;
     }
     const int xr = flower_from_[static_cast<size_t>(u) * from_stride_ +
@@ -329,6 +340,12 @@ MaxWeightMatching::add_blossom(int u, int lca, int v, bool keep_slack)
         flower_[b].push_back(x);
         flower_[b].push_back(y = st_[match_[x]]);
         queue_push(y);
+    }
+    if (!keep_slack && !st_saved_valid_) {
+        // First blossom of a speculative stage: save st_ as the phase
+        // started, for the rollback.
+        std::copy_n(st_.begin(), stride_, st_saved_.begin());
+        st_saved_valid_ = true;
     }
     set_st(b, b);
     // Row b keeps, per column, the member edge of least reduced cost
@@ -438,20 +455,40 @@ MaxWeightMatching::on_found_edge(int eu, int ev, bool keep_slack)
 }
 
 bool
-MaxWeightMatching::start_phase()
+MaxWeightMatching::start_phase(bool speculative)
 {
     // Indices >= 2n+1 are never touched by this instance.
     std::fill_n(s_.begin(), stride_, -1);
     queue_.clear();
     queue_head_ = 0;
-    for (int x = 1; x <= n_x_; ++x) {
+    bool any_free = false;
+    // Real vertices first, in index order, visiting only the unmatched
+    // ones; a vertex inside a blossom is not top-level.
+    const size_t words = (static_cast<size_t>(n_) >> 6) + 1;
+    for (size_t w = 0; w < words; ++w) {
+        for (uint64_t bits = unmatched_[w]; bits != 0; bits &= bits - 1) {
+            const int x = static_cast<int>(w * 64) + __builtin_ctzll(bits);
+            if (st_[x] != x) {
+                continue;
+            }
+            any_free = true;
+            pa_[x] = 0;
+            s_[x] = 0;
+            // The speculative stage would skip a stamped row unread.
+            if (!speculative || tight_free_[x] != label_version_) {
+                queue_.push_back(x);
+            }
+        }
+    }
+    for (int x = n_ + 1; x <= n_x_; ++x) {
         if (st_[x] == x && !match_[x]) {
+            any_free = true;
             pa_[x] = 0;
             s_[x] = 0;
             queue_push(x);
         }
     }
-    return !queue_.empty();
+    return any_free;
 }
 
 bool
@@ -487,11 +524,11 @@ MaxWeightMatching::speculative_stage()
 bool
 MaxWeightMatching::matching_phase()
 {
-    if (!start_phase()) {
+    if (!start_phase(true)) {
         return false;
     }
     const int n_x_saved = n_x_;
-    std::copy_n(st_.begin(), stride_, st_saved_.begin());
+    st_saved_valid_ = false;
     if (speculative_stage()) {
         return true;
     }
@@ -499,12 +536,14 @@ MaxWeightMatching::matching_phase()
     // slack the speculative stage skipped. Roll back its blossoms and
     // replay the phase eagerly; the replay repeats every step the
     // speculative stage took, in order, then adjusts the duals.
-    std::copy_n(st_saved_.begin(), stride_, st_.begin());
+    if (st_saved_valid_) {
+        std::copy_n(st_saved_.begin(), stride_, st_.begin());
+    }
     n_x_ = n_x_saved;
     if (audit_deep()) {
         audit_forest();
     }
-    start_phase();
+    start_phase(false);
     std::fill_n(slack_.begin(), stride_, 0);
     for (;;) {
         while (queue_head_ < queue_.size()) {
@@ -593,15 +632,22 @@ const std::vector<int> &
 MaxWeightMatching::solve()
 {
     std::fill_n(match_.begin(), stride_, 0);
+    // Every real vertex 1..n starts unmatched.
+    const size_t words = (static_cast<size_t>(n_) >> 6) + 1;
+    std::fill_n(unmatched_.begin(), words, ~uint64_t(0));
+    unmatched_[0] &= ~uint64_t(1);
+    unmatched_[words - 1] &= ~uint64_t(0) >> (63 - (n_ & 63));
     n_x_ = n_;
     for (int u = 0; u < static_cast<int>(stride_); ++u) {
         st_[u] = u <= n_ ? u : 0;
         flower_[u].clear();
     }
+    // Weights are symmetric with a zero diagonal, so the upper
+    // triangle holds the maximum.
     int64_t w_max = 0;
-    for (int u = 1; u <= n_; ++u) {
+    for (int u = 1; u < n_; ++u) {
         const int64_t *row = &w_[slot(u, 0)];
-        for (int v = 1; v <= n_; ++v) {
+        for (int v = u + 1; v <= n_; ++v) {
             w_max = std::max(w_max, row[v]);
         }
     }

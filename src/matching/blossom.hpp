@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace btwc {
 
@@ -29,13 +32,21 @@ namespace btwc {
  * are implicit; only slots that touch a blossom index carry explicit
  * endpoints (`ends_`, the real edge a shrunken blossom reaches its
  * neighbor by). `slack_delta_[x]` caches the reduced cost of the slack
- * edge `slack_[x]`; it is refreshed once per dual adjustment.
+ * edge `slack_[x]`; it is refreshed once per dual adjustment. An
+ * instance is loaded one of two ways: `reset` then one `set_weight`
+ * per edge (sparse graphs), or `load_rows`, which writes the whole
+ * real region row by row in one pass (dense graphs; `MwpmDecoder`).
+ * Row-fill contract: every real slot is written, the diagonal is
+ * zero, and the rows are symmetric; the caller writes each row's part
+ * right of the diagonal and `load_rows` copies the part left of it
+ * from the rows before.
  *
- * Pooled-slot invariant. `reset` zeroes only the real (n+1)^2 region.
- * Blossom slots are not cleared: `add_blossom` writes a new blossom's
- * whole row and column, and every read of a blossom slot happens after
- * that write in the same solve. Endpoints are read only from slots of
- * positive weight.
+ * Pooled-slot invariant. `reset` zeroes only the real (n+1)^2 region;
+ * `load_rows` zeroes only the sentinel row and column, since the row
+ * fill writes the rest of that region. Blossom slots are not cleared:
+ * `add_blossom` writes a new blossom's whole row and column, and every
+ * read of a blossom slot happens after that write in the same solve.
+ * Endpoints are read only from slots of positive weight.
  *
  * Column mirror. `add_blossom` fills row b in one pass over the
  * members' rows, computing each member edge's reduced cost once and
@@ -67,24 +78,33 @@ namespace btwc {
  * So each phase first runs a speculative stage: it scans its queue for
  * tight edges only, with no slack upkeep and no `slack_` fill (fact
  * 1). Most phases augment there and are done. If the queue runs dry,
- * the phase rolls back: `st_[0..2n]` and `n_x_` are restored from a
- * copy taken at phase start, which kills every blossom the speculative
- * stage made, and the eager stage replays the phase from a fresh
- * start with full slack upkeep. The rollback contract: nothing else
- * the speculative stage wrote is read before the replay rewrites it
- * (a dead blossom's label, mate, flower and matrix slots are rewritten
- * when it is created again; `s_`, `pa_` and the queue are reset or
- * written before they are read; `get_lca` compares visit marks only
- * against a fresh stamp), and the replay repeats the speculative
- * stage's steps in order, because they read neither slack nor
- * anything the rollback left changed. Deep audits check the restored
- * blossom forest.
+ * the phase rolls back: `st_[0..2n]` and `n_x_` are restored to their
+ * values at phase start (`st_` from a copy taken just before the
+ * stage's first blossom, the first write to it), which kills every
+ * blossom the speculative stage made, and the eager stage replays the
+ * phase from a fresh start with full slack upkeep. The rollback
+ * contract: nothing else the speculative stage wrote is read before
+ * the replay rewrites it (a dead blossom's label, mate, flower and
+ * matrix slots are rewritten when it is created again; `s_`, `pa_` and
+ * the queue are reset or written before they are read; `get_lca`
+ * compares visit marks only against a fresh stamp), and the replay
+ * repeats the speculative stage's steps in order, because they read
+ * neither slack nor anything the rollback left changed. Deep audits
+ * check the restored blossom forest.
  *
  * Tight-free stamps. `tight_free_[u] == label_version_` records that
  * row u held no tight edge under the current labels; the version
  * increases at solve start and at every dual adjustment (fact 2). Only
  * the speculative stage reads the stamps: it skips a stamped row in
- * O(1), since scanning it could find no tight edge to act on.
+ * O(1), since scanning it could find no tight edge to act on, and its
+ * phase start does not queue a stamped free vertex at all (its row
+ * would be skipped; the eager stage queues every free vertex).
+ *
+ * Unmatched mask. A real vertex, once matched, stays matched for the
+ * rest of the solve, so `unmatched_` keeps one bit per real vertex,
+ * cleared by `set_match`. A phase start visits only the set bits, in
+ * index order, instead of every index: the same free vertices in the
+ * same order.
  *
  * Trajectory. The algorithm's trajectory — vertex numbering, scan
  * order, initial labels, the strict-`<` slack tie rule — is the one the
@@ -114,8 +134,47 @@ class MaxWeightMatching
      */
     void reset(int n);
 
+    /**
+     * Row-fill entry: re-arm the solver for a fresh n-vertex instance
+     * as `reset(n)` does, but load every weight in one pass instead of
+     * clearing the matrix for `set_weight` calls. Rows are written in
+     * order u = 0..n-1: the entry copies row u's lower part, v < u,
+     * from the rows already written and zeroes the diagonal, then
+     * `fill_row(u, row)` must write row[v], the weight of edge (u, v),
+     * for every v in (u, n): non-negative, zero meaning no edge. So
+     * every real slot is written, the diagonal is zero and the rows
+     * are symmetric by construction; nothing else is cleared. At
+     * AuditLevel::Basic the entry then runs `audit_slots(false)` once.
+     * This is how `MwpmDecoder` loads its dense instances;
+     * `set_weight` stays for sparse ones.
+     */
+    template <typename FillRow>
+    void load_rows(int n, FillRow &&fill_row)
+    {
+        rearm(n);
+        int64_t *w = w_.data();
+        const size_t stride = stride_;
+        std::fill_n(w, n_ + 1, 0);  // the sentinel row
+        for (int u = 1; u <= n_; ++u) {
+            int64_t *row = w + static_cast<size_t>(u) * stride;
+            row[0] = 0;
+            const int64_t *column = w + stride + static_cast<size_t>(u);
+            for (int v = 1; v < u; ++v, column += stride) {
+                row[v] = *column;
+            }
+            row[u] = 0;
+            fill_row(u - 1, row + 1);
+        }
+        if (audit_basic()) {
+            audit_slots(false);
+        }
+    }
+
     /** Set the weight of edge (u, v); w > 0 required, w == 0 removes. */
     void set_weight(int u, int v, int64_t w);
+
+    /** Weight of edge (u, v) as loaded (0 when absent). */
+    int64_t edge_weight(int u, int v) const { return weight(u + 1, v + 1); }
 
     /**
      * Run the matching. Returns the mate of each vertex (or -1) and
@@ -131,11 +190,12 @@ class MaxWeightMatching
      * Verify the pooled-slot invariant over the active instance: the
      * matrix covers (2n+1)^2 slots and every other pooled array its
      * 2n+1 indices, weights over the real (n+1)^2
-     * region are symmetric and non-negative, and with `expect_cleared`
-     * additionally zero — the exact postcondition of reset(). Blossom
-     * slots are outside the check: they are written before they are
-     * read (see the class comment). Runs automatically at the end of
-     * reset() under AuditLevel::Deep. Throws CheckFailure.
+     * region are symmetric and non-negative with a zero diagonal, and
+     * with `expect_cleared` additionally zero — the exact
+     * postcondition of reset(). Blossom slots are outside the check:
+     * they are written before they are read (see the class comment).
+     * Runs automatically at the end of reset() under AuditLevel::Deep
+     * and of load_rows() under AuditLevel::Basic. Throws CheckFailure.
      */
     void audit_slots(bool expect_cleared) const;
 
@@ -163,6 +223,10 @@ class MaxWeightMatching
     /** Reduced cost of slot (u, v): lab(a) + lab(b) - 2w(a, b). */
     int64_t edge_delta(int u, int v) const;
 
+    /** Size every array for n vertices and clear the visit marks; the
+     *  weights are left to `reset` or `load_rows`. */
+    void rearm(int n);
+
     void audit_blossom_slots() const;
     void audit_forest() const;
     void update_slack(int u, int x, int64_t delta);
@@ -179,8 +243,10 @@ class MaxWeightMatching
     void add_blossom(int u, int lca, int v, bool keep_slack);
     void expand_blossom(int b);
     bool on_found_edge(int eu, int ev, bool keep_slack);
-    /** Label and queue the free top-level indices; false if none. */
-    bool start_phase();
+    /** Label and queue the free top-level indices (for the
+     *  speculative stage, only those with unstamped rows); false if
+     *  none is free. */
+    bool start_phase(bool speculative);
     /** Tight-edge-only scan of the queue; true if it augmented. */
     bool speculative_stage();
     bool matching_phase();
@@ -197,8 +263,10 @@ class MaxWeightMatching
     std::vector<int64_t> slack_delta_;  ///< edge_delta(slack_[x], x)
     std::vector<int64_t> best_cost_;    ///< add_blossom's per-column cost
     std::vector<uint64_t> tight_free_;  ///< per real vertex, see above
+    std::vector<uint64_t> unmatched_;  ///< bit x: real x unmatched
     std::vector<int> match_, slack_, st_, pa_, s_, vis_;
     std::vector<int> st_saved_;  ///< st_ at phase start, for rollback
+    bool st_saved_valid_ = false;  ///< st_saved_ taken this phase
     std::vector<std::vector<int>> flower_;
     std::vector<int> flower_from_;  ///< (2n+1) x (n+1), row-major
     std::vector<int> queue_;

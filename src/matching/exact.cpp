@@ -23,7 +23,7 @@ exact_min_weight_perfect(int n,
     best[0] = 0;
     for (size_t mask = 1; mask < size; ++mask) {
         const int i = __builtin_ctzll(mask);
-        if (__builtin_popcountll(mask) % 2 != 0) {
+        if (__builtin_parityll(mask)) {
             continue;
         }
         const size_t rest = mask ^ (size_t(1) << i);

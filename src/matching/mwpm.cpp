@@ -1,5 +1,6 @@
 #include "matching/mwpm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -37,18 +38,19 @@ log_likelihood_weight(double p, double scale)
  * after the first few decodes the steady state allocates nothing —
  * this is what the `BM_MwpmDecodeSingle` benchmark measures. One
  * Scratch lives in each decoder (`MwpmDecoder::scratch_`); `decode`
- * and `decode_matched` both route through it.
+ * and `decode_matched` both route through it. No pairwise distance
+ * is stored: the blossom's weight rows are written straight from the
+ * oracle, and the few distances needed after the solve are recomputed.
  */
 struct MwpmDecoder::Scratch
 {
     std::vector<int64_t> boundary_dist;  ///< b_i per defect
-    std::vector<int64_t> defect_w;  ///< k x k pairwise distances, flat
     std::vector<int> mate_defect;
 
-    // Subset-DP bridge (row-matrix view over `defect_w`).
+    // Subset-DP bridge: k x k spacetime distances, -1 on the diagonal.
     std::vector<std::vector<int64_t>> dp_w;
 
-    // Pooled pairing engine (MaxWeightMatching::reset).
+    // Pooled pairing engine (MaxWeightMatching::load_rows).
     MaxWeightMatching matcher;
 };
 
@@ -106,22 +108,20 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     // boundary is nearest in the defect's own round. Both come from
     // the precomputed check-graph tables in O(1).
     const CheckGraphDistances &oracle = code_.check_distances(detector_);
-    std::vector<int64_t> &boundary_dist = scratch.boundary_dist;
-    std::vector<int64_t> &defect_w = scratch.defect_w;
-    boundary_dist.resize(ks);
-    defect_w.assign(ks * ks, -1);
-    for (int i = 0; i < k; ++i) {
-        BTWC_AUDIT(events[i].round >= 0 && events[i].round < rounds);
-        BTWC_AUDIT(events[i].check >= 0 &&
-                   events[i].check < oracle.num_checks());
-        boundary_dist[i] = (oracle.boundary_hops(events[i].check) + 1) * sw;
-        for (int j = 0; j < i; ++j) {
-            const int64_t w =
-                oracle.distance(events[i].check, events[j].check) * sw +
-                std::abs(events[i].round - events[j].round) * tw;
-            defect_w[static_cast<size_t>(i) * ks + j] = w;
-            defect_w[static_cast<size_t>(j) * ks + i] = w;
+    if (audit_basic()) {
+        for (const DetectionEvent &e : events) {
+            BTWC_CHECK(e.round >= 0 && e.round < rounds);
+            BTWC_CHECK(e.check >= 0 && e.check < oracle.num_checks());
         }
+    }
+    auto distance = [&](int i, int j) -> int64_t {
+        return oracle.distance(events[i].check, events[j].check) * sw +
+               std::abs(events[i].round - events[j].round) * tw;
+    };
+    std::vector<int64_t> &boundary_dist = scratch.boundary_dist;
+    boundary_dist.resize(ks);
+    for (int i = 0; i < k; ++i) {
+        boundary_dist[i] = (oracle.boundary_hops(events[i].check) + 1) * sw;
     }
 
     // Solve the pairing: mate_defect[i] is another defect index, or -1
@@ -133,9 +133,10 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             dp_w.resize(ks);
         }
         for (int i = 0; i < k; ++i) {
-            dp_w[i].assign(defect_w.begin() + static_cast<size_t>(i) * ks,
-                           defect_w.begin() +
-                               static_cast<size_t>(i + 1) * ks);
+            dp_w[i].resize(ks);
+            for (int j = 0; j < k; ++j) {
+                dp_w[i][j] = distance(i, j);
+            }
             dp_w[i][i] = -1;
         }
         const int64_t total = exact_min_weight_with_boundary_mates(
@@ -153,42 +154,64 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         // retirements. A mate with w_ij <= b_i + b_j maps back to a
         // direct pair, every other mate (V included) to boundary
         // retirements.
-        auto direct = [&](int i, int j) {
-            return defect_w[static_cast<size_t>(i) * ks + j] <=
-                   boundary_dist[i] + boundary_dist[j];
-        };
-
-        const int n = k + (k & 1);
-        MaxWeightMatching &solver = scratch.matcher;
-        solver.reset(n);
+        //
         // No edge costs more than its endpoints' b (V's is 0), so no
         // perfect matching costs more than the sum of all b_i: with
         // `big` above it, a maximum-weight matching under weights
-        // big - cost is a minimum-cost perfect matching.
+        // big - cost is a minimum-cost perfect matching, and every
+        // weight is positive.
+        const int n = k + (k & 1);
         int64_t big = 1;
         for (int i = 0; i < k; ++i) {
             big += boundary_dist[i];
         }
-        for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                const int64_t cost =
-                    direct(i, j) ? defect_w[static_cast<size_t>(i) * ks + j]
-                                 : boundary_dist[i] + boundary_dist[j];
-                solver.set_weight(i, j, big - cost);
+        MaxWeightMatching &solver = scratch.matcher;
+        solver.load_rows(n, [&](int u, int64_t *row) {
+            if (u == k) {
+                return;  // V is the last vertex: its row is all mirror
+            }
+            // One read of u's hop row serves the whole weight row.
+            const uint16_t *hops = oracle.row(events[u].check);
+            const int ru = events[u].round;
+            const int64_t bu = boundary_dist[u];
+            for (int j = u + 1; j < k; ++j) {
+                const int64_t w = hops[events[j].check] * sw +
+                                  std::abs(ru - events[j].round) * tw;
+                row[j] = big - std::min(w, bu + boundary_dist[j]);
             }
             if (n > k) {
-                solver.set_weight(i, k, big - boundary_dist[i]);
+                row[k] = big - bu;
+            }
+        });
+        if (audit_deep()) {
+            // Every loaded weight, re-derived from the closed form.
+            for (int i = 0; i < n; ++i) {
+                for (int j = 0; j < n; ++j) {
+                    int64_t cost = 0;
+                    if (i < k && j < k) {
+                        cost = std::min(distance(i, j),
+                                        boundary_dist[i] + boundary_dist[j]);
+                    } else if (i < k || j < k) {
+                        cost = boundary_dist[std::min(i, j)];
+                    }
+                    BTWC_CHECK_MSG(solver.edge_weight(i, j) ==
+                                       (i == j ? 0 : big - cost),
+                                   "a loaded weight is big - c_ij");
+                }
             }
         }
 
         const std::vector<int> &mate = solver.solve();
         mate_defect.assign(ks, -1);
         for (int i = 0; i < k; ++i) {
-            BTWC_CHECK_MSG(mate[i] >= 0,
+            const int m = mate[i];
+            BTWC_CHECK_MSG(m >= 0,
                            "a complete graph on an even vertex count "
                            "admits a perfect matching");
-            if (mate[i] < k && direct(i, mate[i])) {
-                mate_defect[i] = mate[i];
+            if (i < m && m < k &&
+                distance(i, m) <= boundary_dist[i] + boundary_dist[m]) {
+                mate_defect[i] = m;
+                mate_defect[m] = i;
             }
         }
     }
@@ -210,18 +233,19 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     auto walk = [&](int i, int c, int r) {
         const int sc = events[i].check;
         const int sr = events[i].round;
+        const uint16_t *hops = oracle.row(sc);
         while (c != sc || r != sr) {
             if (r != sr &&
                 (c == sc || tw > sw || (tw == sw && r > sr))) {
                 r += r < sr ? 1 : -1;
                 continue;
             }
-            const int want = oracle.distance(sc, c) - 1;
+            const int want = hops[c] - 1;
             int next = std::numeric_limits<int>::max();
             int via = -1;
             for (const CliqueNeighbor &nb :
                  code_.clique_neighbors(detector_, c)) {
-                if (nb.check < next && oracle.distance(sc, nb.check) == want) {
+                if (nb.check < next && hops[nb.check] == want) {
                     next = nb.check;
                     via = nb.shared_data;
                 }
@@ -250,7 +274,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             toggle(code_.boundary_data(detector_, bc)[0]);
             walk(i, bc, events[i].round);
         } else {
-            pair_weight = defect_w[static_cast<size_t>(i) * ks + m];
+            pair_weight = distance(i, m);
             walk(i, events[m].check, events[m].round);
         }
         result.weight += pair_weight;

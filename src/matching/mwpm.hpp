@@ -79,8 +79,15 @@ struct MwpmMatches
  * other mate, the virtual vertex included, means retirement to the
  * boundary.
  *
+ * The instance is loaded in one pass (`MaxWeightMatching::load_rows`):
+ * defect i's weight row comes from one read of its check's hop row
+ * (`CheckGraphDistances::row`), and no pairwise distance matrix is
+ * kept; the few distances needed after the solve (the direct-pair
+ * test and the weight of each matched pair) are recomputed from the
+ * oracle.
+ *
  * Hot-path contract: each decoder instance owns one persistent
- * distance / matcher scratch (grown once, reused by every decode
+ * matcher scratch (grown once, reused by every decode
  * call), so steady-state decoding is allocation-free. Instances are
  * therefore not safe for concurrent `decode` calls from multiple
  * threads — the sharded Monte-Carlo engine gives every shard its own
@@ -153,8 +160,9 @@ class MwpmDecoder : public Decoder
     int time_weight_;
     Matcher matcher_;
     /**
-     * Persistent per-instance working set (distance arrays + the pooled
-     * blossom matcher); every decode entry point routes through it, so
+     * Persistent per-instance working set (boundary distances, mates,
+     * the subset-DP bridge and the pooled blossom matcher); every
+     * decode entry point routes through it, so
      * single-shot `decode()` calls — the dominant `BtwcSystem`
      * per-cycle path — reuse grown capacity instead of reallocating.
      * Mutated under `const` decode; see the class comment for the

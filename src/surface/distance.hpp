@@ -68,6 +68,16 @@ class CheckGraphDistances
     }
 
     /**
+     * Check a's row of the hop table: row(a)[b] == distance(a, b) for
+     * every check b. A caller that needs many distances from one check
+     * reads its row once.
+     */
+    const uint16_t *row(int a) const
+    {
+        return &dist_[static_cast<size_t>(a) * static_cast<size_t>(n_)];
+    }
+
+    /**
      * Hop distance from check c to the nearest boundary-adjacent check
      * (0 when c itself holds a boundary half-edge). The boundary
      * *distance* adds one more space hop for the half-edge itself.

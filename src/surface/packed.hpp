@@ -15,6 +15,30 @@ packed_words(int bits)
 }
 
 /**
+ * Number of set bits in one word. Without a POPCNT target (the
+ * project's builds pass no -mpopcnt), GCC lowers `__builtin_popcountll`
+ * to a call to libgcc's `__popcountdi2`, so that builtin is used only
+ * under `__POPCNT__`; otherwise the word is summed in place (SWAR: 2-,
+ * 4- and 8-bit partial counts, then one multiply adds the bytes), a
+ * dozen inline ALU ops. Every popcount in the library goes through
+ * here (tools/lint.sh). A caller that needs only the parity, or only
+ * whether any bit is set, should ask for that instead (see
+ * `and_parity`).
+ */
+inline int
+popcount64(uint64_t w)
+{
+#ifdef __POPCNT__
+    return __builtin_popcountll(w);
+#else
+    w -= (w >> 1) & 0x5555555555555555ull;
+    w = (w & 0x3333333333333333ull) + ((w >> 2) & 0x3333333333333333ull);
+    w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<int>((w * 0x0101010101010101ull) >> 56);
+#endif
+}
+
+/**
  * Dynamically sized bitset packed 64 bits per `uint64_t` word — the
  * carrier of the word-parallel screening fast path (ROADMAP
  * "raw-speed floor").
@@ -101,7 +125,7 @@ class PackedBits
     {
         int n = 0;
         for (const uint64_t w : words_) {
-            n += __builtin_popcountll(w);
+            n += popcount64(w);
         }
         return n;
     }
@@ -213,9 +237,35 @@ and_popcount(const uint64_t *a, const uint64_t *b, int words)
 {
     int n = 0;
     for (int w = 0; w < words; ++w) {
-        n += __builtin_popcountll(a[w] & b[w]);
+        n += popcount64(a[w] & b[w]);
     }
     return n;
+}
+
+/** Whether a & b has an odd number of set bits, and whether any. */
+struct AndParity
+{
+    bool odd = false;
+    bool any = false;
+};
+
+/**
+ * The parity and emptiness of a & b over `words` 64-bit words: one XOR
+ * and one OR per word and a single parity at the end
+ * (`__builtin_parityll`, which GCC inlines as a flag test on any
+ * target), instead of a popcount per word.
+ */
+inline AndParity
+and_parity(const uint64_t *a, const uint64_t *b, int words)
+{
+    uint64_t x = 0;
+    uint64_t o = 0;
+    for (int w = 0; w < words; ++w) {
+        const uint64_t both = a[w] & b[w];
+        x ^= both;
+        o |= both;
+    }
+    return {__builtin_parityll(x) != 0, o != 0};
 }
 
 } // namespace btwc

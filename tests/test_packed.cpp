@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ios>
 #include <vector>
 
 #include "common/check.hpp"
@@ -174,6 +175,62 @@ TEST(PackedBits, RoundTripAndBitwiseOpsMatchBytes)
         a.reset(bits + 7);
         EXPECT_EQ(a.size(), bits + 7);
         EXPECT_TRUE(a.none());
+    }
+}
+
+/** Set bits of `w`, one bit at a time. */
+int
+bit_loop_popcount(uint64_t w)
+{
+    int n = 0;
+    for (int i = 0; i < 64; ++i) {
+        n += static_cast<int>((w >> i) & 1);
+    }
+    return n;
+}
+
+TEST(PackedBits, Popcount64MatchesABitLoopOnEdgeWords)
+{
+    std::vector<uint64_t> words = {0, ~uint64_t(0), 0x5555555555555555ull,
+                                   0xaaaaaaaaaaaaaaaaull,
+                                   0x8000000000000001ull};
+    for (int i = 0; i < 64; ++i) {
+        words.push_back(uint64_t(1) << i);
+        words.push_back(~(uint64_t(1) << i));
+        words.push_back(~uint64_t(0) >> i);  // a partial tail word
+    }
+    Rng rng(41);
+    for (int i = 0; i < 200; ++i) {
+        words.push_back(rng.next_u64());
+    }
+    for (const uint64_t w : words) {
+        EXPECT_EQ(popcount64(w), bit_loop_popcount(w)) << std::hex << w;
+    }
+}
+
+TEST(PackedBits, AndParityMatchesAndPopcount)
+{
+    // The Clique screen's neighbourhood test: the parity and emptiness
+    // of a & b must agree with the full popcount, across word counts
+    // that end on and off a word boundary.
+    Rng rng(42);
+    for (const int bits : {1, 63, 64, 65, 128, 200, 441}) {
+        for (const double density : {0.0, 0.01, 0.3, 1.0}) {
+            PackedBits a(bits);
+            PackedBits b(bits);
+            for (int i = 0; i < bits; ++i) {
+                if (rng.bernoulli(density)) {
+                    a.set(i);
+                }
+                if (rng.bernoulli(0.5)) {
+                    b.set(i);
+                }
+            }
+            const int n = and_popcount(a.data(), b.data(), a.num_words());
+            const AndParity p = and_parity(a.data(), b.data(), a.num_words());
+            EXPECT_EQ(p.odd, (n & 1) != 0) << bits << " " << density;
+            EXPECT_EQ(p.any, n != 0) << bits << " " << density;
+        }
     }
 }
 

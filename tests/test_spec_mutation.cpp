@@ -2,21 +2,29 @@
  * @file
  * Seeded mutation test of the hand-written parsers: the scenario
  * grammar (ScenarioSpec::try_parse), the tier grammar
- * (TierChainConfig::try_parse) and the fault grammar
- * (FaultPlan::try_parse). It starts from every spec the repository
- * ships (registry, tests/golden Reports, benchmark workloads) and
- * drops, duplicates and swaps fields, flips characters, and
- * substitutes edge numbers and other keys' spellings. Every mutant
- * must either
+ * (TierChainConfig::try_parse), the fault grammar
+ * (FaultPlan::try_parse) and the JSON reader (json_parse). It starts
+ * from every spec the repository ships (registry, tests/golden
+ * Reports, benchmark workloads) and drops, duplicates and swaps
+ * fields, flips characters, and substitutes edge numbers and other
+ * keys' spellings. Every mutant must either
  *   - parse to a value whose canonical string is a fixpoint and
  *     re-parses to an equal value, or
  *   - be rejected with a non-empty diagnostic, the output untouched.
+ * The JSON reader starts from every committed BENCH_*.json artifact
+ * and every .json Report under tests/golden, and drops, duplicates
+ * and flips characters and splices in deep nesting, edge numbers and
+ * bad escapes; a mutant must parse or be rejected the same clean way,
+ * and must never crash the process.
  * Fixed seeds keep it deterministic and it takes well under a second,
  * so it runs in every ctest leg, the sanitizer builds included.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -273,6 +281,145 @@ TEST(SpecMutation, FaultPlansRoundTripOrRejectCleanly)
             check_faults(mutate(plan, ';', names, rng));
         }
     }
+}
+
+/** Every committed BENCH_*.json and tests/golden .json file, read whole. */
+std::vector<std::pair<std::string, std::string>>
+json_artifacts()
+{
+    namespace fs = std::filesystem;
+    std::vector<std::string> paths;
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(repo_path(""))) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("BENCH_", 0) == 0 &&
+            entry.path().extension() == ".json") {
+            paths.push_back(entry.path().string());
+        }
+    }
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(BTWC_GOLDEN_DIR)) {
+        if (entry.path().extension() == ".json") {
+            paths.push_back(entry.path().string());
+        }
+    }
+    std::sort(paths.begin(), paths.end());
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const std::string &path : paths) {
+        std::ifstream in(path, std::ios::binary);
+        out.emplace_back(path, std::string(std::istreambuf_iterator<char>(in),
+                                           std::istreambuf_iterator<char>()));
+    }
+    return out;
+}
+
+const char *const kJsonSplices[] = {
+    "-",      "--1",  "1e",   "1e999", "-1e999", ".5",     "1.",
+    "0x10",   "nan",  "inf",  "-0",    "1e-400", "+1",     "00",
+    "9223372036854775808",    "\"\\u-012\"",   "\"\\u00e9\"",
+    "\"\\uZZZZ\"",        "\"\\u12\"",     "\"\\",
+    "\"\\x\"",            "tru",  "nul",  "{\"\":",  ",]",  "[,",
+};
+
+/**
+ * One to three random edits of `text`: drop, duplicate or flip a run
+ * of characters, or splice in deep nesting or a token from
+ * kJsonSplices.
+ */
+std::string
+mutate_json(std::string text, Rng &rng)
+{
+    static const char kAlphabet[] = "{}[]:,\"\\-+.eE0123456789tfnu \n";
+    const uint64_t edits = 1 + rng.next_below(3);
+    for (uint64_t edit = 0; edit < edits; ++edit) {
+        const size_t at = rng.next_below(text.size() + 1);
+        const size_t run = std::min<size_t>(1 + rng.next_below(8),
+                                            text.size() - at);
+        switch (rng.next_below(5)) {
+          case 0:
+            text.erase(at, run);
+            break;
+          case 1:
+            text.insert(at, text.substr(at, run));
+            break;
+          case 2:
+            if (at < text.size()) {
+                text[at] = kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)];
+            }
+            break;
+          case 3: {
+            // Nesting just under, at and over the reader's cap, and far
+            // past it: a long run of '[' once overflowed the stack.
+            const size_t depths[] = {63, 64, 65, 1000, 200000};
+            const size_t depth = depths[rng.next_below(std::size(depths))];
+            const bool close = rng.bernoulli(0.5);
+            text.insert(at, std::string(depth, '[') +
+                                (close ? std::string(depth, ']') : ""));
+            break;
+          }
+          default:
+            text.insert(at, kJsonSplices[rng.next_below(
+                                std::size(kJsonSplices))]);
+            break;
+        }
+    }
+    return text;
+}
+
+void
+check_json(const std::string &text)
+{
+    JsonValue out;
+    out.kind = JsonValue::Kind::String;
+    out.s = "sentinel";
+    std::string error;
+    if (!json_parse(text, &out, &error)) {
+        EXPECT_FALSE(error.empty()) << text.substr(0, 200);
+        EXPECT_TRUE(out.kind == JsonValue::Kind::String &&
+                    out.s == "sentinel" && out.array.empty() &&
+                    out.object.empty())
+            << text.substr(0, 200);
+    }
+}
+
+TEST(JsonMutation, ArtifactsParseOrRejectCleanly)
+{
+    const std::vector<std::pair<std::string, std::string>> artifacts =
+        json_artifacts();
+    // 5 BENCH_* artifacts and 9 golden Reports at least.
+    ASSERT_GE(artifacts.size(), 14u);
+    Rng rng(23);
+    for (const auto &artifact : artifacts) {
+        JsonValue doc;
+        std::string error;
+        EXPECT_TRUE(json_parse(artifact.second, &doc, &error))
+            << artifact.first << ": " << error;
+        for (int i = 0; i < 60; ++i) {
+            check_json(mutate_json(artifact.second, rng));
+        }
+    }
+}
+
+TEST(JsonMutation, DeepNestingAndBadEscapesAreDiagnostics)
+{
+    for (const std::string &text :
+         {std::string(200000, '['), std::string(65, '[') + "1" +
+                                        std::string(65, ']'),
+          std::string("\"\\u-012\""), std::string("\"\\u 12a\""),
+          std::string("\"\\u0x1f\""), std::string("\"\\u+abc\"")}) {
+        JsonValue out;
+        std::string error;
+        EXPECT_FALSE(json_parse(text, &out, &error)) << text.substr(0, 80);
+        EXPECT_FALSE(error.empty());
+        EXPECT_EQ(out.kind, JsonValue::Kind::Null);
+    }
+    JsonValue ok;
+    std::string error;
+    ASSERT_TRUE(json_parse(std::string(64, '[') + std::string(64, ']'), &ok,
+                           &error))
+        << error;
+    ASSERT_TRUE(json_parse("\"\\u00e9\\u004A\"", &ok, &error)) << error;
+    EXPECT_EQ(ok.s, "\xc3\xa9J");
 }
 
 } // namespace

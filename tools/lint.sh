@@ -71,6 +71,23 @@ if grep_code '[!=]=[[:space:]]*"' src/api/scenario.cpp; then
     fail "string-literal comparison in src/api/scenario.cpp; add a key-table row or value name"
 fi
 
+# -- hot-path idioms -----------------------------------------------------
+# One popcount: without a POPCNT target (no build passes -mpopcnt) GCC
+# lowers __builtin_popcount* to a libgcc call, so every count goes
+# through popcount64 in src/surface/packed.hpp, which inlines on any
+# target.
+if grep_code '__builtin_popcount' src tests bench cli examples |
+        grep -v '^src/surface/packed\.hpp:'; then
+    fail "__builtin_popcount outside src/surface/packed.hpp; call popcount64 or and_parity"
+fi
+
+# MwpmDecoder loads its blossom instance in one pass through
+# MaxWeightMatching::load_rows; a per-pair set_weight call there would
+# bring back the per-edge build the row fill replaced.
+if grep_code 'set_weight[[:space:]]*\(' src/matching/mwpm.cpp; then
+    fail "set_weight( in src/matching/mwpm.cpp; load the instance with load_rows"
+fi
+
 # -- header hygiene -----------------------------------------------------
 # Every header carries #pragma once (the include graph is flat enough
 # that guard macros would only invite copy-paste collisions).
