@@ -7,6 +7,7 @@
 #include "api/json_output.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
+#include "fabric/harness.hpp"
 #include "sim/fleet.hpp"
 
 namespace btwc {
@@ -59,7 +60,7 @@ bench_header(const char *figure, const char *claim)
  * contention point). `q` is the measured per-qubit off-chip
  * probability the binomial model is built from.
  */
-inline ExactFleetStats
+inline FabricStats
 print_binomial_vs_real_demand(int distance, double p, double q,
                               const FleetLinkFlags &link,
                               uint64_t exact_cycles, uint64_t seed,
@@ -73,10 +74,9 @@ print_binomial_vs_real_demand(int distance, double p, double q,
     exact.cycles = exact_cycles;
     exact.seed = seed;
     exact.threads = threads;
-    exact.shared_link = true;
     exact.offchip_latency = offchip_latency;
     exact.offchip_batch = offchip_batch;
-    const ExactFleetStats real = fleet_demand_exact_stats(exact);
+    const FabricStats real = run_fabric(exact_fleet_fabric(exact, true));
 
     FleetConfig small;
     small.num_qubits = link.fleet_size;

@@ -74,7 +74,7 @@ main(int argc, char **argv)
     // independence with a single q; the exact fleet steps every
     // pipeline against one shared link and counts what actually
     // escalates. Both provisioned on the same percentile axis.
-    const ExactFleetStats real_demand = print_binomial_vs_real_demand(
+    const FabricStats real_demand = print_binomial_vs_real_demand(
         distance, p, q, fleet_link_from_flags(flags, 50),
         static_cast<uint64_t>(flags.get_int("exact_cycles", 4000)), seed,
         lconfig.threads);

@@ -141,10 +141,9 @@ main(int argc, char **argv)
                 flags.get_int("exact_cycles", 3000));
             exact.seed = seed;
             exact.threads = threads;
-            exact.shared_link = true;
             exact.offchip_latency = offchip.latency;
             exact.offchip_batch = offchip.batch;
-            const ExactFleetStats real = print_binomial_vs_real_demand(
+            const FabricStats real = print_binomial_vs_real_demand(
                 point.distance, point.p, q, link, exact.cycles, seed,
                 threads, offchip.latency, offchip.batch);
 
@@ -152,8 +151,8 @@ main(int argc, char **argv)
             // the contention observables of the actual machine model.
             exact.offchip_bandwidth =
                 std::max<uint64_t>(1, real.demand.percentile(0.99));
-            const ExactFleetStats narrow =
-                fleet_demand_exact_stats(exact);
+            const FabricStats narrow =
+                run_fabric(exact_fleet_fabric(exact, true));
             std::printf("shared link @ real p99 (B = %llu): "
                         "stall_cycles %llu, exec_increase %.2f%%, "
                         "mean_backlog %.2f, p99_qdelay %llu, "

@@ -8,7 +8,7 @@
 # as BENCH_scenario.json, and the repo benchmark's smoke test.
 #
 #   ./ci.sh            # full verify + Release suite + smoke
-#   ./ci.sh --verify   # tier-1 verify only
+#   ./ci.sh --verify   # tier-1 verify (plus its deep-audit rerun) only
 #   ./ci.sh --asan     # ASan+UBSan build + full ctest + audited scenario
 #   ./ci.sh --tsan     # TSan build + concurrency tests + --threads 4 run
 set -euo pipefail
@@ -112,6 +112,15 @@ cmake -B build-ci -S . \
       -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build build-ci -j "${JOBS}"
 ctest --test-dir build-ci --output-on-failure --no-tests=error -j "${JOBS}"
+
+echo
+echo "== deep-audit ctest (BTWC_AUDIT=deep, same build) =="
+# The whole suite again with every structural audit armed, not only
+# the tests that raise the level themselves: a test whose inputs break
+# an audited contract (e.g. two outstanding requests on one half)
+# fails here instead of passing unaudited.
+BTWC_AUDIT=deep ctest --test-dir build-ci --output-on-failure \
+    --no-tests=error -j "${JOBS}"
 
 if [[ "${1:-}" == "--verify" ]]; then
     exit 0

@@ -30,6 +30,7 @@
 #include "api/run.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
+#include "fabric/harness.hpp"
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
 
@@ -154,10 +155,9 @@ main(int argc, char **argv)
         exact.cycles = static_cast<uint64_t>(
             flags.get_int("exact_cycles", 5000));
         exact.threads = threads_from_flags(flags);
-        exact.shared_link = true;
         exact.offchip_latency = offchip.latency;
         exact.offchip_batch = offchip.batch;
-        const ExactFleetStats real = fleet_demand_exact_stats(exact);
+        const FabricStats real = run_fabric(exact_fleet_fabric(exact, true));
         std::printf("\n-- shared off-chip link, %d fully simulated "
                     "qubits --\n",
                     link.fleet_size);
@@ -176,7 +176,8 @@ main(int argc, char **argv)
         for (const double percentile : {0.5, 0.9, 0.99}) {
             exact.offchip_bandwidth = std::max<uint64_t>(
                 1, real.demand.percentile(percentile));
-            const ExactFleetStats run = fleet_demand_exact_stats(exact);
+            const FabricStats run =
+                run_fabric(exact_fleet_fabric(exact, true));
             shared.add_row(
                 {Table::num(100.0 * percentile, 1),
                  std::to_string(exact.offchip_bandwidth),

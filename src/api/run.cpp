@@ -153,7 +153,7 @@ fleet_run_report(const FleetRunResult &run, uint64_t total_cycles)
 }
 
 Report
-exact_fleet_metrics_report(const ExactFleetStats &stats, bool with_faults)
+exact_fleet_metrics_report(const FabricStats &stats, bool with_faults)
 {
     Report metrics;
     add_histogram(metrics, "demand", stats.demand);
@@ -174,12 +174,12 @@ exact_fleet_metrics_report(const ExactFleetStats &stats, bool with_faults)
     metrics.set("batch_mean", stats.batch_sizes.mean());
     if (with_faults) {
         Report &faults = metrics.child("faults");
-        faults.set("outage_cycles", stats.outage_cycles);
-        faults.set("dropped", stats.dropped);
-        faults.set("duplicated", stats.duplicated);
-        faults.set("corrupted", stats.corrupted);
-        faults.set("surge_enqueued", stats.surge_enqueued);
-        faults.set("surge_landed", stats.surge_landed);
+        faults.set("outage_cycles", stats.faults.outage_cycles);
+        faults.set("dropped", stats.faults.dropped);
+        faults.set("duplicated", stats.faults.duplicated);
+        faults.set("corrupted", stats.faults.corrupted);
+        faults.set("surge_enqueued", stats.faults.surge_enqueued);
+        faults.set("surge_landed", stats.faults.surge_landed);
     }
     return metrics;
 }
@@ -187,26 +187,9 @@ exact_fleet_metrics_report(const ExactFleetStats &stats, bool with_faults)
 Report
 fabric_metrics_report(const FabricStats &stats, bool with_faults)
 {
-    // Fleet-level block: shape-for-shape the exact-fleet schema, so a
-    // FIFO/K=1/uniform fabric report is field-by-field comparable with
-    // the legacy exact-fleet report (pinned in tests).
-    Report metrics;
-    add_histogram(metrics, "demand", stats.demand);
-    metrics.set("enqueued", stats.enqueued);
-    metrics.set("served", stats.served);
-    metrics.set("landed", stats.landed);
-    metrics.set("suppressed", stats.suppressed);
-    metrics.set("pending", stats.pending);
-    metrics.set("stall_cycles", stats.stall_cycles);
-    metrics.set("work_cycles", stats.work_cycles);
-    metrics.set("max_backlog", stats.max_backlog);
-    metrics.set("exec_time_increase", stats.exec_time_increase());
-    metrics.set("backlog_mean", stats.backlog.mean());
-    Report &delay = metrics.child("queue_delay");
-    delay.set("mean", stats.queue_delay.mean());
-    delay.set("p99", stats.queue_delay.percentile(0.99));
-    delay.set("max", stats.queue_delay.max_value());
-    metrics.set("batch_mean", stats.batch_sizes.mean());
+    // The fleet-level block is the exact-fleet schema (its fault keys
+    // come with the full ledger below).
+    Report metrics = exact_fleet_metrics_report(stats);
     // Fabric block: the SLO observables — deadline misses, the probed
     // logical error rate, and the per-link / per-tenant breakdowns.
     // Everything is a scalar leaf so the btwc_diff BENCH gate covers
@@ -408,29 +391,30 @@ run_fleet_scenario(const ScenarioSpec &spec)
 Report
 run_exact_fleet_scenario(const ScenarioSpec &spec)
 {
-    const ExactFleetConfig config = spec.to_exact_fleet_config();
+    const FabricFleetConfig config = spec.to_fabric_config();
+    const ExactFleetConfig &fleet = config.fleet;
     Report report;
     fill_scenario(report, spec);
     Report &conf = report.child("config");
-    conf.set("distance", config.distance);
-    conf.set("p", config.p);
-    conf.set("fleet_size", config.num_qubits);
-    conf.set("shared_link", config.shared_link);
-    conf.set("policy", config.offchip == OffchipPolicy::Mwpm ? "mwpm"
-                                                             : "oracle");
-    conf.set("cycles", config.cycles);
-    conf.set("offchip_latency", config.offchip_latency);
-    conf.set("offchip_bandwidth", config.offchip_bandwidth);
-    conf.set("offchip_batch", config.offchip_batch);
+    conf.set("distance", fleet.distance);
+    conf.set("p", fleet.p);
+    conf.set("fleet_size", fleet.num_qubits);
+    conf.set("shared_link", spec.service.shared_link);
+    conf.set("policy", fleet.offchip == OffchipPolicy::Mwpm ? "mwpm"
+                                                            : "oracle");
+    conf.set("cycles", fleet.cycles);
+    conf.set("offchip_latency", fleet.offchip_latency);
+    conf.set("offchip_bandwidth", fleet.offchip_bandwidth);
+    conf.set("offchip_batch", fleet.offchip_batch);
     if (config.faults.enabled) {
         conf.set("faults", config.faults.to_string());
     }
-    fill_engine(conf, config.threads, config.seed);
+    fill_engine(conf, fleet.threads, fleet.seed);
     const HarnessTimer timer;
-    const ExactFleetStats stats = fleet_demand_exact_stats(config);
+    const FabricStats stats = run_fabric(config);
     report.child("metrics") =
         exact_fleet_metrics_report(stats, config.faults.enabled);
-    timer.fill(report, "cycles_per_sec", config.cycles);
+    timer.fill(report, "cycles_per_sec", fleet.cycles);
     return report;
 }
 

@@ -16,12 +16,12 @@ namespace btwc {
  *   }
  *
  * The dispatch is a thin, lossless wrapper: the spec is adapted to
- * the legacy config struct (ScenarioSpec::to_*_config) and handed to
- * the existing harness (`run_lifetime`, `run_memory_experiment`,
- * `fleet_demand_histogram` / `run_fleet_with_bandwidth`,
- * `fleet_demand_exact_stats`), so every metric is bit-exact with a
- * direct legacy-config call — enforced by tests/test_api.cpp for
- * every registry scenario.
+ * its harness's config struct (ScenarioSpec::to_*_config) and handed
+ * to the harness (`run_lifetime`, `run_memory_experiment`,
+ * `fleet_demand_histogram` / `run_fleet_with_bandwidth`, `run_stream`,
+ * and `run_fabric` for both fabric and exact-fleet scenarios), so
+ * every metric is bit-exact with a direct harness call — enforced by
+ * tests/test_api.cpp for every registry scenario.
  */
 Report run_scenario(const ScenarioSpec &spec);
 
@@ -44,8 +44,12 @@ Report run_scenario_repeated(const ScenarioSpec &spec, int repeat);
 Report lifetime_metrics_report(const LifetimeStats &stats);
 Report memory_metrics_report(const MemoryResult &result);
 Report fleet_run_report(const FleetRunResult &run, uint64_t total_cycles);
-/** `with_faults` as in `fabric_metrics_report`, for the shared link. */
-Report exact_fleet_metrics_report(const ExactFleetStats &stats,
+/**
+ * The fleet-level block of a fabric run: the whole exact-fleet
+ * `metrics` subtree, and the start of `fabric_metrics_report`'s.
+ * `with_faults` adds the six link-side fault counters.
+ */
+Report exact_fleet_metrics_report(const FabricStats &stats,
                                   bool with_faults = false);
 Report stream_metrics_report(const StreamStats &stats);
 /**

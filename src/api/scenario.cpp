@@ -703,12 +703,12 @@ finish(SpecBuilder &b, std::string *error)
     }
     if (spec.service.faults.enabled &&
         spec.kind == ScenarioKind::ExactFleet && !spec.service.shared_link) {
-        // Fault plans inject into the shared off-chip service; private
-        // per-qubit queues have none.
+        // The exact fleet injects faults only into its one shared link;
+        // a fleet of private links is the fault-free baseline.
         set_error(error,
                   "faults= on kind=exact-fleet needs the shared link (add "
-                  "the bare token 'shared'); private per-qubit queues "
-                  "have no fault injection point");
+                  "the bare token 'shared'); the per-tenant links of a "
+                  "private fleet run fault-free");
         return false;
     }
     if (spec.stream.overlap >= spec.stream.window) {
@@ -1017,7 +1017,6 @@ ScenarioSpec::to_exact_fleet_config() const
     }
     config.seed = engine.seed;
     config.threads = engine.threads;
-    config.shared_link = service.shared_link;
     config.offchip = service.policy;
     config.tiers = tiers;
     config.offchip_latency = service.latency;
@@ -1032,17 +1031,20 @@ ScenarioSpec::to_exact_fleet_config() const
             hotspot_probs(service.fleet_size, code.p,
                           service.hot_fraction, service.hot_mult);
     }
-    config.faults = service.faults;
     return config;
 }
 
 FabricFleetConfig
 ScenarioSpec::to_fabric_config() const
 {
+    if (kind == ScenarioKind::ExactFleet) {
+        FabricFleetConfig config =
+            exact_fleet_fabric(to_exact_fleet_config(), service.shared_link);
+        config.faults = service.faults;
+        return config;
+    }
     FabricFleetConfig config;
     config.fleet = to_exact_fleet_config();
-    config.fleet.shared_link = true;  // implied by the fabric
-    config.fleet.faults = FaultPlan{};  // plan lives fabric-side
     config.topology.links = service.links;
     config.topology.scheduler = service.scheduler;
     config.topology.placement = service.placement;

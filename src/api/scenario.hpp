@@ -24,8 +24,9 @@ namespace btwc {
  *   Memory     run_memory_experiment     — logical error rate trials
  *   Fleet      fleet_demand_histogram +  — binomial machine model,
  *              run_fleet_with_bandwidth    optional provisioned link
- *   ExactFleet fleet_demand_exact_stats  — fully simulated pipelines,
- *                                          private or shared link
+ *   ExactFleet run_fabric                — fully simulated pipelines,
+ *                                          one shared FIFO link or
+ *                                          one link per tenant
  *   Stream     run_stream                — sliding-window streaming
  *                                          decode of one syndrome
  *                                          stream
@@ -201,9 +202,10 @@ struct ScenarioSpec
      */
     StreamConfig to_stream_config() const;
     /**
-     * Fabric-kind adapter: the exact-fleet operating point (including
+     * Fabric adapter: the exact-fleet operating point (including
      * the hot-spot per-tenant noise profile) plus the fabric topology
-     * keys. `shared_link` is implied by the fabric.
+     * keys. An exact-fleet spec maps to the FIFO fabric without
+     * probes: one link when `shared` is set, one per tenant otherwise.
      */
     FabricFleetConfig to_fabric_config() const;
 

@@ -66,8 +66,8 @@ struct FabricTopology
 /**
  * A decode fabric: K `SharedOffchipService` links with a static
  * tenant-to-link placement and one scheduling discipline instance per
- * link. The single shared link of `fleet_demand_exact_stats` is the
- * K = 1, FIFO, uniform special case (bit-exact, pinned in tests).
+ * link. The exact fleet's one shared link is the K = 1 FIFO case, and
+ * its private links the K = fleet size FIFO case.
  *
  * Tenant lanes are derived from the fleet's noise profile at
  * construction: cold tenants (p at the fleet minimum) ride a

@@ -117,10 +117,8 @@ run_fabric(const FabricFleetConfig &config)
 {
     const ExactFleetConfig &fleet = config.fleet;
     validate_tenant_profile(fleet);
-    // Codes are immutable and shared across shards, mirroring
-    // fleet_demand_exact_stats (same construction order, same RNG
-    // seeding) so the FIFO/K=1/uniform corner stays bit-exact with the
-    // legacy shared-link path.
+    // Codes are immutable and shared across shards: the base code plus
+    // one per distinct per-tenant distance override.
     const RotatedSurfaceCode code(fleet.distance);
     std::map<int, RotatedSurfaceCode> extra_codes;
     for (const int d : fleet.tenant_distances) {
@@ -197,9 +195,10 @@ run_fabric(const FabricFleetConfig &config)
             }
             uint64_t shipped = 0;  ///< escalations handed to the fabric
             for (uint64_t cycle = 0; cycle < shard.cycles; ++cycle) {
-                // Demand counting matches fleet_demand_exact_stats:
-                // qubits that *shipped* a fresh escalation this cycle;
-                // re-flags of in-flight work count as suppressed.
+                // Demand = qubits that *shipped* a fresh escalation
+                // this cycle; re-flags of in-flight work (the escalated
+                // errors stay on the lattice and keep classifying
+                // off-chip) count as suppressed.
                 uint64_t offchip = 0;
                 for (size_t q = 0; q < qubits.size(); ++q) {
                     const CycleReport report = qubits[q].step();
@@ -335,6 +334,16 @@ run_fabric(const FabricFleetConfig &config)
             }
             return stats;
         });
+}
+
+FabricFleetConfig
+exact_fleet_fabric(const ExactFleetConfig &fleet, bool shared_link)
+{
+    FabricFleetConfig config;
+    config.fleet = fleet;
+    config.topology.links = shared_link ? 1 : fleet.num_qubits;
+    config.probe_interval = 0;
+    return config;
 }
 
 } // namespace btwc

@@ -12,10 +12,10 @@ namespace btwc {
 /**
  * Configuration of a fabric fleet run: an exact trace-driven fleet
  * (sim/fleet.hpp, including its per-tenant `(distance, p)` overrides)
- * whose escalations route through a decode `Fabric` instead of the
- * single shared link. `fleet.shared_link` is implied; the fleet's link
+ * whose escalations route through a decode `Fabric`. The fleet's link
  * parameters (`offchip_latency` / `offchip_bandwidth` /
- * `offchip_batch`) apply to *each* of the fabric's links.
+ * `offchip_batch`) apply to *each* of the fabric's links. The exact
+ * fleet is its FIFO corner without probes (`exact_fleet_fabric`).
  */
 struct FabricFleetConfig
 {
@@ -121,18 +121,21 @@ struct FabricFaultStats
  * Aggregated observables of a fabric run. Counters are sums and
  * histograms bin-wise counts, so shard results `merge()` losslessly in
  * the sharded Monte-Carlo engine (deterministic for a fixed (cycles,
- * threads, seed) triple). The fleet-level fields mirror
- * `ExactFleetStats` shape-for-shape; with a FIFO scheduler, one link,
- * and a uniform fleet they are bit-exact with
- * `fleet_demand_exact_stats` on the equivalent `ExactFleetConfig`
- * (pinned in tests/test_fabric.cpp).
+ * threads, seed) triple). The fleet-level fields are the exact-fleet
+ * observables (pinned by tests/golden/exact_fleet_stats.txt).
  */
 struct FabricStats
 {
-    /** Per-cycle fresh demand (see ExactFleetStats::demand). */
+    /** Per-cycle fresh demand: tenants that *shipped* an escalation
+        that cycle (the binomial model's event). Re-flags of work
+        already in flight are counted in `suppressed`, not here -- so
+        under latency or a narrow link this is throttled demand, held
+        back by the one-outstanding-request-per-half contract. */
     CountHistogram demand;
-    /** Enqueue-to-landing delays, merged across links (service-side:
-        per request even when a discipline re-orders service). */
+    /** Enqueue-to-landing delay of every delivered correction, merged
+        across links (service-side: per request even when a discipline
+        re-orders service). Dropped, stale and surge landings reach no
+        waiting tenant and are not samples. */
     CountHistogram queue_delay;
     /** Served link-batch sizes, merged across links. */
     CountHistogram batch_sizes;
@@ -165,10 +168,16 @@ struct FabricStats
  * pipelines stepped in lockstep against a K-link decode fabric, with
  * periodic logical-failure probes. Shards the cycle budget over
  * `fleet.threads` workers, each simulating an independent fleet
- * instance; tenant construction order and RNG seeding mirror
- * `fleet_demand_exact_stats` exactly, which is what makes the
- * FIFO/K=1/uniform corner bit-exact with the legacy shared link.
+ * instance seeded in tenant order from the shard seed.
  */
 FabricStats run_fabric(const FabricFleetConfig &config);
+
+/**
+ * The exact fleet as a fabric run (what `kind=exact-fleet` runs): FIFO,
+ * no probes, and one link shared by the whole fleet (`shared_link`) or
+ * one link per tenant (hash placement puts tenant q on link q).
+ */
+FabricFleetConfig exact_fleet_fabric(const ExactFleetConfig &fleet,
+                                     bool shared_link);
 
 } // namespace btwc

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
 #include "common/rng.hpp"
 #include "core/offchip_queue.hpp"
-#include "core/offchip_service.hpp"
 #include "sim/engine.hpp"
-#include "surface/lattice.hpp"
 
 namespace btwc {
 
@@ -175,41 +172,6 @@ fleet_demand_histogram(const FleetConfig &config)
         });
 }
 
-void
-ExactFleetStats::merge(const ExactFleetStats &other)
-{
-    demand.merge(other.demand);
-    queue_delay.merge(other.queue_delay);
-    batch_sizes.merge(other.batch_sizes);
-    backlog.merge(other.backlog);
-    stall_cycles += other.stall_cycles;
-    work_cycles += other.work_cycles;
-    max_backlog = std::max(max_backlog, other.max_backlog);
-    enqueued += other.enqueued;
-    served += other.served;
-    landed += other.landed;
-    suppressed += other.suppressed;
-    pending += other.pending;
-    outage_cycles += other.outage_cycles;
-    dropped += other.dropped;
-    duplicated += other.duplicated;
-    corrupted += other.corrupted;
-    surge_enqueued += other.surge_enqueued;
-    surge_landed += other.surge_landed;
-    if (per_qubit.size() < other.per_qubit.size()) {
-        per_qubit.resize(other.per_qubit.size());
-    }
-    for (size_t i = 0; i < other.per_qubit.size(); ++i) {
-        per_qubit[i].merge(other.per_qubit[i]);
-    }
-}
-
-double
-ExactFleetStats::exec_time_increase() const
-{
-    return stall_execution_time_increase(stall_cycles, work_cycles);
-}
-
 double
 tenant_prob(const ExactFleetConfig &config, int q)
 {
@@ -258,175 +220,6 @@ validate_tenant_profile(const ExactFleetConfig &config)
             ") != num_qubits (" + std::to_string(config.num_qubits) +
             ")");
     }
-}
-
-ExactFleetStats
-fleet_demand_exact_stats(const ExactFleetConfig &config)
-{
-    validate_tenant_profile(config);
-    // Codes are immutable and shared across shards: the base code plus
-    // one per distinct per-tenant distance override.
-    const RotatedSurfaceCode code(config.distance);
-    std::map<int, RotatedSurfaceCode> extra_codes;
-    for (const int d : config.tenant_distances) {
-        if (d != config.distance) {
-            extra_codes.try_emplace(d, d);
-        }
-    }
-    const auto code_of = [&](int q) -> const RotatedSurfaceCode & {
-        const int d = tenant_distance(config, q);
-        return d == config.distance ? code : extra_codes.at(d);
-    };
-    return run_sharded<ExactFleetStats>(
-        config.cycles, config.threads, config.seed,
-        [&](const Shard &shard) {
-            Rng seeder(shard.seed);
-            SystemConfig sconfig;
-            sconfig.offchip = config.offchip;
-            sconfig.tiers = config.tiers;
-            if (!config.shared_link) {
-                // Each qubit builds its own one-tenant link from these
-                // parameters; under the shared link they live on the
-                // one service instead.
-                sconfig.offchip_latency = config.offchip_latency;
-                sconfig.offchip_bandwidth = config.offchip_bandwidth;
-                sconfig.offchip_batch = config.offchip_batch;
-            }
-            std::vector<BtwcSystem> qubits;
-            qubits.reserve(static_cast<size_t>(config.num_qubits));
-            for (int q = 0; q < config.num_qubits; ++q) {
-                qubits.emplace_back(
-                    code_of(q),
-                    NoiseParams::uniform(tenant_prob(config, q)),
-                    sconfig, seeder.next_u64());
-            }
-            std::optional<SharedOffchipService> service;
-            if (config.shared_link) {
-                service.emplace(
-                    code, config.tiers,
-                    OffchipQueueConfig{config.offchip_bandwidth,
-                                       config.offchip_latency,
-                                       config.offchip_batch});
-                for (const auto &[d, extra] : extra_codes) {
-                    service->register_code(extra);
-                }
-                if (config.faults.enabled) {
-                    service->set_fault_injector(
-                        std::make_unique<FaultInjector>(config.faults,
-                                                        0));
-                }
-                for (size_t q = 0; q < qubits.size(); ++q) {
-                    qubits[q].attach_shared_service(&*service,
-                                                    static_cast<int>(q));
-                }
-            }
-            ExactFleetStats stats;
-            stats.per_qubit.resize(qubits.size());
-            std::vector<std::pair<int, uint64_t>> surge_scratch;
-            for (uint64_t cycle = 0; cycle < shard.cycles; ++cycle) {
-                // Demand = qubits that shipped a fresh escalation this
-                // cycle. Counting `report.offchip` instead would
-                // re-count a half on every cycle its request is in
-                // flight (the escalated errors stay on the lattice
-                // and keep classifying off-chip), inflating demand
-                // ~(latency+1)x against the per-escalation binomial
-                // model; those re-flags are `suppressed`, not demand.
-                // At the synchronous L=0 point the two counts agree
-                // (a half is never busy when it classifies), which
-                // keeps the legacy histogram bit-exact.
-                uint64_t offchip = 0;
-                for (size_t q = 0; q < qubits.size(); ++q) {
-                    const CycleReport report = qubits[q].step();
-                    offchip += report.queued > 0 ? 1 : 0;
-                    QubitServiceStats &mine = stats.per_qubit[q];
-                    mine.enqueued += static_cast<uint64_t>(report.queued);
-                    mine.suppressed +=
-                        static_cast<uint64_t>(report.suppressed);
-                    if (!config.shared_link) {
-                        mine.landed +=
-                            static_cast<uint64_t>(report.landed);
-                    }
-                }
-                if (service) {
-                    // Fault-plan surges join this cycle's demand.
-                    if (config.faults.enabled &&
-                        !config.faults.surges.empty()) {
-                        surge_scratch.clear();
-                        config.faults.surges_at(
-                            service->queue().total_cycles(),
-                            &surge_scratch);
-                        for (const auto &surge : surge_scratch) {
-                            service->enqueue_synthetic(
-                                surge.first % config.num_qubits,
-                                surge.second);
-                        }
-                    }
-                    // All tenants stepped: advance the shared link one
-                    // machine cycle and route the landings home.
-                    for (const SharedOffchipService::Delivery &landing :
-                         service->step()) {
-                        qubits[static_cast<size_t>(landing.owner)]
-                            .deliver_offchip_correction(
-                                landing.half, landing.correction);
-                        ++stats.per_qubit[static_cast<size_t>(
-                                              landing.owner)]
-                              .landed;
-                    }
-                    stats.backlog.add(service->queue().backlog());
-                }
-                stats.demand.add(offchip);
-            }
-            if (service) {
-                const OffchipQueue &link = service->queue();
-                stats.queue_delay = link.delay_histogram();
-                stats.batch_sizes = link.batch_histogram();
-                stats.stall_cycles = link.stall_cycles();
-                stats.work_cycles = link.work_cycles();
-                stats.max_backlog = link.max_backlog();
-                stats.enqueued = link.enqueued();
-                stats.served = link.served();
-                stats.landed = link.landed();
-                stats.pending = service->pending();
-                stats.outage_cycles = link.outage_cycles();
-                stats.dropped = service->dropped();
-                stats.duplicated = service->duplicated();
-                stats.corrupted = service->corrupted();
-                stats.surge_enqueued = service->surge_enqueued();
-                stats.surge_landed = service->surge_landed();
-            } else {
-                for (const BtwcSystem &qubit : qubits) {
-                    const OffchipQueue &link = qubit.offchip_queue();
-                    stats.queue_delay.merge(link.delay_histogram());
-                    stats.batch_sizes.merge(link.batch_histogram());
-                    stats.stall_cycles += link.stall_cycles();
-                    stats.work_cycles += link.work_cycles();
-                    stats.max_backlog =
-                        std::max(stats.max_backlog, link.max_backlog());
-                    stats.enqueued += link.enqueued();
-                    stats.served += link.served();
-                    stats.landed += link.landed();
-                    stats.pending += qubit.pending_offchip();
-                }
-            }
-            for (const QubitServiceStats &mine : stats.per_qubit) {
-                stats.suppressed += mine.suppressed;
-            }
-            return stats;
-        });
-}
-
-CountHistogram
-fleet_demand_exact(int distance, double p, int num_qubits, uint64_t cycles,
-                   uint64_t seed, int threads)
-{
-    ExactFleetConfig config;
-    config.distance = distance;
-    config.p = p;
-    config.num_qubits = num_qubits;
-    config.cycles = cycles;
-    config.seed = seed;
-    config.threads = threads;
-    return fleet_demand_exact_stats(config).demand;
 }
 
 FleetRunResult

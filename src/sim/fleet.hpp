@@ -15,9 +15,10 @@ namespace btwc {
  * Under the paper's i.i.d. phenomenological noise, per-qubit per-cycle
  * off-chip events are independent Bernoulli(q) draws, so the fleet's
  * per-cycle demand is Binomial(num_qubits, q); `offchip_prob` is the q
- * measured by the single-qubit lifetime simulation. An exact
- * trace-driven mode (`fleet_demand_exact`) simulates every qubit's
- * full pipeline and exists to validate the binomial shortcut.
+ * measured by the single-qubit lifetime simulation. The exact
+ * trace-driven fleet (`ExactFleetConfig`, run by `run_fabric` in
+ * fabric/harness.hpp) simulates every qubit's full pipeline and
+ * validates the binomial shortcut.
  */
 struct FleetConfig
 {
@@ -105,13 +106,13 @@ CountHistogram fleet_demand_histogram(const FleetConfig &config);
 
 /**
  * Configuration of the exact (trace-driven) fleet: `num_qubits` full
- * `BtwcSystem` pipelines stepped in lockstep. With `shared_link` every
- * qubit's escalations route through one SharedOffchipService
- * (core/offchip_service.hpp) -- the paper's actual machine, where real
- * (non-binomial) demand contends for one latency/bandwidth-limited
- * link; without it each qubit builds its own one-tenant link with the
- * same parameters (at zero latency and unlimited bandwidth the two are
- * bit-exact, tested).
+ * `BtwcSystem` pipelines stepped in lockstep against the off-chip
+ * links of a decode fabric (`FabricFleetConfig::fleet`,
+ * fabric/harness.hpp). One link shared by every qubit is the paper's
+ * actual machine, where real (non-binomial) demand contends for one
+ * latency/bandwidth-limited link; one link per qubit gives each its
+ * own (at zero latency and unlimited bandwidth the two are bit-exact,
+ * tested).
  */
 struct ExactFleetConfig
 {
@@ -123,11 +124,9 @@ struct ExactFleetConfig
     /** Monte-Carlo shards (sim/engine.hpp); each shard simulates an
         independent fleet instance. threads <= 1 is bit-exact legacy. */
     int threads = 1;
-    /** One shared link for the whole fleet instead of one per qubit. */
-    bool shared_link = false;
     OffchipPolicy offchip = OffchipPolicy::Oracle;
     TierChainConfig tiers = TierChainConfig::legacy();
-    /** Link parameters (cf. OffchipQueueConfig / SystemConfig). */
+    /** Parameters of every link (cf. OffchipQueueConfig). */
     uint64_t offchip_latency = 0;
     uint64_t offchip_bandwidth = 0;
     uint64_t offchip_batch = 0;
@@ -145,18 +144,10 @@ struct ExactFleetConfig
     /**
      * Per-qubit code distance overrides (same contract as
      * `tenant_probs`; entries must be valid `RotatedSurfaceCode`
-     * distances). Under the shared link, each distinct distance gets
-     * its own service-side decode chains via
-     * `SharedOffchipService::register_code`.
+     * distances). Every link gets decode chains for each distinct
+     * distance via `SharedOffchipService::register_code`.
      */
     std::vector<int> tenant_distances;
-    /**
-     * Chaos mode (src/faults/, shared link only): the fault plan
-     * injected into the single link, installed when `faults.enabled`.
-     * A plan with no firing clause is bit-exact with the fault-free
-     * run (the zero-fault contract, pinned in tests/test_faults.cpp).
-     */
-    FaultPlan faults;
 };
 
 /** Tenant q's physical error rate (`tenant_probs` override or `p`). */
@@ -168,92 +159,9 @@ int tenant_distance(const ExactFleetConfig &config, int q);
 /**
  * Throw std::invalid_argument when the per-tenant override vectors are
  * malformed (size != num_qubits, probabilities outside [0, 1]).
- * Called by the exact-fleet entry points before any simulation work.
+ * `run_fabric` calls it before any simulation work.
  */
 void validate_tenant_profile(const ExactFleetConfig &config);
-
-/** Per-tenant counters of an exact fleet run (index = qubit). */
-struct QubitServiceStats
-{
-    uint64_t enqueued = 0;    ///< escalations handed to the link
-    uint64_t landed = 0;      ///< corrections routed back
-    uint64_t suppressed = 0;  ///< decodes deferred to an in-flight request
-
-    void merge(const QubitServiceStats &other)
-    {
-        enqueued += other.enqueued;
-        landed += other.landed;
-        suppressed += other.suppressed;
-    }
-};
-
-/**
- * Aggregated observables of an exact fleet run. All counters are sums
- * and all histograms bin-wise counts, so shard results `merge()`
- * losslessly in the sharded Monte-Carlo engine (deterministic for a
- * fixed (cycles, threads, seed) triple, like every sim/ harness).
- */
-struct ExactFleetStats
-{
-    /** Per-cycle fresh off-chip demand: qubits that *shipped* an
-        escalation that cycle (the binomial model's event). Re-flags
-        of work already in flight are counted in `suppressed`, not
-        here -- so under latency or a narrow link this is throttled
-        demand, held back by the one-outstanding-request-per-half
-        contract. At the synchronous L=0 default it coincides with
-        the historical "classified off-chip" count bit-for-bit. */
-    CountHistogram demand;
-    /** Enqueue-to-landing delay of every landed correction. Shared
-        mode: the one link; private mode: merged across the per-qubit
-        queues (all-zero at the synchronous default). */
-    CountHistogram queue_delay;
-    /** Served link-batch sizes (see OffchipQueue::batch_histogram).
-        Shared mode mixes owners in one batch, so sizes above 1 appear
-        even though each tenant is bounded at one request per half. */
-    CountHistogram batch_sizes;
-    /** End-of-cycle shared-link backlog, one sample per cycle
-        (shared mode only; empty with one link per qubit). */
-    CountHistogram backlog;
-    uint64_t stall_cycles = 0;  ///< link cycles that ended oversubscribed
-    uint64_t work_cycles = 0;
-    uint64_t max_backlog = 0;
-    uint64_t enqueued = 0;
-    uint64_t served = 0;
-    uint64_t landed = 0;
-    uint64_t suppressed = 0;  ///< reconciliation-contract deferrals
-    uint64_t pending = 0;     ///< outstanding when the run ended
-    // Chaos-mode accounting (shared link; all zero fault-free).
-    uint64_t outage_cycles = 0;   ///< link-down cycles
-    uint64_t dropped = 0;         ///< deliveries lost
-    uint64_t duplicated = 0;      ///< deliveries duplicated
-    uint64_t corrupted = 0;       ///< corrections byte-flipped
-    uint64_t surge_enqueued = 0;  ///< synthetic surge requests
-    uint64_t surge_landed = 0;    ///< ... that consumed link service
-    std::vector<QubitServiceStats> per_qubit;
-
-    void merge(const ExactFleetStats &other);
-
-    /** Fig. 16 x-axis for the shared link (stalls / work cycles). */
-    double exec_time_increase() const;
-};
-
-/**
- * Run the exact fleet and return the full service statistics. Shards
- * the cycle budget over `config.threads` workers, each simulating an
- * independent fleet instance (threads <= 1 reproduces the historical
- * run bit-for-bit).
- */
-ExactFleetStats fleet_demand_exact_stats(const ExactFleetConfig &config);
-
-/**
- * Demand histogram from fully simulated per-qubit pipelines (slow;
- * used for validating the binomial model at small scale). Convenience
- * wrapper over `fleet_demand_exact_stats` with one link per qubit at
- * the synchronous default.
- */
-CountHistogram fleet_demand_exact(int distance, double p, int num_qubits,
-                                  uint64_t cycles, uint64_t seed,
-                                  int threads = 1);
 
 /** Run the fleet against a fixed provisioned bandwidth. */
 FleetRunResult run_fleet_with_bandwidth(const FleetConfig &config,

@@ -732,9 +732,9 @@ expect_matches_fleet(const Report &report, const FleetConfig &config,
 
 void
 expect_matches_exact_fleet(const Report &report,
-                           const ExactFleetConfig &config)
+                           const FabricFleetConfig &config)
 {
-    const ExactFleetStats stats = fleet_demand_exact_stats(config);
+    const FabricStats stats = run_fabric(config);
     EXPECT_EQ(get_uint(report, "metrics.demand.total"),
               stats.demand.total());
     EXPECT_EQ(get_double(report, "metrics.demand.mean"),
@@ -745,6 +745,9 @@ expect_matches_exact_fleet(const Report &report,
     EXPECT_EQ(get_uint(report, "metrics.suppressed"), stats.suppressed);
     EXPECT_EQ(get_uint(report, "metrics.stall_cycles"),
               stats.stall_cycles);
+    EXPECT_EQ(get_uint(report, "metrics.max_backlog"), stats.max_backlog);
+    EXPECT_EQ(get_double(report, "metrics.backlog_mean"),
+              stats.backlog.mean());
     EXPECT_EQ(get_double(report, "metrics.queue_delay.mean"),
               stats.queue_delay.mean());
 }
@@ -833,52 +836,43 @@ TEST(RunScenario, FleetDemandAndLinkBitExact)
 
 TEST(RunScenario, ExactFleetSharedAndPrivateBitExact)
 {
-    for (const char *link : {"shared,latency=2,bandwidth=1", ""}) {
+    for (const char *link :
+         {"shared,latency=2,bandwidth=1", "latency=1,bandwidth=1"}) {
         SCOPED_TRACE(link);
         const ScenarioSpec spec = ScenarioSpec::parse(
-            std::string("kind=exact-fleet,d=3,fleet=3,cycles=300,") +
+            std::string("kind=exact-fleet,d=5,p=8e-3,fleet=4,cycles=400,") +
             link);
-        expect_matches_exact_fleet(run_scenario(spec),
-                                   spec.to_exact_fleet_config());
+        const Report report = run_scenario(spec);
+        EXPECT_GT(get_uint(report, "metrics.enqueued"), 0u);
+        expect_matches_exact_fleet(report, spec.to_fabric_config());
     }
 }
 
 TEST(RunScenario, FabricFifoUniformBitExactWithLegacySharedLink)
 {
     // The pinned corner of the fabric subsystem: FIFO scheduling, one
-    // link, a uniform noise profile is byte-for-byte the legacy
-    // shared-link exact fleet across every counter both schemas carry.
-    const Report report = run_scenario(ScenarioSpec::parse(
-        "kind=fabric,d=3,p=6e-3,policy=mwpm,fleet=3,latency=2,"
-        "bandwidth=1,cycles=400,seed=4"));
-    const ScenarioSpec legacy = ScenarioSpec::parse(
-        "kind=exact-fleet,d=3,p=6e-3,policy=mwpm,shared,fleet=3,"
-        "latency=2,bandwidth=1,cycles=400,seed=4");
-    const ExactFleetStats stats =
-        fleet_demand_exact_stats(legacy.to_exact_fleet_config());
-    EXPECT_EQ(get_uint(report, "metrics.enqueued"), stats.enqueued);
-    EXPECT_EQ(get_uint(report, "metrics.served"), stats.served);
-    EXPECT_EQ(get_uint(report, "metrics.landed"), stats.landed);
-    EXPECT_EQ(get_uint(report, "metrics.suppressed"), stats.suppressed);
-    EXPECT_EQ(get_uint(report, "metrics.pending"), stats.pending);
-    EXPECT_EQ(get_uint(report, "metrics.stall_cycles"),
-              stats.stall_cycles);
-    EXPECT_EQ(get_uint(report, "metrics.work_cycles"),
-              stats.work_cycles);
-    EXPECT_EQ(get_uint(report, "metrics.max_backlog"),
-              stats.max_backlog);
-    EXPECT_EQ(get_uint(report, "metrics.demand.total"),
-              stats.demand.total());
-    EXPECT_EQ(get_double(report, "metrics.demand.mean"),
-              stats.demand.mean());
-    EXPECT_EQ(get_double(report, "metrics.queue_delay.mean"),
-              stats.queue_delay.mean());
-    EXPECT_EQ(get_double(report, "metrics.queue_delay.p99"),
-              stats.queue_delay.percentile(0.99));
-    EXPECT_EQ(get_uint(report, "metrics.queue_delay.max"),
-              stats.queue_delay.max_value());
-    EXPECT_EQ(get_double(report, "metrics.batch_mean"),
-              stats.batch_sizes.mean());
+    // link, a uniform noise profile is the shared-link exact fleet, so
+    // the fabric Report carries the exact-fleet metrics subtree key for
+    // key and value for value.
+    const Report fabric = run_scenario(ScenarioSpec::parse(
+        "kind=fabric,d=5,p=6e-3,policy=mwpm,fleet=4,latency=2,"
+        "bandwidth=1,cycles=600,seed=4"));
+    const Report exact = run_scenario(ScenarioSpec::parse(
+        "kind=exact-fleet,d=5,p=6e-3,policy=mwpm,shared,fleet=4,"
+        "latency=2,bandwidth=1,cycles=600,seed=4"));
+    EXPECT_GT(get_uint(exact, "metrics.stall_cycles"), 0u);
+    EXPECT_GT(get_uint(exact, "metrics.enqueued"), 0u);
+    size_t compared = 0;
+    for (const auto &[key, value] : exact.flat()) {
+        if (key.rfind("metrics.", 0) != 0) {
+            continue;
+        }
+        const Report::Value *mine = fabric.find(key);
+        ASSERT_NE(mine, nullptr) << key;
+        EXPECT_EQ(mine->scalar_string(), value) << key;
+        ++compared;
+    }
+    EXPECT_EQ(compared, 21u);
 }
 
 // ------------------------------------------------------------ registry
@@ -934,8 +928,7 @@ TEST(Registry, EveryScenarioRunsBitExactWithLegacyPath)
                                  spec.service.bandwidth);
             break;
           case ScenarioKind::ExactFleet:
-            expect_matches_exact_fleet(report,
-                                       spec.to_exact_fleet_config());
+            expect_matches_exact_fleet(report, spec.to_fabric_config());
             break;
           case ScenarioKind::Stream:
             expect_matches_stream(report, spec.to_stream_config());

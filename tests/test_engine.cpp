@@ -14,6 +14,7 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "fabric/harness.hpp"
 #include "sim/engine.hpp"
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
@@ -204,9 +205,19 @@ TEST(ShardedFleet, DemandHistogramTotalsExact)
 
 TEST(ShardedFleet, ExactFleetShardsSumCycles)
 {
-    const CountHistogram demand =
-        fleet_demand_exact(3, 5e-3, 10, 2001, 11, 4);
-    EXPECT_EQ(demand.total(), 2001u);
+    ExactFleetConfig fleet;
+    fleet.distance = 3;
+    fleet.p = 5e-3;
+    fleet.num_qubits = 10;
+    fleet.cycles = 2001;
+    fleet.seed = 11;
+    fleet.threads = 4;
+    for (const bool shared : {true, false}) {
+        const FabricStats stats =
+            run_fabric(exact_fleet_fabric(fleet, shared));
+        EXPECT_EQ(stats.demand.total(), 2001u);
+        EXPECT_EQ(stats.backlog.total(), 2001u);
+    }
 }
 
 TEST(ShardedFleet, BandwidthRunAgreesAcrossThreadCounts)

@@ -3,7 +3,8 @@
  * Tests for the decode fabric (src/fabric): scheduler pick semantics
  * and starvation bounds, tenant placement policies, the pinned
  * FIFO/K=1/uniform bit-exactness with a plain shared-link service
- * (lockstep frames AND merged harness statistics), deadline-miss
+ * (lockstep frames; the merged harness statistics are pinned by
+ * tests/golden/exact_fleet_stats.txt), deadline-miss
  * accounting, scheduler-induced per-tenant tail separation under
  * contention, probe purity, per-tenant heterogeneity plumbing, and
  * sharded-engine thread determinism of the merged FabricStats.
@@ -274,58 +275,14 @@ TEST(FabricFifo, LockstepFramesWithLegacySharedService)
               fabric.link(0).queue().delay_histogram().counts());
 }
 
-TEST(FabricFifo, UniformStatsBitExactWithLegacyHarness)
-{
-    // The same pin at harness granularity: run_fabric with the default
-    // topology reproduces fleet_demand_exact_stats(shared) counter for
-    // counter, histogram bin for histogram bin.
-    ExactFleetConfig fleet;
-    fleet.distance = 3;
-    fleet.p = 8e-3;
-    fleet.num_qubits = 6;
-    fleet.cycles = 2500;
-    fleet.seed = 11;
-    fleet.shared_link = true;
-    fleet.offchip_latency = 2;
-    fleet.offchip_bandwidth = 1;
-    fleet.offchip = OffchipPolicy::Mwpm;
-    const ExactFleetStats legacy = fleet_demand_exact_stats(fleet);
-
-    FabricFleetConfig config;
-    config.fleet = fleet;
-    const FabricStats stats = run_fabric(config);
-
-    EXPECT_EQ(stats.demand.counts(), legacy.demand.counts());
-    EXPECT_EQ(stats.queue_delay.counts(), legacy.queue_delay.counts());
-    EXPECT_EQ(stats.batch_sizes.counts(), legacy.batch_sizes.counts());
-    EXPECT_EQ(stats.backlog.counts(), legacy.backlog.counts());
-    EXPECT_EQ(stats.enqueued, legacy.enqueued);
-    EXPECT_EQ(stats.served, legacy.served);
-    EXPECT_EQ(stats.landed, legacy.landed);
-    EXPECT_EQ(stats.suppressed, legacy.suppressed);
-    EXPECT_EQ(stats.pending, legacy.pending);
-    EXPECT_EQ(stats.stall_cycles, legacy.stall_cycles);
-    EXPECT_EQ(stats.work_cycles, legacy.work_cycles);
-    EXPECT_EQ(stats.max_backlog, legacy.max_backlog);
-    ASSERT_GT(stats.enqueued, 0u);
-    // Per-tenant bookkeeping concurs with the legacy per-qubit view.
-    ASSERT_EQ(stats.per_tenant.size(), legacy.per_qubit.size());
-    for (size_t q = 0; q < stats.per_tenant.size(); ++q) {
-        EXPECT_EQ(stats.per_tenant[q].enqueued,
-                  legacy.per_qubit[q].enqueued)
-            << "tenant " << q;
-        EXPECT_EQ(stats.per_tenant[q].landed, legacy.per_qubit[q].landed)
-            << "tenant " << q;
-        EXPECT_EQ(stats.per_tenant[q].link, 0);
-    }
-}
-
 // ------------------------------------------- deadlines and starvation
 
 TEST(FabricService, DeadlineMissAccountingTracksTheBudget)
 {
     // latency-3 link, deadline budget 1: every landed correction
-    // misses. Budget 16: nothing can miss (bandwidth unlimited).
+    // misses. Budget 16: nothing can miss (bandwidth unlimited). The
+    // four requests overlap in flight, so each takes its own
+    // (owner, half) slot: one outstanding request per half.
     const RotatedSurfaceCode code(3);
     for (const uint64_t budget : {uint64_t{1}, uint64_t{16}}) {
         SharedOffchipService service(code, TierChainConfig::legacy(),
@@ -333,10 +290,12 @@ TEST(FabricService, DeadlineMissAccountingTracksTheBudget)
         service.set_scheduler(make_scheduler(SchedulerKind::Fifo, 64));
         TenantLane lane;
         lane.deadline = budget;
-        service.set_tenant_lane(0, lane);
+        for (int owner = 0; owner < 2; ++owner) {
+            service.set_tenant_lane(owner, lane);
+        }
         for (int i = 0; i < 4; ++i) {
             SharedOffchipService::Request request;
-            request.owner = 0;
+            request.owner = i / 2;
             request.half = i % 2;
             request.oracle = true;
             request.payload = {0, 0, 0};
@@ -346,11 +305,15 @@ TEST(FabricService, DeadlineMissAccountingTracksTheBudget)
         while (service.pending() > 0) {
             service.step();
         }
-        EXPECT_EQ(service.deadline_misses(),
-                  budget == 1 ? service.queue().landed() : 0u)
+        ASSERT_EQ(service.queue().landed(), 4u);
+        EXPECT_EQ(service.deadline_misses(), budget == 1 ? 4u : 0u)
             << "budget " << budget;
-        EXPECT_EQ(service.tenant_stats()[0].deadline_misses,
-                  service.deadline_misses());
+        ASSERT_EQ(service.tenant_stats().size(), 2u);
+        for (const SharedOffchipService::TenantLinkStats &tenant :
+             service.tenant_stats()) {
+            EXPECT_EQ(tenant.deadline_misses, budget == 1 ? 2u : 0u)
+                << "budget " << budget;
+        }
     }
 }
 
@@ -424,7 +387,6 @@ contention_config(SchedulerKind scheduler)
     config.fleet.num_qubits = 8;
     config.fleet.cycles = 3000;
     config.fleet.seed = 29;
-    config.fleet.shared_link = true;
     config.fleet.offchip_latency = 2;
     config.fleet.offchip_bandwidth = 1;
     config.fleet.offchip = OffchipPolicy::Mwpm;
@@ -524,29 +486,35 @@ TEST(FabricHarness, ThreadedFabricStatsAreDeterministic)
 TEST(FleetHeterogeneity, UniformTenantProfileBitExactWithScalarP)
 {
     // A tenant_probs vector of n equal entries (and matching
-    // tenant_distances) is the uniform fleet: the legacy harness must
-    // not see any difference, bit for bit.
+    // tenant_distances) is the uniform fleet: the exact fleet must not
+    // see any difference, bit for bit, on one shared link or on one
+    // link per tenant.
     ExactFleetConfig config;
     config.distance = 3;
     config.p = 8e-3;
     config.num_qubits = 5;
     config.cycles = 1500;
     config.seed = 13;
-    config.shared_link = true;
     config.offchip_latency = 1;
     config.offchip_bandwidth = 1;
-    const ExactFleetStats scalar = fleet_demand_exact_stats(config);
-    config.tenant_probs.assign(static_cast<size_t>(config.num_qubits),
-                               config.p);
-    config.tenant_distances.assign(
+    ExactFleetConfig profiled = config;
+    profiled.tenant_probs.assign(static_cast<size_t>(config.num_qubits),
+                                 config.p);
+    profiled.tenant_distances.assign(
         static_cast<size_t>(config.num_qubits), config.distance);
-    const ExactFleetStats vector = fleet_demand_exact_stats(config);
-    EXPECT_EQ(scalar.demand.counts(), vector.demand.counts());
-    EXPECT_EQ(scalar.queue_delay.counts(), vector.queue_delay.counts());
-    EXPECT_EQ(scalar.enqueued, vector.enqueued);
-    EXPECT_EQ(scalar.landed, vector.landed);
-    EXPECT_EQ(scalar.suppressed, vector.suppressed);
-    ASSERT_GT(scalar.enqueued, 0u);
+    for (const bool shared : {true, false}) {
+        SCOPED_TRACE(shared ? "shared" : "private");
+        const FabricStats scalar =
+            run_fabric(exact_fleet_fabric(config, shared));
+        const FabricStats vector =
+            run_fabric(exact_fleet_fabric(profiled, shared));
+        EXPECT_EQ(scalar.demand.counts(), vector.demand.counts());
+        EXPECT_EQ(scalar.queue_delay.counts(), vector.queue_delay.counts());
+        EXPECT_EQ(scalar.enqueued, vector.enqueued);
+        EXPECT_EQ(scalar.landed, vector.landed);
+        EXPECT_EQ(scalar.suppressed, vector.suppressed);
+        ASSERT_GT(scalar.enqueued, 0u);
+    }
 }
 
 TEST(FleetHeterogeneity, MismatchedTenantProfileThrows)
@@ -555,10 +523,16 @@ TEST(FleetHeterogeneity, MismatchedTenantProfileThrows)
     config.num_qubits = 4;
     config.cycles = 10;
     config.tenant_probs = {1e-3, 1e-3};  // sized for a different fleet
-    EXPECT_THROW(fleet_demand_exact_stats(config), std::invalid_argument);
+    for (const bool shared : {true, false}) {
+        EXPECT_THROW(run_fabric(exact_fleet_fabric(config, shared)),
+                     std::invalid_argument);
+    }
     config.tenant_probs.clear();
     config.tenant_distances = {3, 3, 3};
-    EXPECT_THROW(fleet_demand_exact_stats(config), std::invalid_argument);
+    for (const bool shared : {true, false}) {
+        EXPECT_THROW(run_fabric(exact_fleet_fabric(config, shared)),
+                     std::invalid_argument);
+    }
 }
 
 TEST(FleetHeterogeneity, MixedDistancesDecodeOnTheRightLattice)
@@ -574,7 +548,6 @@ TEST(FleetHeterogeneity, MixedDistancesDecodeOnTheRightLattice)
     config.fleet.num_qubits = 4;
     config.fleet.cycles = 1200;
     config.fleet.seed = 31;
-    config.fleet.shared_link = true;
     config.fleet.offchip_latency = 1;
     config.fleet.offchip_bandwidth = 1;
     config.fleet.offchip = OffchipPolicy::Mwpm;

@@ -408,7 +408,6 @@ quick_fabric_config()
     config.fleet.num_qubits = 6;
     config.fleet.cycles = 2000;
     config.fleet.seed = 1;
-    config.fleet.shared_link = true;
     config.fleet.offchip = OffchipPolicy::Mwpm;
     config.fleet.offchip_latency = 2;
     config.fleet.offchip_bandwidth = 1;
@@ -481,40 +480,25 @@ TEST(ZeroFaultContract, NoOpPlanIsBitExactOnTheFabric)
 
 TEST(ZeroFaultContract, NoOpPlanIsBitExactOnTheSharedFleet)
 {
-    // fleet-shared-narrow (registry.cpp) at a test-sized cycle budget.
-    ExactFleetConfig config;
-    config.distance = 5;
-    config.p = 6e-3;
-    config.num_qubits = 12;
-    config.cycles = 1500;
-    config.seed = 1;
-    config.shared_link = true;
-    config.offchip_latency = 2;
-    config.offchip_bandwidth = 1;
-    const ExactFleetStats plain = fleet_demand_exact_stats(config);
-    ExactFleetConfig faulted = config;
+    // fleet-shared-narrow (registry.cpp) at a test-sized cycle budget:
+    // the exact fleet's one shared FIFO link.
+    ExactFleetConfig fleet;
+    fleet.distance = 5;
+    fleet.p = 6e-3;
+    fleet.num_qubits = 12;
+    fleet.cycles = 1500;
+    fleet.seed = 1;
+    fleet.offchip_latency = 2;
+    fleet.offchip_bandwidth = 1;
+    const FabricStats plain = run_fabric(exact_fleet_fabric(fleet, true));
+    FabricFleetConfig faulted = exact_fleet_fabric(fleet, true);
     ASSERT_TRUE(FaultPlan::try_parse("none", &faulted.faults, nullptr));
-    const ExactFleetStats noop = fleet_demand_exact_stats(faulted);
+    const FabricStats noop = run_fabric(faulted);
     ASSERT_GT(noop.enqueued, 0u);
-    EXPECT_EQ(noop.demand.counts(), plain.demand.counts());
-    EXPECT_EQ(noop.queue_delay.counts(), plain.queue_delay.counts());
-    EXPECT_EQ(noop.batch_sizes.counts(), plain.batch_sizes.counts());
-    EXPECT_EQ(noop.backlog.counts(), plain.backlog.counts());
-    EXPECT_EQ(noop.enqueued, plain.enqueued);
-    EXPECT_EQ(noop.served, plain.served);
-    EXPECT_EQ(noop.landed, plain.landed);
-    EXPECT_EQ(noop.suppressed, plain.suppressed);
-    EXPECT_EQ(noop.pending, plain.pending);
-    EXPECT_EQ(noop.stall_cycles, plain.stall_cycles);
-    EXPECT_EQ(noop.max_backlog, plain.max_backlog);
-    ASSERT_EQ(noop.per_qubit.size(), plain.per_qubit.size());
-    for (size_t q = 0; q < noop.per_qubit.size(); ++q) {
-        EXPECT_EQ(noop.per_qubit[q].enqueued,
-                  plain.per_qubit[q].enqueued);
-        EXPECT_EQ(noop.per_qubit[q].landed, plain.per_qubit[q].landed);
-    }
-    EXPECT_EQ(noop.outage_cycles + noop.dropped + noop.duplicated +
-                  noop.corrupted + noop.surge_enqueued,
+    expect_fabric_stats_equal(plain, noop);
+    EXPECT_EQ(noop.faults.outage_cycles + noop.faults.dropped +
+                  noop.faults.duplicated + noop.faults.corrupted +
+                  noop.faults.surge_enqueued,
               0u);
 }
 
@@ -802,7 +786,6 @@ TEST(SpecValidation, ChaosSpecRoundTripsThroughTheGrammar)
     EXPECT_TRUE(config.shed);
     EXPECT_EQ(config.topology.migrate_threshold, 64u);
     EXPECT_TRUE(config.faults.enabled);
-    EXPECT_FALSE(config.fleet.faults.enabled);  // plan lives fabric-side
 }
 
 TEST(SpecValidation, FabricChaosRegistryEntryParses)
@@ -833,7 +816,6 @@ TEST(FaultSoak, TenThousandCycleFlappingLinkHoldsEveryContract)
     config.fleet.num_qubits = 4;
     config.fleet.cycles = 10000;
     config.fleet.seed = 5;
-    config.fleet.shared_link = true;
     config.fleet.offchip = OffchipPolicy::Mwpm;
     config.fleet.offchip_latency = 2;
     config.fleet.offchip_bandwidth = 1;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the shared multi-tenant off-chip decode service
- * (core/offchip_service.hpp) and its fleet harness
- * (sim/fleet.hpp::fleet_demand_exact_stats): FIFO fairness across
+ * (core/offchip_service.hpp) and the exact fleet on it
+ * (fabric/harness.hpp::exact_fleet_fabric): FIFO fairness across
  * owners under a narrow link, bit-exactness of the shared link against
  * one link per qubit at the synchronous operating point, routing of served
  * batches that mix owners, `--threads` determinism of the merged fleet
@@ -17,6 +17,7 @@
 
 #include "core/offchip_service.hpp"
 #include "core/system.hpp"
+#include "fabric/harness.hpp"
 #include "sim/fleet.hpp"
 #include "surface/lattice.hpp"
 #include "surface/noise.hpp"
@@ -118,34 +119,37 @@ TEST(SharedService, UnlimitedSharedLinkBitExactWithPrivateQueues)
     expect_fleets_lockstep(private_fleet, shared_fleet, service, 1500);
 }
 
-TEST(SharedService, ExactFleetStatsSharedMatchesPrivateAtUnlimited)
+TEST(SharedService, ExactFleetSharedMatchesPrivateAtUnlimited)
 {
     // Same criterion at harness granularity: the demand histogram and
-    // the landed/enqueued bookkeeping of fleet_demand_exact_stats
-    // must be bit-exact between the two ownership modes when the link
-    // never throttles.
+    // the landed/enqueued bookkeeping of the exact fleet must be
+    // bit-exact between one shared link and one link per tenant when
+    // the link never throttles.
     ExactFleetConfig config;
     config.distance = 3;
     config.p = 6e-3;
     config.num_qubits = 8;
     config.cycles = 3000;
     config.seed = 17;
-    const ExactFleetStats private_stats = fleet_demand_exact_stats(config);
-    config.shared_link = true;
-    const ExactFleetStats shared_stats = fleet_demand_exact_stats(config);
+    const FabricStats private_stats =
+        run_fabric(exact_fleet_fabric(config, false));
+    const FabricStats shared_stats =
+        run_fabric(exact_fleet_fabric(config, true));
 
+    EXPECT_EQ(private_stats.per_link.size(), 8u);
     EXPECT_EQ(private_stats.demand.counts(), shared_stats.demand.counts());
     EXPECT_EQ(private_stats.enqueued, shared_stats.enqueued);
     EXPECT_EQ(private_stats.landed, shared_stats.landed);
     EXPECT_EQ(private_stats.suppressed, shared_stats.suppressed);
-    ASSERT_EQ(private_stats.per_qubit.size(),
-              shared_stats.per_qubit.size());
-    for (size_t q = 0; q < private_stats.per_qubit.size(); ++q) {
-        EXPECT_EQ(private_stats.per_qubit[q].enqueued,
-                  shared_stats.per_qubit[q].enqueued)
+    ASSERT_EQ(private_stats.per_tenant.size(),
+              shared_stats.per_tenant.size());
+    for (size_t q = 0; q < private_stats.per_tenant.size(); ++q) {
+        EXPECT_EQ(private_stats.per_tenant[q].link, static_cast<int>(q));
+        EXPECT_EQ(private_stats.per_tenant[q].enqueued,
+                  shared_stats.per_tenant[q].enqueued)
             << "qubit " << q;
-        EXPECT_EQ(private_stats.per_qubit[q].landed,
-                  shared_stats.per_qubit[q].landed)
+        EXPECT_EQ(private_stats.per_tenant[q].landed,
+                  shared_stats.per_tenant[q].landed)
             << "qubit " << q;
     }
     // Synchronous link: every delay is zero, nothing left pending.
@@ -170,9 +174,8 @@ TEST(SharedService, MixedOwnerBatchesRouteBackToOwningHalf)
     config.num_qubits = 10;
     config.cycles = 2000;
     config.seed = 5;
-    config.shared_link = true;
     config.offchip = OffchipPolicy::Mwpm;
-    const ExactFleetStats stats = fleet_demand_exact_stats(config);
+    const FabricStats stats = run_fabric(exact_fleet_fabric(config, true));
 
     // Mixed batches actually occurred ...
     ASSERT_GT(stats.batch_sizes.total(), 0u);
@@ -180,7 +183,7 @@ TEST(SharedService, MixedOwnerBatchesRouteBackToOwningHalf)
     // ... every request was accounted for per owner ...
     uint64_t per_qubit_enqueued = 0;
     uint64_t per_qubit_landed = 0;
-    for (const QubitServiceStats &mine : stats.per_qubit) {
+    for (const TenantFabricStats &mine : stats.per_tenant) {
         EXPECT_GT(mine.enqueued, 0u);
         per_qubit_enqueued += mine.enqueued;
         per_qubit_landed += mine.landed;
@@ -207,10 +210,9 @@ TEST(SharedService, NarrowSharedLinkThrottlesAndBacklogs)
     config.num_qubits = 12;
     config.cycles = 2500;
     config.seed = 7;
-    config.shared_link = true;
     config.offchip_latency = 2;
     config.offchip_bandwidth = 1;
-    const ExactFleetStats stats = fleet_demand_exact_stats(config);
+    const FabricStats stats = run_fabric(exact_fleet_fabric(config, true));
 
     EXPECT_GT(stats.stall_cycles, 0u);
     EXPECT_GT(stats.max_backlog, 1u);
@@ -239,9 +241,8 @@ TEST(SharedService, DemandCountsShippedEscalationsNotInflightReflags)
     config.num_qubits = 8;
     config.cycles = 3000;
     config.seed = 9;
-    config.shared_link = true;
     config.offchip_latency = 4;
-    const ExactFleetStats stats = fleet_demand_exact_stats(config);
+    const FabricStats stats = run_fabric(exact_fleet_fabric(config, true));
 
     ASSERT_GT(stats.suppressed, 0u);  // in-flight re-flags did occur
     uint64_t demand_mass = 0;
@@ -259,7 +260,7 @@ TEST(SharedService, ThreadedSharedFleetStatsAreDeterministic)
     // The merged shared-link observables must be bit-identical across
     // repeated sharded runs of the same (cycles, threads, seed)
     // triple -- the sim/engine.hpp determinism contract extended to
-    // the new ExactFleetStats::merge.
+    // FabricStats::merge.
     ExactFleetConfig config;
     config.distance = 3;
     config.p = 8e-3;
@@ -267,11 +268,10 @@ TEST(SharedService, ThreadedSharedFleetStatsAreDeterministic)
     config.cycles = 3001;
     config.seed = 23;
     config.threads = 3;
-    config.shared_link = true;
     config.offchip_latency = 1;
     config.offchip_bandwidth = 2;
-    const ExactFleetStats a = fleet_demand_exact_stats(config);
-    const ExactFleetStats b = fleet_demand_exact_stats(config);
+    const FabricStats a = run_fabric(exact_fleet_fabric(config, true));
+    const FabricStats b = run_fabric(exact_fleet_fabric(config, true));
 
     EXPECT_EQ(a.demand.counts(), b.demand.counts());
     EXPECT_EQ(a.queue_delay.counts(), b.queue_delay.counts());
@@ -283,10 +283,10 @@ TEST(SharedService, ThreadedSharedFleetStatsAreDeterministic)
     EXPECT_EQ(a.suppressed, b.suppressed);
     EXPECT_EQ(a.pending, b.pending);
     EXPECT_EQ(a.demand.total(), config.cycles);
-    ASSERT_EQ(a.per_qubit.size(), b.per_qubit.size());
-    for (size_t q = 0; q < a.per_qubit.size(); ++q) {
-        EXPECT_EQ(a.per_qubit[q].enqueued, b.per_qubit[q].enqueued);
-        EXPECT_EQ(a.per_qubit[q].landed, b.per_qubit[q].landed);
+    ASSERT_EQ(a.per_tenant.size(), b.per_tenant.size());
+    for (size_t q = 0; q < a.per_tenant.size(); ++q) {
+        EXPECT_EQ(a.per_tenant[q].enqueued, b.per_tenant[q].enqueued);
+        EXPECT_EQ(a.per_tenant[q].landed, b.per_tenant[q].landed);
     }
 }
 

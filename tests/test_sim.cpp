@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "fabric/harness.hpp"
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/memory.hpp"
@@ -371,9 +372,14 @@ TEST(Fleet, ExactTraceAgreesWithBinomialModel)
     const double q = run_lifetime(lconfig).offchip_fraction();
 
     const int qubits = 20;
-    const uint64_t cycles = 5000;
+    ExactFleetConfig fleet;
+    fleet.distance = distance;
+    fleet.p = p;
+    fleet.num_qubits = qubits;
+    fleet.cycles = 5000;
+    fleet.seed = 11;
     const CountHistogram exact =
-        fleet_demand_exact(distance, p, qubits, cycles, 11);
+        run_fabric(exact_fleet_fabric(fleet, false)).demand;
 
     const double expected_mean = qubits * q;
     EXPECT_NEAR(exact.mean(), expected_mean,

@@ -63,6 +63,15 @@ if grep_code '(\.|->)geometric[[:space:]]*\(' src |
     fail "geometric() called outside src/common/rng.*; walk a GapSampler"
 fi
 
+# One fleet harness: run_fabric (src/fabric/harness.cpp) is the one
+# loop that steps a fleet of BtwcSystem tenants in lockstep, for the
+# fabric and the exact fleet alike. A second tenant vector in src/
+# would grow a second harness beside it.
+if grep_code 'vector[[:space:]]*<[[:space:]]*BtwcSystem[[:space:]]*>' src |
+        grep -v '^src/fabric/harness\.cpp:'; then
+    fail "vector<BtwcSystem> outside src/fabric/harness.cpp; run the fleet through run_fabric"
+fi
+
 # One key table: every scenario key, spelling and enum value name lives
 # in a row or name list of src/api/scenario.cpp, matched by loops over
 # them. A string-literal comparison there would be a second,
