@@ -56,13 +56,12 @@ main(int argc, char **argv)
 
         Rng rng(seed);
         ErrorFrame frame(code, CheckType::X);
-        std::vector<uint8_t> syndrome;
         uint64_t tier_count[3] = {0, 0, 0};
         uint64_t disagreements = 0;
         for (uint64_t i = 0; i < cycles; ++i) {
             frame.reset();
             frame.inject(p, rng);
-            frame.measure_perfect(syndrome);
+            const PackedSyndrome &syndrome = frame.syndrome();
             const auto result = chain.decode_syndrome(syndrome);
             ++tier_count[static_cast<int>(result.tier)];
             if (result.tier != DecoderTier::Clique) {
@@ -70,7 +69,7 @@ main(int argc, char **argv)
                 ErrorFrame mwpm_frame = frame;
                 hier_frame.apply_mask(result.decode.correction);
                 mwpm_frame.apply_mask(
-                    mwpm.decode_syndrome(syndrome).correction);
+                    mwpm.decode_packed(syndrome).correction);
                 disagreements += hier_frame.logical_flipped() !=
                                          mwpm_frame.logical_flipped()
                                      ? 1

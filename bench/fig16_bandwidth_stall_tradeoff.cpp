@@ -13,8 +13,8 @@
  * (core/offchip_queue.hpp): `--offchip-latency N` adds N cycles of
  * decode round-trip latency (shifting the enqueue-to-landing delay
  * columns without changing the stall curve -- latency is pipelined,
- * only backlog stalls), and `--batch N` caps the decode_batch group
- * size the served stream is sliced into.
+ * only backlog stalls), and `--batch N` sets the slice size of the
+ * link's batch accounting (the batch columns; no decode changes).
  *
  * Each operating point also cross-checks the binomial demand model
  * against *real* demand: a small fully simulated fleet contending for

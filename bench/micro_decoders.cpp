@@ -45,6 +45,16 @@ sample_syndrome(const RotatedSurfaceCode &code, int errors, Rng &rng)
     return syndrome;
 }
 
+/** The packed form of `sample_syndrome` (same draws, same bits): the
+ * input of every single-round decoder and chain bench. */
+PackedSyndrome
+sample_packed(const RotatedSurfaceCode &code, int errors, Rng &rng)
+{
+    PackedSyndrome syndrome;
+    syndrome.from_bytes(sample_syndrome(code, errors, rng));
+    return syndrome;
+}
+
 /** Detection events of a full d-round spacetime window at rate p. */
 std::vector<DetectionEvent>
 sample_window(const RotatedSurfaceCode &code, Rng &rng, double p = 5e-3)
@@ -108,15 +118,16 @@ BM_MwpmDecodeSyndrome(benchmark::State &state)
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
     const MwpmDecoder mwpm(code, CheckType::Z);
     Rng rng(3);
-    std::vector<std::vector<uint8_t>> syndromes;
+    std::vector<PackedSyndrome> syndromes;
     for (int i = 0; i < 64; ++i) {
         syndromes.push_back(
-            sample_syndrome(code, state.range(0) / 2, rng));
+            sample_packed(code, static_cast<int>(state.range(0)) / 2, rng));
     }
+    Decoder::Result out;
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            mwpm.decode_syndrome(syndromes[i++ & 63]));
+        mwpm.decode_packed(syndromes[i++ & 63], out);
+        benchmark::DoNotOptimize(out.weight);
     }
 }
 BENCHMARK(BM_MwpmDecodeSyndrome)->Arg(5)->Arg(9)->Arg(21);
@@ -127,15 +138,16 @@ BM_UnionFindDecodeSyndrome(benchmark::State &state)
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
     const UnionFindDecoder uf(code, CheckType::Z);
     Rng rng(4);
-    std::vector<std::vector<uint8_t>> syndromes;
+    std::vector<PackedSyndrome> syndromes;
     for (int i = 0; i < 64; ++i) {
         syndromes.push_back(
-            sample_syndrome(code, state.range(0) / 2, rng));
+            sample_packed(code, static_cast<int>(state.range(0)) / 2, rng));
     }
+    Decoder::Result out;
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            uf.decode_syndrome(syndromes[i++ & 63]));
+        uf.decode_packed(syndromes[i++ & 63], out);
+        benchmark::DoNotOptimize(out.weight);
     }
 }
 BENCHMARK(BM_UnionFindDecodeSyndrome)->Arg(5)->Arg(9)->Arg(21);
@@ -193,10 +205,11 @@ BM_UnionFindDecodePacked(benchmark::State &state)
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
     const UnionFindDecoder uf(code, CheckType::Z);
     Rng rng(13);
-    std::vector<std::vector<DetectionEvent>> events;
-    for (int i = 0; i < 64; ++i) {
-        events.push_back(events_from_syndrome(
-            sample_syndrome(code, state.range(0) / 2, rng)));
+    std::vector<std::vector<DetectionEvent>> events(64);
+    for (std::vector<DetectionEvent> &slot : events) {
+        events_from_packed(
+            sample_packed(code, static_cast<int>(state.range(0)) / 2, rng),
+            slot);
     }
     size_t i = 0;
     for (auto _ : state) {
@@ -437,13 +450,15 @@ BM_LutDecode(benchmark::State &state)
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
     const LookupTableDecoder lut(code, CheckType::Z);
     Rng rng(11);
-    std::vector<std::vector<uint8_t>> syndromes;
+    std::vector<PackedSyndrome> syndromes;
     for (int i = 0; i < 64; ++i) {
-        syndromes.push_back(sample_syndrome(code, 2, rng));
+        syndromes.push_back(sample_packed(code, 2, rng));
     }
+    Decoder::Result out;
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(lut.decode_syndrome(syndromes[i++ & 63]));
+        lut.decode_packed(syndromes[i++ & 63], out);
+        benchmark::DoNotOptimize(out.weight);
     }
 }
 BENCHMARK(BM_LutDecode)->Arg(3)->Arg(5);
@@ -456,39 +471,20 @@ BM_TierChainDeepDecode(benchmark::State &state)
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
     const TierChain chain(code, CheckType::Z, TierChainConfig::deep());
     Rng rng(7);
-    std::vector<std::vector<uint8_t>> syndromes;
+    std::vector<PackedSyndrome> syndromes;
     for (int i = 0; i < 64; ++i) {
         syndromes.push_back(
-            sample_syndrome(code, static_cast<int>(state.range(0)) / 2,
-                            rng));
+            sample_packed(code, static_cast<int>(state.range(0)) / 2, rng));
     }
+    const TierChain::Options options;
+    TierChain::Result out;
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(chain.decode_syndrome(syndromes[i++ & 63]));
+        chain.decode_syndrome(syndromes[i++ & 63], options, out);
+        benchmark::DoNotOptimize(out.decode.weight);
     }
 }
 BENCHMARK(BM_TierChainDeepDecode)->Arg(5)->Arg(9)->Arg(21);
-
-void
-BM_MwpmDecodeBatch(benchmark::State &state)
-{
-    // Batched off-chip decoding (the async service's drain path): one
-    // decode_batch call over a batch of single-round d=21 syndromes.
-    const int d = 21;
-    const RotatedSurfaceCode code(d);
-    const MwpmDecoder mwpm(code, CheckType::Z);
-    Rng rng(9);
-    std::vector<std::vector<DetectionEvent>> batch;
-    for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-        batch.push_back(
-            events_from_syndrome(sample_syndrome(code, d / 2, rng)));
-    }
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(mwpm.decode_batch(batch, 1));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MwpmDecodeBatch)->Arg(4)->Arg(16)->Arg(64);
 
 void
 BM_StreamWindowDecode(benchmark::State &state)
@@ -526,13 +522,15 @@ BM_ExactDecodeSyndrome(benchmark::State &state)
     const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
     const ExactDecoder exact(code, CheckType::Z);
     Rng rng(8);
-    std::vector<std::vector<uint8_t>> syndromes;
+    std::vector<PackedSyndrome> syndromes;
     for (int i = 0; i < 64; ++i) {
-        syndromes.push_back(sample_syndrome(code, 3, rng));
+        syndromes.push_back(sample_packed(code, 3, rng));
     }
+    Decoder::Result out;
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(exact.decode_syndrome(syndromes[i++ & 63]));
+        exact.decode_packed(syndromes[i++ & 63], out);
+        benchmark::DoNotOptimize(out.weight);
     }
 }
 BENCHMARK(BM_ExactDecodeSyndrome)->Arg(5)->Arg(9);

@@ -189,9 +189,6 @@ main(int argc, char **argv)
                  std::to_string(run.suppressed)});
         }
         shared.print();
-        std::printf("(served batches mix owners: one decode_batch call "
-                    "amortizes graph setup across the whole fleet's "
-                    "same-cycle escalations)\n");
         Report &shared_node = json.report().child("shared_link");
         shared_node.set("fleet_size", link.fleet_size);
         shared_node.child("real") = exact_fleet_metrics_report(real);

@@ -74,7 +74,7 @@ main(int argc, char **argv)
                                                           : "trivial");
     if (outcome.verdict == CliqueVerdict::Complex) {
         const MwpmDecoder mwpm(code, CheckType::Z);
-        const auto fix = mwpm.decode_syndrome(syndrome);
+        const auto fix = mwpm.decode_packed(frame.syndrome());
         frame.apply_mask(fix.correction);
         std::printf("off-chip MWPM matched %d defects at weight %lld "
                     "(syndrome clear: %s)\n\n",
@@ -89,9 +89,11 @@ main(int argc, char **argv)
     ErrorFrame chain_frame(code, CheckType::X);
     chain_frame.flip(mid.data[0]);
     chain_frame.flip(mid.data[3 % mid.data.size()]);
-    chain_frame.measure_perfect(syndrome);
-    const TierChain::Result chained = chain.decode_syndrome(syndrome);
-    chain_frame.apply_mask(chained.decode.correction);
+    const TierChain::Result chained =
+        chain.decode_syndrome(chain_frame.syndrome());
+    if (chained.decode.defects > 0) {
+        chain_frame.apply_mask(chained.decode.correction);
+    }
     std::printf("tier chain %s resolved it at tier '%s' (%s, growth "
                 "effort %d, syndrome clear: %s)\n\n",
                 chain.config().describe().c_str(),

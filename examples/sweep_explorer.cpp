@@ -184,14 +184,12 @@ run_hierarchy_cmd(const Flags &flags)
     const TierChain chain(code, CheckType::Z, chain_config);
     Rng rng(static_cast<uint64_t>(flags.get_int("seed", 1)));
     ErrorFrame frame(code, CheckType::X);
-    std::vector<uint8_t> syndrome;
     std::vector<uint64_t> tiers(chain.size(), 0);
     for (uint64_t i = 0; i < cycles; ++i) {
         frame.reset();
         frame.inject(p, rng);
-        frame.measure_perfect(syndrome);
         ++tiers[static_cast<size_t>(
-            chain.decode_syndrome(syndrome).tier_index)];
+            chain.decode_syndrome(frame.syndrome()).tier_index)];
     }
     std::printf("chain: %s\n\n", chain_config.describe().c_str());
     Table table({"tier", "decodes", "%"});

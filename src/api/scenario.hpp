@@ -66,7 +66,7 @@ struct ServiceSpec
     uint64_t latency = 0;    ///< decode round-trip latency in cycles
     uint64_t bandwidth = 0;  ///< served decodes per cycle; 0 = unlimited
                              ///< (Fleet kind: 0 = demand histogram only)
-    uint64_t batch = 0;      ///< decode_batch grouping cap
+    uint64_t batch = 0;      ///< batch_histogram slice; no decode effect
     bool shared_link = false;  ///< ExactFleet: one multi-tenant link
     int fleet_size = 10;       ///< ExactFleet: fully simulated tenants
     int num_qubits = 1000;     ///< Fleet: binomial machine size

@@ -138,7 +138,7 @@ TierChainConfig tiers_from_flags(const Flags &flags,
  *
  *   --offchip-latency N    decode round-trip latency in cycles
  *   --offchip-bandwidth N  served decodes per cycle (0 = unlimited)
- *   --batch N              decode_batch grouping cap (0 = per cycle)
+ *   --batch N              batch-accounting slice (0 = per cycle)
  *
  * All default to 0, the synchronous model. Negative values clamp to 0.
  */

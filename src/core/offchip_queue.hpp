@@ -45,10 +45,11 @@ struct OffchipQueueConfig
      */
     uint64_t latency = 0;
     /**
-     * Largest group of same-cycle served requests handed to one
-     * `Decoder::decode_batch` call. 0 = one batch per serve cycle.
-     * Only affects the batch-size accounting and how callers group
-     * decodes; scheduling is independent of it.
+     * Slice size of the batch accounting: each cycle's served group is
+     * recorded in `batch_histogram` in slices of at most this many
+     * requests. 0 = one slice per serve cycle. It shapes no decode
+     * call (each served request is decoded on its own), and
+     * scheduling is independent of it.
      */
     uint64_t max_batch = 0;
 };
@@ -195,11 +196,10 @@ class OffchipQueue
 
     /**
      * Size of every served per-cycle group, sliced at
-     * `OffchipQueueConfig::max_batch`: the groups a decoder serving
-     * this link receives per `decode_batch` call. This is a
-     * *link-level* statistic -- a single `BtwcSystem`'s own decode
-     * batches are additionally bounded by its
-     * one-outstanding-request-per-half contract (see system.hpp).
+     * `OffchipQueueConfig::max_batch`. This is a *link-level*
+     * statistic -- a single `BtwcSystem`'s own groups are
+     * additionally bounded by its one-outstanding-request-per-half
+     * contract (see system.hpp).
      */
     const CountHistogram &batch_histogram() const { return batch_; }
 

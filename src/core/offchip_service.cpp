@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "decoders/decoder.hpp"
 
 namespace btwc {
 
@@ -272,48 +271,25 @@ SharedOffchipService::take_served(uint64_t count)
 void
 SharedOffchipService::serve_decode(std::vector<Request> served)
 {
-    std::vector<std::vector<uint8_t>> corrections(served.size());
-    std::vector<size_t> members;
-    std::vector<uint8_t> grouped(served.size(), 0);
-    for (size_t first = 0; first < served.size(); ++first) {
-        if (grouped[first]) {
-            continue;
+    for (Request &request : served) {
+        std::vector<uint8_t> correction;
+        if (request.oracle) {
+            request.payload.to_bytes(correction);
+        } else {
+            // Finish the owner's walk where it stopped: the resumed
+            // tiers are off-chip (escalation monotonicity), so they
+            // run here, never on the owner's chip.
+            TierChain::Result result;
+            chains_for(request.distance)[static_cast<size_t>(request.half)]
+                .decode_syndrome(request.payload, TierChain::Options(),
+                                 result,
+                                 static_cast<size_t>(request.tier_index));
+            correction = std::move(result.decode.correction);
         }
-        if (served[first].oracle) {
-            corrections[first] = std::move(served[first].payload);
-            continue;
-        }
-        members.clear();
-        for (size_t i = first; i < served.size(); ++i) {
-            if (!grouped[i] && !served[i].oracle &&
-                served[i].half == served[first].half &&
-                served[i].tier_index == served[first].tier_index &&
-                served[i].distance == served[first].distance) {
-                members.push_back(i);
-                grouped[i] = 1;
-            }
-        }
-        std::vector<std::vector<DetectionEvent>> batch;
-        batch.reserve(members.size());
-        for (const size_t i : members) {
-            batch.push_back(events_from_syndrome(served[i].payload));
-        }
-        std::vector<TierChain::Result> results =
-            chains_for(served[first].distance)
-                [static_cast<size_t>(served[first].half)]
-                    .decode_batch_from(
-                        static_cast<size_t>(served[first].tier_index),
-                        batch, 1);
-        for (size_t i = 0; i < members.size(); ++i) {
-            corrections[members[i]] =
-                std::move(results[i].decode.correction);
-        }
-    }
-    for (size_t i = 0; i < served.size(); ++i) {
         inflight_.push_back(InFlight{
-            Delivery{served[i].owner, served[i].half,
-                     std::move(corrections[i]), served[i].synthetic},
-            served[i].arrival_cycle, served[i].deadline_cycle});
+            Delivery{request.owner, request.half, std::move(correction),
+                     request.synthetic},
+            request.arrival_cycle, request.deadline_cycle});
     }
 }
 
@@ -400,13 +376,8 @@ SharedOffchipService::step()
 
     // Serve: pop the requests entering service this cycle (FIFO across
     // owners, or per the installed discipline) and decode them.
-    // Non-oracle requests are grouped per (distance, half, resume
-    // tier) and decoded through one decode_batch_from call each -- the
-    // fleet-scale amortization the shared link exists to expose: a
-    // group mixes requests from every qubit that escalated recently,
-    // not just the at-most-one a one-tenant link could batch.
-    // Corrections enter the in-flight FIFO in the original serve
-    // order, matching the queue's landing order.
+    // Corrections enter the in-flight FIFO in serve order, matching
+    // the queue's landing order.
     if (sr.served > 0) {
         serve_decode(take_served(sr.served));
     }

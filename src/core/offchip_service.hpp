@@ -11,6 +11,7 @@
 #include "fabric/scheduler.hpp"
 #include "faults/fault_plan.hpp"
 #include "surface/lattice.hpp"
+#include "surface/packed.hpp"
 
 namespace btwc {
 
@@ -25,20 +26,20 @@ namespace btwc {
  * shares one instance, its systems only *enqueue* tagged requests
  * during their step, and the fleet harness advances the link exactly
  * once per machine cycle via `step()`, after every tenant has stepped.
- * Served batches therefore mix requests from different qubits: within
- * one qubit, batches are bounded by the one-outstanding-request-per-
- * half reconciliation contract (core/system.hpp), but N qubits
- * escalating in the same cycle share one `TierChain::decode_batch_from`
- * call per lattice half.
+ * Served requests therefore mix qubits: within one qubit the
+ * one-outstanding-request-per-half reconciliation contract
+ * (core/system.hpp) bounds what is in service, but N qubits escalating
+ * in the same cycle are served side by side.
  *
  * The service owns one `TierChain` per lattice half (indexed by error
  * type, like `BtwcSystem`'s frames) for the code it was constructed
  * with; a heterogeneous fleet registers its other code distances via
- * `register_code`, and requests are batched per (distance, half,
- * resume tier) so every request decodes on chains matching its
- * owner's lattice. The chains' decoders are deterministic pure
- * functions of the events, so decoding a request on the service-side
- * chain is bit-identical to decoding it on the owner's private chain.
+ * `register_code`, so every request decodes on chains matching its
+ * owner's lattice. Each served request resumes the owner's stopped
+ * walk (`TierChain::decode_syndrome` from the request's `tier_index`).
+ * The chains' decoders are deterministic pure functions of the
+ * syndrome, so decoding a request on the service-side chain is
+ * bit-identical to decoding it on the owner's private chain.
  * Oracle-policy requests carry their correction in the payload and
  * bypass the chains entirely.
  *
@@ -70,11 +71,12 @@ class SharedOffchipService
         int tier_index = 0;  ///< first off-chip tier (decode resume point)
         /**
          * True when `payload` already is the correction (the Oracle
-         * policy's escalation-time error snapshot); false when it is
-         * the filtered syndrome to decode when served.
+         * policy's escalation-time error mask, one bit per data
+         * qubit); false when it is the filtered syndrome to decode
+         * when served.
          */
         bool oracle = false;
-        std::vector<uint8_t> payload;
+        PackedBits payload;
         /**
          * Code distance of the owner's lattice, selecting the decode
          * chains (0 = the constructor code). Distances other than the
@@ -240,9 +242,9 @@ class SharedOffchipService
     /**
      * Advance the link one machine cycle: enqueue the fresh demand
      * accumulated since the previous step, serve up to `bandwidth`
-     * waiting requests (decoding non-oracle ones batched per half
-     * across owners), and return every correction whose latency
-     * elapsed, in serve order. The caller routes each Delivery to
+     * waiting requests (decoding each non-oracle one), and return
+     * every correction whose latency elapsed, in serve order. The
+     * caller routes each Delivery to
      * `BtwcSystem::deliver_offchip_correction` on the owning tenant.
      * The returned reference is valid until the next `step()`.
      */
@@ -361,7 +363,7 @@ class SharedOffchipService
     /** Stamp arrival/deadline and seq on `request`; join the waiting set. */
     void admit(Request request);
 
-    /** Decode `served` (batched per distance/half/tier) into flight. */
+    /** Decode `served`, in serve order, into flight. */
     void serve_decode(std::vector<Request> served);
 
     TenantLinkStats &tenant_slot(int owner);

@@ -31,7 +31,6 @@ CycleReport
 BtwcSystem::step()
 {
     CycleReport report;
-    const int num_types = config_.track_both_types ? 2 : 1;
     if (link_ == nullptr) {
         // Stand-alone: build the one-tenant link on first use, so a
         // fleet tenant that attaches a shared link never pays for one.
@@ -51,7 +50,7 @@ BtwcSystem::step()
     // right now instead of waiting on a dead link — a degraded decode,
     // weaker than the off-chip tier but bounded in time.
     if (config_.offchip_timeout > 0) {
-        for (int t = 0; t < num_types; ++t) {
+        for (int t = 0; t < 2; ++t) {
             if (!half_busy_[t]) {
                 continue;
             }
@@ -88,7 +87,7 @@ BtwcSystem::step()
     // Phase 1: noise injection + noisy measurement + filtering + tier
     // chain classification for each half — all on the packed fast
     // path, so steady-state cycles allocate nothing here.
-    for (int t = 0; t < num_types; ++t) {
+    for (int t = 0; t < 2; ++t) {
         ErrorFrame &frame = frames_[t];
         Half &half = halves_[t];
         frame.inject(noise_.p_data, rng_);
@@ -106,7 +105,7 @@ BtwcSystem::step()
     // Combined verdict over both halves: the logical qubit's syndrome
     // leaves the chip when either half consulted an off-chip tier.
     report.verdict = CliqueVerdict::AllZeros;
-    for (int t = 0; t < num_types; ++t) {
+    for (int t = 0; t < 2; ++t) {
         const int detector = static_cast<int>(frames_[t].detector());
         const CliqueVerdict verdict = report.type_verdict[detector];
         if (verdict == CliqueVerdict::Complex) {
@@ -121,7 +120,7 @@ BtwcSystem::step()
     // Phase 2: apply on-chip corrections and hand escalations to the
     // off-chip link. Halves resolved by an on-chip tier apply that
     // tier's correction; escalated halves enqueue.
-    for (int t = 0; t < num_types; ++t) {
+    for (int t = 0; t < 2; ++t) {
         ErrorFrame &frame = frames_[t];
         TierChain::Result &outcome = halves_[t].outcome;
         if (outcome.decode.defects == 0) {
@@ -166,11 +165,9 @@ BtwcSystem::step()
                 request.tier_index = outcome.tier_index;
                 request.distance = code_.distance();
                 request.oracle = config_.offchip == OffchipPolicy::Oracle;
-                if (request.oracle) {
-                    request.payload = frame.error();
-                } else {
-                    halves_[t].filter.filtered().to_bytes(request.payload);
-                }
+                request.payload = request.oracle
+                                      ? frame.error_packed()
+                                      : halves_[t].filter.filtered();
                 link_->enqueue(std::move(request));
                 half_busy_[t] = true;
                 half_busy_since_[t] = cycles_;

@@ -37,7 +37,6 @@ struct SystemConfig
 {
     int filter_rounds = 2;                       ///< Fig. 7 window
     OffchipPolicy offchip = OffchipPolicy::Oracle;
-    bool track_both_types = true;                ///< decode X and Z halves
     /**
      * The decode hierarchy each half runs (tier 0 first). The default
      * is the paper's two-tier Clique -> MWPM architecture; §8.1-style
@@ -50,10 +49,9 @@ struct SystemConfig
      * The system's own off-chip link (ignored by a tenant of a shared
      * link, whose parameters live on the shared service): round-trip
      * decode latency in cycles, served decodes per cycle (0 =
-     * unlimited) and the link-batch grouping cap
-     * (OffchipQueueConfig::max_batch; within one logical qubit actual
-     * decode_batch calls are bounded by the
-     * one-outstanding-request-per-half contract). The zero defaults
+     * unlimited) and the slice size of the link's batch accounting
+     * (OffchipQueueConfig::max_batch, read only by
+     * `batch_histogram`; it shapes no decode call). The zero defaults
      * land every correction in the cycle that escalated it.
      */
     uint64_t offchip_latency = 0;

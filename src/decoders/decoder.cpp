@@ -2,26 +2,6 @@
 
 namespace btwc {
 
-std::vector<DetectionEvent>
-events_from_syndrome(const std::vector<uint8_t> &syndrome)
-{
-    std::vector<DetectionEvent> events;
-    events_from_syndrome(syndrome, events);
-    return events;
-}
-
-void
-events_from_syndrome(const std::vector<uint8_t> &syndrome,
-                     std::vector<DetectionEvent> &out)
-{
-    out.clear();
-    for (int c = 0; c < static_cast<int>(syndrome.size()); ++c) {
-        if (syndrome[c] & 1) {
-            out.push_back(DetectionEvent{c, 0});
-        }
-    }
-}
-
 void
 events_from_packed(const PackedSyndrome &syndrome,
                    std::vector<DetectionEvent> &out)
@@ -29,26 +9,6 @@ events_from_packed(const PackedSyndrome &syndrome,
     out.clear();
     syndrome.for_each_set(
         [&out](int c) { out.push_back(DetectionEvent{c, 0}); });
-}
-
-std::vector<Decoder::Result>
-Decoder::decode_batch(const std::vector<std::vector<DetectionEvent>> &batch,
-                      int rounds) const
-{
-    std::vector<Result> results;
-    results.reserve(batch.size());
-    for (const std::vector<DetectionEvent> &events : batch) {
-        results.push_back(decode(events, rounds));
-    }
-    return results;
-}
-
-Decoder::Result
-Decoder::decode_syndrome(const std::vector<uint8_t> &syndrome) const
-{
-    thread_owner_.assert_single_thread_owner();
-    events_from_syndrome(syndrome, events_scratch_);
-    return decode(events_scratch_, 1);
 }
 
 void

@@ -20,24 +20,9 @@ struct DetectionEvent
 };
 
 /**
- * Detection events of a single perfect-measurement round: one event
- * (round 0) per fired syndrome byte. Shared by every decode_syndrome
- * convenience wrapper.
- */
-std::vector<DetectionEvent>
-events_from_syndrome(const std::vector<uint8_t> &syndrome);
-
-/**
- * Allocation-free spelling: as above, but clearing and filling a
+ * Detection events of a single perfect-measurement round: one round-0
+ * event per set syndrome bit, in ascending check order, into a
  * caller-owned vector whose capacity persists across calls.
- */
-void events_from_syndrome(const std::vector<uint8_t> &syndrome,
-                          std::vector<DetectionEvent> &out);
-
-/**
- * Packed equivalent: one round-0 event per set syndrome bit, in
- * ascending check order — the same event list (order included) the
- * byte form produces for the equivalent byte syndrome.
  */
 void events_from_packed(const PackedSyndrome &syndrome,
                         std::vector<DetectionEvent> &out);
@@ -95,35 +80,17 @@ class Decoder
                           int rounds) const = 0;
 
     /**
-     * Decode a batch of independent event sets observed over the same
-     * number of rounds, returning one Result per entry in order: a
-     * plain loop over `decode`. Every backend keeps its scratch per
-     * instance, so there is no per-call setup left for a batch to
-     * amortize; the async off-chip service (core/offchip_queue.hpp)
-     * groups its drains through this call.
-     */
-    std::vector<Result>
-    decode_batch(const std::vector<std::vector<DetectionEvent>> &batch,
-                 int rounds) const;
-
-    /**
-     * Convenience for perfect-measurement decoding: treat a single
-     * noiseless syndrome (one byte per check, nonzero = fired) as one
-     * round of detection events. Shared by all backends.
-     */
-    Result decode_syndrome(const std::vector<uint8_t> &syndrome) const;
-
-    /**
      * Packed single-round decode into a caller-owned Result whose
      * vector capacity is reused (the allocation-free steady-state
      * spelling: every field of `out` is overwritten). The base
      * implementation unpacks into the pooled event scratch and runs
-     * `decode(events, 1)`, so the Result is bit-identical to
-     * `decode_syndrome` on the equivalent byte syndrome for every
-     * backend; word-parallel tiers (CliqueTierDecoder,
+     * `decode(events, 1)`; word-parallel tiers (CliqueTierDecoder,
      * LookupTableDecoder) override it to skip event materialization
      * entirely, and UnionFindDecoder to reuse `out`'s correction
-     * capacity. Like every pooled-scratch path in this codebase,
+     * capacity. Every override returns exactly what `decode(events, 1)`
+     * returns for the set bits as round-0 events (re-checked on every
+     * chain walk at AuditLevel::Deep, tier_chain.hpp). Like every
+     * pooled-scratch path in this codebase,
      * decoder instances are not concurrency-safe; concurrent shards
      * own their own instances.
      */
@@ -139,8 +106,8 @@ class Decoder
     }
 
   protected:
-    /** Single-round event scratch shared by the decode_syndrome /
-     * decode_packed wrappers (see the concurrency note above). */
+    /** Single-round event scratch of the base decode_packed (see the
+     * concurrency note above). */
     mutable std::vector<DetectionEvent> events_scratch_;
 
     /**

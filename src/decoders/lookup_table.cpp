@@ -23,12 +23,13 @@ LookupTableDecoder::LookupTableDecoder(const RotatedSurfaceCode &code,
     // makes this cheap (a few milliseconds at d = 5); the table is
     // exact because its teacher is.
     const ExactDecoder teacher(code, detector);
-    std::vector<uint8_t> syndrome(static_cast<size_t>(num_checks_), 0);
+    PackedSyndrome syndrome(num_checks_);
+    Result fix;
     for (size_t s = 0; s < entries; ++s) {
-        for (int c = 0; c < num_checks_; ++c) {
-            syndrome[c] = (s >> c) & 1 ? 1 : 0;
-        }
-        const Result fix = teacher.decode_syndrome(syndrome);
+        // The table index is the syndrome's one word, the same word
+        // decode_packed reads back.
+        syndrome.data()[0] = static_cast<uint64_t>(s);
+        teacher.decode_packed(syndrome, fix);
         BTWC_CHECK(fix.resolved);
         std::copy(fix.correction.begin(), fix.correction.end(),
                   corrections_.begin() + s * static_cast<size_t>(num_data_));

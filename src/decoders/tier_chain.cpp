@@ -270,121 +270,21 @@ TierChain::audit() const
     }
 }
 
-TierChain::Result
-TierChain::decode(const std::vector<DetectionEvent> &events, int rounds,
-                  const Options &options) const
-{
-    if (events.empty()) {
-        // Nothing fired: tier 0 resolves trivially and nothing leaves
-        // the chip, regardless of where the chain's tiers live (and
-        // regardless of stop_before_offchip).
-        Result result;
-        result.tier = config_.tiers[0].kind;
-        result.decode = tiers_[0]->decode(events, rounds);
-        result.resolved = true;
-        return result;
-    }
-    return decode_from(0, events, rounds, options, 0);
-}
-
-TierChain::Result
-TierChain::decode_from(size_t first_tier,
-                       const std::vector<DetectionEvent> &events,
-                       int rounds, const Options &options,
-                       int base_effort) const
-{
-    Result result;
-    int observed_effort = base_effort;
-    const size_t last = tiers_.size() - 1;
-    for (size_t i = first_tier; i <= last; ++i) {
-        const TierSpec &spec = config_.tiers[i];
-        result.tier_index = static_cast<int>(i);
-        result.tier = spec.kind;
-        result.offchip = spec.offchip;
-        if (options.stop_before_offchip && spec.offchip) {
-            // The caller substitutes an oracle for this tier -- or,
-            // under the queued service, enqueues the signature and
-            // later resumes here via decode_from / decode_batch_from.
-            result.resolved = false;
-            result.effort = observed_effort;
-            result.decode.defects = static_cast<int>(events.size());
-            return result;
-        }
-        Decoder::Result attempt = tiers_[i]->decode(events, rounds);
-        if (attempt.effort > observed_effort) {
-            observed_effort = attempt.effort;
-        }
-        const bool accept =
-            attempt.resolved && (spec.escalation_threshold < 0 ||
-                                 attempt.effort <= spec.escalation_threshold);
-        if (accept || i == last) {
-            result.resolved = attempt.resolved;
-            result.effort = observed_effort;
-            result.decode = std::move(attempt);
-            return result;
-        }
-    }
-    return result;  // unreachable; the final tier always returns
-}
-
-std::vector<TierChain::Result>
-TierChain::decode_batch_from(
-    size_t first_tier,
-    const std::vector<std::vector<DetectionEvent>> &batch,
-    int rounds) const
-{
-    const TierSpec &spec = config_.tiers[first_tier];
-    const size_t last = tiers_.size() - 1;
-    std::vector<Decoder::Result> attempts =
-        tiers_[first_tier]->decode_batch(batch, rounds);
-    std::vector<Result> results(batch.size());
-    for (size_t b = 0; b < batch.size(); ++b) {
-        Decoder::Result &attempt = attempts[b];
-        const bool accept =
-            attempt.resolved && (spec.escalation_threshold < 0 ||
-                                 attempt.effort <= spec.escalation_threshold);
-        if (accept || first_tier == last) {
-            Result &result = results[b];
-            result.tier_index = static_cast<int>(first_tier);
-            result.tier = spec.kind;
-            result.offchip = spec.offchip;
-            result.resolved = attempt.resolved;
-            result.effort = attempt.effort;
-            result.decode = std::move(attempt);
-        } else {
-            // Rare: the batched tier declined or escalated on effort;
-            // finish this entry through the deeper tiers per-item.
-            results[b] = decode_from(first_tier + 1, batch[b], rounds,
-                                     Options(), attempt.effort);
-        }
-    }
-    return results;
-}
-
-TierChain::Result
-TierChain::decode_syndrome(const std::vector<uint8_t> &syndrome,
-                           const Options &options) const
-{
-    thread_owner_.assert_single_thread_owner();
-    events_from_syndrome(syndrome, events_scratch_);
-    return decode(events_scratch_, 1, options);
-}
-
+template <bool EventPath>
 void
-TierChain::decode_syndrome(const PackedSyndrome &syndrome,
-                           const Options &options, Result &out) const
+TierChain::walk(const PackedSyndrome &syndrome, const Options &options,
+                size_t first_tier, int effort, Result &out) const
 {
-    thread_owner_.assert_single_thread_owner();
-    out.effort = 0;
     out.offchip = false;
     out.resolved = true;
     if (syndrome.none()) {
         // Nothing fired: tier 0 resolves trivially without running
-        // (mirrors the byte walk's empty-events short-circuit, minus
-        // the tier-0 call — its result is fully determined). The
-        // correction stays empty, see the header note.
+        // (its result is fully determined) and nothing leaves the
+        // chip, regardless of stop_before_offchip. The correction
+        // stays empty, see the header note.
         out.tier_index = 0;
         out.tier = config_.tiers[0].kind;
+        out.effort = 0;
         out.decode.correction.clear();
         out.decode.weight = 0;
         out.decode.effort = 0;
@@ -392,29 +292,35 @@ TierChain::decode_syndrome(const PackedSyndrome &syndrome,
         out.decode.defects = 0;
         return;
     }
-    int observed_effort = 0;
+    if constexpr (EventPath) {
+        events_from_packed(syndrome, events_scratch_);
+    }
     const size_t last = tiers_.size() - 1;
-    for (size_t i = 0; i <= last; ++i) {
+    for (size_t i = first_tier; i <= last; ++i) {
         const TierSpec &spec = config_.tiers[i];
         out.tier_index = static_cast<int>(i);
         out.tier = spec.kind;
         out.offchip = spec.offchip;
         if (options.stop_before_offchip && spec.offchip) {
+            // The caller substitutes an oracle for this tier -- or, on
+            // the off-chip link, enqueues the syndrome and later
+            // resumes the walk here (first_tier = this tier_index).
             out.resolved = false;
-            out.effort = observed_effort;
+            out.effort = effort;
             out.decode.correction.clear();
             out.decode.weight = 0;
             out.decode.effort = 0;
             out.decode.resolved = true;
             out.decode.defects = syndrome.popcount();
-            if (audit_deep()) {
-                audit_packed_result(syndrome, options, out);
-            }
             return;
         }
-        tiers_[i]->decode_packed(syndrome, attempt_scratch_);
-        if (attempt_scratch_.effort > observed_effort) {
-            observed_effort = attempt_scratch_.effort;
+        if constexpr (EventPath) {
+            attempt_scratch_ = tiers_[i]->decode(events_scratch_, 1);
+        } else {
+            tiers_[i]->decode_packed(syndrome, attempt_scratch_);
+        }
+        if (attempt_scratch_.effort > effort) {
+            effort = attempt_scratch_.effort;
         }
         const bool accept =
             attempt_scratch_.resolved &&
@@ -422,42 +328,46 @@ TierChain::decode_syndrome(const PackedSyndrome &syndrome,
              attempt_scratch_.effort <= spec.escalation_threshold);
         if (accept || i == last) {
             out.resolved = attempt_scratch_.resolved;
-            out.effort = observed_effort;
+            out.effort = effort;
             std::swap(out.decode, attempt_scratch_);
-            if (audit_deep()) {
-                audit_packed_result(syndrome, options, out);
-            }
             return;
         }
     }
 }
 
 void
-TierChain::audit_packed_result(const PackedSyndrome &syndrome,
-                               const Options &options,
-                               const Result &out) const
+TierChain::decode_syndrome(const PackedSyndrome &syndrome,
+                           const Options &options, Result &out,
+                           size_t first_tier) const
 {
+    thread_owner_.assert_single_thread_owner();
+    BTWC_DCHECK(first_tier < tiers_.size());
+    const int base_effort = first_tier > 0 ? out.effort : 0;
+    walk<false>(syndrome, options, first_tier, base_effort, out);
+    // A walk with nothing fired ran no tier: nothing to re-derive.
+    if (out.decode.defects == 0 || !audit_deep()) {
+        return;
+    }
     syndrome.audit();
-    std::vector<uint8_t> bytes;
-    syndrome.to_bytes(bytes);
-    const Result reference = decode_syndrome(bytes, options);
+    Result reference;
+    walk<true>(syndrome, options, first_tier, base_effort, reference);
     BTWC_CHECK_MSG(reference.tier_index == out.tier_index &&
                        reference.tier == out.tier &&
                        reference.offchip == out.offchip &&
                        reference.resolved == out.resolved &&
                        reference.effort == out.effort,
-                   "packed walk reaches the byte walk's escalation "
-                   "decision");
+                   "the packed walk reaches the event-path walk's "
+                   "escalation decision");
     BTWC_CHECK_MSG(reference.decode.weight == out.decode.weight &&
                        reference.decode.defects == out.decode.defects &&
                        reference.decode.effort == out.decode.effort &&
                        reference.decode.resolved == out.decode.resolved,
-                   "packed decode result matches the byte-path decode "
+                   "packed decode result matches the event-path decode "
                    "(pooled-Result scratch reuse leaked state "
                    "otherwise)");
     BTWC_CHECK_MSG(reference.decode.correction == out.decode.correction,
                    "packed correction mask is bit-exact with the "
-                   "byte path");
+                   "event path");
 }
 
 } // namespace btwc

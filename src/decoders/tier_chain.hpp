@@ -171,65 +171,30 @@ class TierChain
     /** Active configuration. */
     const TierChainConfig &config() const { return config_; }
 
-    /** Decode detection events through the hierarchy. */
-    Result decode(const std::vector<DetectionEvent> &events, int rounds,
-                  const Options &options) const;
-    Result decode(const std::vector<DetectionEvent> &events,
-                  int rounds) const
-    {
-        return decode(events, rounds, Options());
-    }
-
     /**
-     * Resume the hierarchy at tier `first_tier`: run tiers
-     * [first_tier, last] with the normal escalation predicates. This
-     * is how the async off-chip service (core/offchip_queue.hpp)
-     * finishes a decode the on-chip walk stopped in front of
-     * (`Options::stop_before_offchip` reports the stop position in
-     * `Result::tier_index`): calling decode_from at that index with
-     * default options yields exactly the result the synchronous
-     * inline walk would have produced. `base_effort` seeds the
-     * max-effort accumulator with what the earlier tiers observed.
-     */
-    Result decode_from(size_t first_tier,
-                       const std::vector<DetectionEvent> &events,
-                       int rounds, const Options &options,
-                       int base_effort = 0) const;
-
-    /**
-     * Batched form of `decode_from` over independent event sets: tier
-     * `first_tier` runs once via `Decoder::decode_batch`, and the rare
-     * entries it declines or escalates-on-effort fall through to the
-     * deeper tiers per-item. Results are bit-identical to calling
-     * `decode_from` per entry.
-     */
-    std::vector<Result>
-    decode_batch_from(size_t first_tier,
-                      const std::vector<std::vector<DetectionEvent>> &batch,
-                      int rounds) const;
-
-    /** Single perfect-measurement round through the hierarchy. */
-    Result decode_syndrome(const std::vector<uint8_t> &syndrome,
-                           const Options &options) const;
-    Result decode_syndrome(const std::vector<uint8_t> &syndrome) const
-    {
-        return decode_syndrome(syndrome, Options());
-    }
-
-    /**
-     * Packed single-round walk — the per-cycle fast path. Tiers run
-     * through `Decoder::decode_packed` (no event materialization;
-     * Clique and LUT stay word-parallel end-to-end) with identical
-     * escalation decisions to the byte walk, and `out` is overwritten
-     * in place reusing its correction capacity, so steady-state cycles
-     * allocate nothing. One packed-specific shape difference: when no
-     * check fired, `out.decode.correction` is left *empty* rather than
-     * num_data zeros (every consumer gates application on
-     * `decode.defects > 0`). Not concurrency-safe on one instance
-     * (pooled attempt scratch); concurrent shards own their chains.
+     * The tier walk, over one filtered single-round syndrome — the
+     * only one. Tiers run through `Decoder::decode_packed` (no event
+     * materialization; Clique and LUT stay word-parallel end-to-end),
+     * and `out` is overwritten in place reusing its correction
+     * capacity, so steady-state cycles allocate nothing. When no check
+     * fired, no tier runs: tier 0 resolves with an *empty*
+     * `out.decode.correction` (every consumer gates application on
+     * `decode.defects > 0`).
+     *
+     * `first_tier > 0` resumes a walk that `stop_before_offchip`
+     * halted in front of tier `first_tier` (the stop position is its
+     * `Result::tier_index`): tiers [first_tier, last] run with the
+     * normal escalation predicates, and `out.effort` on entry seeds
+     * the max-effort accumulator with what the earlier tiers observed,
+     * so resuming in the stopped walk's Result with default options
+     * yields the uninterrupted walk's Result in every field. The
+     * off-chip service (core/offchip_service.hpp) finishes each served
+     * request this way. Not concurrency-safe on one instance (pooled
+     * attempt scratch); concurrent shards own their chains.
      */
     void decode_syndrome(const PackedSyndrome &syndrome,
-                         const Options &options, Result &out) const;
+                         const Options &options, Result &out,
+                         size_t first_tier = 0) const;
     Result decode_syndrome(const PackedSyndrome &syndrome,
                            const Options &options) const
     {
@@ -247,30 +212,31 @@ class TierChain
      * with one live decoder per spec, every decoder built for this
      * chain's detector, and escalation monotonicity — on-chip tiers
      * form a prefix, so once a signature leaves the chip it never
-     * comes back (the assumption behind the off-chip resume contract
-     * of decode_from and the queued service). Runs automatically from
+     * comes back (the assumption behind resuming a stopped walk at
+     * its off-chip tier). Runs automatically from
      * the constructor at AuditLevel::Deep; throws CheckFailure.
      */
     void audit() const;
 
   private:
     /**
-     * Deep-audit one packed decode: re-run the equivalent byte-path
-     * walk and require a bit-identical Result. This machine-checks
-     * both the packed/byte escalation equivalence and pooled-Result
-     * statelessness (the swap-accept scratch reuse must not leak
-     * state between cycles — a second decode of the same syndrome
-     * through the other path yields the same answer).
+     * The walk behind `decode_syndrome`, seeded with `effort` as the
+     * max-effort accumulator. `EventPath` runs every tier through
+     * `Decoder::decode(events, 1)` instead of `decode_packed`: the
+     * reference the deep audit re-runs each walk against, which
+     * re-derives every packed override (Clique, LUT, UF) and checks
+     * that the pooled scratch leaks no state between walks. A
+     * compile-time flag keeps the per-cycle instance free of it.
      */
-    void audit_packed_result(const PackedSyndrome &syndrome,
-                             const Options &options,
-                             const Result &out) const;
+    template <bool EventPath>
+    void walk(const PackedSyndrome &syndrome, const Options &options,
+              size_t first_tier, int effort, Result &out) const;
 
     CheckType detector_;
     TierChainConfig config_;
     std::vector<std::unique_ptr<Decoder>> tiers_;
-    // Pooled scratch of the packed walk (swapped with out.decode on
-    // accept so vector capacity ping-pongs between the two).
+    // Pooled scratch of the walk (swapped with out.decode on accept
+    // so vector capacity ping-pongs between the two).
     mutable Decoder::Result attempt_scratch_;
     mutable std::vector<DetectionEvent> events_scratch_;
     /** Single-owner guard over the pooled scratch above (the

@@ -38,6 +38,10 @@ parse_placement_kind(const std::string &value, PlacementKind *out)
 
 namespace {
 
+/** Cycles a waiting request needs to gain one priority level under the
+ * `Priority` discipline (make_scheduler's `aging_cycles`). */
+constexpr uint64_t kPriorityAgingCycles = 64;
+
 std::vector<int>
 place_tenants(const FabricTopology &topology,
               const std::vector<double> &tenant_probs)
@@ -112,7 +116,7 @@ Fabric::Fabric(const FabricTopology &topology,
         auto service = std::make_unique<SharedOffchipService>(
             base_code, tiers, link);
         service->set_scheduler(
-            make_scheduler(topology.scheduler, topology.aging));
+            make_scheduler(topology.scheduler, kPriorityAgingCycles));
         links_.push_back(std::move(service));
     }
     // Backlog alone can trigger failover, so the streaks exist with or

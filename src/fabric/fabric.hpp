@@ -50,8 +50,6 @@ struct FabricTopology
      * deadline-miss accounting of every discipline.
      */
     uint64_t deadline = 0;
-    /** Priority-discipline aging parameter (make_scheduler). */
-    uint64_t aging = 64;
     /**
      * Link-failover threshold (0 = static placement, the bit-exact
      * default): after `step()`, a link whose consecutive-outage streak

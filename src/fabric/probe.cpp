@@ -20,21 +20,21 @@ LogicalFailureProbe::logical_parity(const ErrorFrame &frame)
     if (frame.syndrome_clear()) {
         return frame.logical_flipped();
     }
-    frame.measure_perfect(syndrome_);
-    MwpmDecoder &decoder =
+    const MwpmDecoder &decoder =
         *decoders_[static_cast<size_t>(frame.error_type())];
-    const Decoder::Result result = decoder.decode_syndrome(syndrome_);
+    decoder.decode_packed(frame.syndrome(), result_);
     // By linearity the residual error + correction is syndrome-clear
     // iff the correction reproduces the frame's syndrome, and its
     // logical parity is the XOR of the two parities.
     const RotatedSurfaceCode &code = frame.code();
-    code.syndrome_of(frame.detector(), result.correction,
+    code.syndrome_of(frame.detector(), result_.correction,
                      correction_syndrome_);
-    BTWC_CHECK_MSG(correction_syndrome_ == syndrome_,
+    correction_packed_.from_bytes(correction_syndrome_);
+    BTWC_CHECK_MSG(correction_packed_ == frame.syndrome(),
                    "an MWPM correction clears the probed syndrome "
                    "(every defect is matched)");
     return frame.logical_flipped() !=
-           code.logical_flipped(frame.error_type(), result.correction);
+           code.logical_flipped(frame.error_type(), result_.correction);
 }
 
 } // namespace btwc

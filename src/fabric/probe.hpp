@@ -14,8 +14,8 @@ namespace btwc {
  * would this frame's residual error flip the logical operator if the
  * experiment ended now?
  *
- * The closure is the standard memory-experiment readout: measure the
- * frame's syndrome perfectly, decode it with full-accuracy MWPM, and
+ * The closure is the standard memory-experiment readout: take the
+ * frame's noiseless syndrome, decode it with full-accuracy MWPM, and
  * read the logical indicator off the (syndrome-clear) residual error +
  * correction. Everything is linear over GF(2), so the residual is
  * never built: its parity is the frame's parity XOR the correction's.
@@ -53,8 +53,9 @@ class LogicalFailureProbe
     // unique_ptr: MwpmDecoder is not movable (it owns per-lattice
     // matching state), and the probe needs one per error type.
     std::vector<std::unique_ptr<MwpmDecoder>> decoders_;
-    std::vector<uint8_t> syndrome_;  ///< measurement scratch
+    Decoder::Result result_;  ///< pooled decode of the frame's syndrome
     std::vector<uint8_t> correction_syndrome_;  ///< closure check scratch
+    PackedSyndrome correction_packed_;          ///< closure check scratch
 };
 
 } // namespace btwc

@@ -56,7 +56,8 @@ struct FleetConfig
      * (latency is pipelined, only backlog stalls).
      */
     uint64_t offchip_latency = 0;
-    /** decode_batch grouping cap for the served stream (0 = per cycle). */
+    /** Slice size of the link's batch accounting (`batch_histogram`;
+     * 0 = per cycle); it shapes no decode call. */
     uint64_t offchip_batch = 0;
 };
 

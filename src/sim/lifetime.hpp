@@ -43,8 +43,8 @@ struct LifetimeConfig
      * correction in the cycle that escalated it; nonzero
      * `offchip_latency` / `offchip_bandwidth` open the latency x
      * bandwidth x tier-chain grid (corrections land late, backlog
-     * builds under a narrow link). `offchip_batch` caps the
-     * decode_batch group size.
+     * builds under a narrow link). `offchip_batch` slices the link's
+     * batch accounting (`batch_histogram`); it shapes no decode call.
      */
     uint64_t offchip_latency = 0;
     uint64_t offchip_bandwidth = 0;

@@ -290,7 +290,7 @@ oracle_request(const RotatedSurfaceCode &code, int owner, int half)
     request.half = half;
     request.tier_index = 1;
     request.oracle = true;
-    request.payload.assign(static_cast<size_t>(code.num_data()), 0);
+    request.payload = PackedBits(code.num_data());
     return request;
 }
 
@@ -327,8 +327,7 @@ TEST(SingleThreadOwner, SecondThreadOnPooledScratchThrows)
     ScopedAuditLevel basic(AuditLevel::Basic);
     const RotatedSurfaceCode code(3);
     TierChain chain(code, CheckType::X, TierChainConfig::legacy());
-    const std::vector<uint8_t> zeros(
-        static_cast<size_t>(code.num_checks(CheckType::X)), 0);
+    const PackedSyndrome zeros(code.num_checks(CheckType::X));
     chain.decode_syndrome(zeros);  // binds ownership to this thread
 
     bool threw = false;
@@ -373,8 +372,7 @@ TEST(SingleThreadOwner, InactiveWhenAuditingIsOff)
     ScopedAuditLevel off(AuditLevel::Off);
     const RotatedSurfaceCode code(3);
     TierChain chain(code, CheckType::X, TierChainConfig::legacy());
-    const std::vector<uint8_t> zeros(
-        static_cast<size_t>(code.num_checks(CheckType::X)), 0);
+    const PackedSyndrome zeros(code.num_checks(CheckType::X));
     chain.decode_syndrome(zeros);
     bool threw = false;
     std::thread visitor([&chain, &zeros, &threw] {

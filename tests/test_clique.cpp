@@ -29,6 +29,15 @@ perfect_syndrome(const RotatedSurfaceCode & /*code*/, const ErrorFrame &frame)
     return syndrome;
 }
 
+/** The packed form of a byte syndrome (what the decoders take). */
+PackedSyndrome
+packed(const std::vector<uint8_t> &syndrome)
+{
+    PackedSyndrome out;
+    out.from_bytes(syndrome);
+    return out;
+}
+
 TEST(Clique, AllZerosVerdict)
 {
     const RotatedSurfaceCode code(5);
@@ -91,7 +100,7 @@ TEST_P(CliqueSweep, TrivialPairsMatchMwpmExactly)
             ErrorFrame mwpm_frame = frame;
             frame.apply(out.corrections);
             mwpm_frame.apply_mask(
-                mwpm.decode_syndrome(syndrome).correction);
+                mwpm.decode_packed(packed(syndrome)).correction);
             ASSERT_TRUE(frame.syndrome_clear())
                 << "q1=" << q1 << " q2=" << q2;
             ASSERT_TRUE(mwpm_frame.syndrome_clear())
@@ -150,7 +159,7 @@ TEST_P(CliqueSweep, ChainsSharingACheckAreComplex)
                         ErrorFrame mwpm_frame = frame;
                         frame.apply(out.corrections);
                         mwpm_frame.apply_mask(
-                            mwpm.decode_syndrome(syndrome).correction);
+                            mwpm.decode_packed(packed(syndrome)).correction);
                         ASSERT_TRUE(frame.syndrome_clear());
                         ASSERT_TRUE(mwpm_frame.syndrome_clear());
                         ASSERT_EQ(frame.logical_flipped(),
@@ -335,7 +344,7 @@ TEST_P(CliqueMwpmEquivalence, TrivialDecodesMatchMwpmLogicalAction)
         ++trivial_cases;
         ErrorFrame mwpm_frame = clique_frame;
         clique_frame.apply(out.corrections);
-        const auto fix = mwpm.decode_syndrome(syndrome);
+        const auto fix = mwpm.decode_packed(packed(syndrome));
         mwpm_frame.apply_mask(fix.correction);
 
         ASSERT_TRUE(clique_frame.syndrome_clear());

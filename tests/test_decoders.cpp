@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the pluggable decoder layer (src/decoders/): the abstract
- * `Decoder` interface and its shared decode_syndrome wrapper, the
+ * `Decoder` interface and its packed single-round entry point, the
  * exact-DP matcher backend, tier-chain configuration parsing, the
  * equivalence of tier-chain classifications with the legacy two-tier
- * path, and the UnionFind-vs-MWPM accuracy invariant promised in
- * matching/union_find.hpp.
+ * path, resuming a stopped walk, and the UnionFind-vs-MWPM accuracy
+ * invariant promised in matching/union_find.hpp.
  */
 
 #include <gtest/gtest.h>
@@ -30,21 +30,28 @@
 namespace btwc {
 namespace {
 
-std::vector<uint8_t>
+PackedSyndrome
 random_syndrome(const RotatedSurfaceCode & /*code*/, double p, Rng &rng,
                 ErrorFrame &frame)
 {
     frame.reset();
     frame.inject(p, rng);
-    std::vector<uint8_t> syndrome;
-    frame.measure_perfect(syndrome);
+    return frame.syndrome();
+}
+
+/** One fired check: a single-round syndrome of `code`'s `detector`. */
+PackedSyndrome
+single_defect(const RotatedSurfaceCode &code, CheckType detector, int check)
+{
+    PackedSyndrome syndrome(code.num_checks(detector));
+    syndrome.set(check);
     return syndrome;
 }
 
 TEST(DecoderInterface, AllBackendsDecodePolymorphically)
 {
-    // Every backend clears a random syndrome through the shared
-    // decode_syndrome wrapper of the abstract interface.
+    // Every backend clears a random syndrome through the packed
+    // single-round entry point of the abstract interface.
     const RotatedSurfaceCode code(7);
     std::vector<std::unique_ptr<Decoder>> backends;
     backends.push_back(
@@ -58,7 +65,7 @@ TEST(DecoderInterface, AllBackendsDecodePolymorphically)
         const auto syndrome = random_syndrome(code, 0.02, rng, frame);
         for (const auto &decoder : backends) {
             ErrorFrame copy = frame;
-            const Decoder::Result fix = decoder->decode_syndrome(syndrome);
+            const Decoder::Result fix = decoder->decode_packed(syndrome);
             EXPECT_TRUE(fix.resolved) << decoder->name();
             copy.apply_mask(fix.correction);
             EXPECT_TRUE(copy.syndrome_clear())
@@ -76,12 +83,12 @@ TEST(DecoderInterface, SharedWrapperMatchesManualEventConstruction)
     for (int iter = 0; iter < 30; ++iter) {
         const auto syndrome = random_syndrome(code, 0.05, rng, frame);
         std::vector<DetectionEvent> events;
-        for (int c = 0; c < static_cast<int>(syndrome.size()); ++c) {
-            if (syndrome[c] & 1) {
+        for (int c = 0; c < syndrome.size(); ++c) {
+            if (syndrome.test(c)) {
                 events.push_back(DetectionEvent{c, 0});
             }
         }
-        const auto via_wrapper = mwpm.decode_syndrome(syndrome);
+        const auto via_wrapper = mwpm.decode_packed(syndrome);
         const auto via_events = mwpm.decode(events, 1);
         EXPECT_EQ(via_wrapper.correction, via_events.correction);
         EXPECT_EQ(via_wrapper.weight, via_events.weight);
@@ -98,9 +105,8 @@ TEST(DecoderInterface, CliqueTierDeclinesComplexSignatures)
         if (!code.boundary_data(CheckType::Z, c).empty()) {
             continue;
         }
-        std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
-        syndrome[c] = 1;
-        const auto result = clique.decode_syndrome(syndrome);
+        const auto result =
+            clique.decode_packed(single_defect(code, CheckType::Z, c));
         EXPECT_FALSE(result.resolved) << "check " << c;
         for (const uint8_t bit : result.correction) {
             EXPECT_EQ(bit, 0);
@@ -116,9 +122,8 @@ TEST(DecoderInterface, UnionFindReportsGrowthAsEffort)
         if (!code.boundary_data(CheckType::Z, c).empty()) {
             continue;
         }
-        std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
-        syndrome[c] = 1;
-        const auto fix = uf.decode_syndrome(syndrome);
+        const auto fix =
+            uf.decode_packed(single_defect(code, CheckType::Z, c));
         EXPECT_GT(fix.effort, 0) << "check " << c;
     }
 }
@@ -136,8 +141,8 @@ TEST(ExactDecoder, MatchesBlossomWeightOnRandomSyndromes)
     int nontrivial = 0;
     for (int iter = 0; iter < 200; ++iter) {
         const auto syndrome = random_syndrome(code, 0.03, rng, frame);
-        const auto b = blossom.decode_syndrome(syndrome);
-        const auto e = exact.decode_syndrome(syndrome);
+        const auto b = blossom.decode_packed(syndrome);
+        const auto e = exact.decode_packed(syndrome);
         ASSERT_EQ(b.weight, e.weight) << "iter=" << iter;
         nontrivial += b.defects > 0 ? 1 : 0;
 
@@ -248,81 +253,60 @@ TEST(TierChainConfig, ParseThrowsOnMalformedSpec)
     EXPECT_NO_THROW(TierChainConfig::parse("clique,uf:3,exact"));
 }
 
-TEST(DecodeBatch, DefaultAndSpecializedBatchesMatchSequentialDecodes)
+TEST(TierChain, ResumeAtStopTierMatchesUninterruptedWalk)
 {
-    // The decode_batch contract: batched results are bit-identical to
-    // looping decode, for every backend's pooled scratch.
+    // The off-chip service finishes every escalation by resuming the
+    // stopped walk at its tier_index. Resumed in the stopped walk's
+    // Result, it must reproduce the uninterrupted walk in every field,
+    // the max effort of the skipped on-chip tiers included: from tier
+    // 1 on the legacy chain, from tier 2 behind a UF mid-tier that
+    // escalates on any growth.
     const RotatedSurfaceCode code(7);
-    const MwpmDecoder mwpm(code, CheckType::Z);
-    const ExactDecoder exact(code, CheckType::Z);
-    const UnionFindDecoder uf(code, CheckType::Z);
-
-    Rng rng(17);
-    ErrorFrame frame(code, CheckType::X);
-    std::vector<std::vector<DetectionEvent>> batch;
-    for (int i = 0; i < 40; ++i) {
-        const auto syndrome = random_syndrome(code, 0.03, rng, frame);
-        batch.push_back(events_from_syndrome(syndrome));
-    }
-    batch.push_back({});  // empty entries ride along too
-
-    for (const Decoder *decoder :
-         {static_cast<const Decoder *>(&mwpm),
-          static_cast<const Decoder *>(&exact),
-          static_cast<const Decoder *>(&uf)}) {
-        const std::vector<Decoder::Result> batched =
-            decoder->decode_batch(batch, 1);
-        ASSERT_EQ(batched.size(), batch.size()) << decoder->name();
-        for (size_t i = 0; i < batch.size(); ++i) {
-            const Decoder::Result single = decoder->decode(batch[i], 1);
-            EXPECT_EQ(batched[i].correction, single.correction)
-                << decoder->name() << " item " << i;
-            EXPECT_EQ(batched[i].weight, single.weight)
-                << decoder->name() << " item " << i;
-            EXPECT_EQ(batched[i].defects, single.defects)
-                << decoder->name() << " item " << i;
-            EXPECT_EQ(batched[i].resolved, single.resolved)
-                << decoder->name() << " item " << i;
-        }
-    }
-}
-
-TEST(DecodeBatch, TierChainBatchResumeMatchesPerItemResume)
-{
-    // decode_batch_from is how the async service drains a batch: it
-    // must agree with resuming each item individually.
-    const RotatedSurfaceCode code(7);
-    const TierChain chain(code, CheckType::Z, TierChainConfig::legacy());
     TierChain::Options stop;
     stop.stop_before_offchip = true;
-
-    Rng rng(19);
-    ErrorFrame frame(code, CheckType::X);
-    std::vector<std::vector<DetectionEvent>> batch;
-    size_t resume_tier = 0;
-    for (int i = 0; i < 200 && batch.size() < 24; ++i) {
-        const auto syndrome = random_syndrome(code, 0.03, rng, frame);
-        const TierChain::Result classified =
-            chain.decode_syndrome(syndrome, stop);
-        if (classified.resolved || !classified.offchip) {
-            continue;  // not an escalation
+    const struct
+    {
+        const char *spec;
+        int resume_tier;
+    } kChains[] = {{"clique,mwpm", 1}, {"clique,uf:0,mwpm", 2}};
+    for (const auto &entry : kChains) {
+        const TierChain chain(code, CheckType::Z,
+                              TierChainConfig::parse(entry.spec));
+        Rng rng(19);
+        ErrorFrame frame(code, CheckType::X);
+        int resumed = 0;
+        int with_effort = 0;
+        for (int i = 0; i < 400; ++i) {
+            const PackedSyndrome syndrome =
+                random_syndrome(code, 0.03, rng, frame);
+            TierChain::Result walk;
+            chain.decode_syndrome(syndrome, stop, walk);
+            if (walk.resolved || !walk.offchip) {
+                continue;  // not an escalation
+            }
+            ASSERT_EQ(walk.tier_index, entry.resume_tier) << entry.spec;
+            chain.decode_syndrome(syndrome, TierChain::Options(), walk,
+                                  static_cast<size_t>(walk.tier_index));
+            const TierChain::Result whole = chain.decode_syndrome(syndrome);
+            EXPECT_EQ(walk.tier_index, whole.tier_index) << entry.spec;
+            EXPECT_EQ(walk.tier, whole.tier) << entry.spec;
+            EXPECT_EQ(walk.offchip, whole.offchip) << entry.spec;
+            EXPECT_EQ(walk.resolved, whole.resolved) << entry.spec;
+            EXPECT_EQ(walk.effort, whole.effort) << entry.spec;
+            EXPECT_EQ(walk.decode.correction, whole.decode.correction)
+                << entry.spec << " item " << i;
+            EXPECT_EQ(walk.decode.weight, whole.decode.weight);
+            EXPECT_EQ(walk.decode.defects, whole.decode.defects);
+            EXPECT_EQ(walk.decode.effort, whole.decode.effort);
+            EXPECT_EQ(walk.decode.resolved, whole.decode.resolved);
+            ++resumed;
+            with_effort += whole.effort > 0 ? 1 : 0;
         }
-        resume_tier = static_cast<size_t>(classified.tier_index);
-        batch.push_back(events_from_syndrome(syndrome));
-    }
-    ASSERT_GT(batch.size(), 4u);
-
-    const std::vector<TierChain::Result> batched =
-        chain.decode_batch_from(resume_tier, batch, 1);
-    for (size_t i = 0; i < batch.size(); ++i) {
-        const TierChain::Result single =
-            chain.decode_from(resume_tier, batch[i], 1,
-                              TierChain::Options());
-        EXPECT_EQ(batched[i].decode.correction, single.decode.correction)
-            << "item " << i;
-        EXPECT_EQ(batched[i].decode.weight, single.decode.weight);
-        EXPECT_EQ(batched[i].tier_index, single.tier_index);
-        EXPECT_TRUE(batched[i].resolved);
+        EXPECT_GT(resumed, 20) << entry.spec;
+        if (entry.resume_tier == 2) {
+            // The UF growth count is carried across the stop.
+            EXPECT_EQ(with_effort, resumed) << entry.spec;
+        }
     }
 }
 
@@ -335,7 +319,7 @@ TEST(TierChain, EmptyConfigFallsBackToLegacyChain)
     ASSERT_EQ(chain.size(), 2u);
     EXPECT_EQ(chain.spec(0).kind, DecoderTier::Clique);
     EXPECT_EQ(chain.spec(1).kind, DecoderTier::Mwpm);
-    std::vector<uint8_t> zeros(code.num_checks(CheckType::Z), 0);
+    const PackedSyndrome zeros(code.num_checks(CheckType::Z));
     EXPECT_TRUE(chain.decode_syndrome(zeros).resolved);
 }
 
@@ -376,9 +360,8 @@ TEST(TierChain, StopsBeforeOffchipTiersOnRequest)
         if (!code.boundary_data(CheckType::Z, c).empty()) {
             continue;
         }
-        std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
-        syndrome[c] = 1;
-        const auto result = chain.decode_syndrome(syndrome, options);
+        const auto result = chain.decode_syndrome(
+            single_defect(code, CheckType::Z, c), options);
         EXPECT_EQ(result.tier, DecoderTier::Mwpm);
         EXPECT_TRUE(result.offchip);
         EXPECT_FALSE(result.resolved);

@@ -298,7 +298,7 @@ TEST(FabricService, DeadlineMissAccountingTracksTheBudget)
             request.owner = i / 2;
             request.half = i % 2;
             request.oracle = true;
-            request.payload = {0, 0, 0};
+            request.payload = PackedBits(3);
             service.enqueue(std::move(request));
             service.step();
         }
@@ -353,7 +353,7 @@ TEST(FabricService, StarvationBoundHoldsUnderOneTenantFlooding)
                 request.owner = q;
                 request.half = half;
                 request.oracle = true;
-                request.payload = {0, 0, 0};
+                request.payload = PackedBits(3);
                 service.enqueue(std::move(request));
                 busy[static_cast<size_t>(q)]
                     [static_cast<size_t>(half)] = true;

@@ -145,9 +145,11 @@ TEST(MwpmFastPath, PersistentScratchIsInvisible)
 {
     // The per-instance scratch must make decode sequences
     // history-independent: any interleaving of sizes yields the same
-    // results as a fresh decoder per call.
+    // results as a fresh decoder per call, for the blossom and for the
+    // exact matcher that shares its scratch.
     const RotatedSurfaceCode code(9);
     const MwpmDecoder reused(code, CheckType::Z);
+    const ExactDecoder reused_exact(code, CheckType::Z);
     Rng rng(5);
     for (int iter = 0; iter < 40; ++iter) {
         const int rounds = 1 + static_cast<int>(rng.next_below(6));
@@ -158,24 +160,11 @@ TEST(MwpmFastPath, PersistentScratchIsInvisible)
         const auto b = fresh.decode(events, rounds);
         ASSERT_EQ(a.weight, b.weight) << "iter=" << iter;
         ASSERT_EQ(a.correction, b.correction) << "iter=" << iter;
-    }
-}
-
-TEST(MwpmFastPath, BatchMatchesLoopThroughSharedScratch)
-{
-    const RotatedSurfaceCode code(9);
-    const MwpmDecoder decoder(code, CheckType::Z);
-    Rng rng(6);
-    std::vector<std::vector<DetectionEvent>> batch;
-    for (int i = 0; i < 16; ++i) {
-        batch.push_back(sample_events(code, CheckType::Z, 3, 0.02, rng));
-    }
-    const auto batched = decoder.decode_batch(batch, 3);
-    ASSERT_EQ(batched.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        const auto single = decoder.decode(batch[i], 3);
-        ASSERT_EQ(batched[i].weight, single.weight) << i;
-        ASSERT_EQ(batched[i].correction, single.correction) << i;
+        const ExactDecoder fresh_exact(code, CheckType::Z);
+        const auto c = reused_exact.decode(events, rounds);
+        const auto e = fresh_exact.decode(events, rounds);
+        ASSERT_EQ(c.weight, e.weight) << "exact iter=" << iter;
+        ASSERT_EQ(c.correction, e.correction) << "exact iter=" << iter;
     }
 }
 
@@ -328,18 +317,28 @@ expect_lut_exhaustively_exact(int d)
         ASSERT_TRUE(lut.available()) << "d=" << d;
         const ExactDecoder exact(code, det);
         const int nc = code.num_checks(det);
-        std::vector<uint8_t> syndrome(static_cast<size_t>(nc), 0);
+        PackedSyndrome syndrome(nc);
+        std::vector<DetectionEvent> events;
         for (size_t s = 0; s < (size_t(1) << nc); ++s) {
+            syndrome.clear();
+            events.clear();
             for (int c = 0; c < nc; ++c) {
-                syndrome[c] = (s >> c) & 1 ? 1 : 0;
+                if ((s >> c) & 1) {
+                    syndrome.set(c);
+                    events.push_back(DetectionEvent{c, 0});
+                }
             }
-            const auto got = lut.decode_syndrome(syndrome);
-            const auto want = exact.decode_syndrome(syndrome);
-            ASSERT_TRUE(got.resolved) << "s=" << s;
-            ASSERT_EQ(got.weight, want.weight) << "s=" << s;
-            ASSERT_EQ(got.correction, want.correction) << "s=" << s;
-            ASSERT_EQ(got.defects, want.defects) << "s=" << s;
-            ASSERT_EQ(got.effort, 0) << "s=" << s;
+            const auto want = exact.decode_packed(syndrome);
+            // The table as the chain reads it (packed) and as the
+            // event path reads it.
+            for (const auto &got :
+                 {lut.decode_packed(syndrome), lut.decode(events, 1)}) {
+                ASSERT_TRUE(got.resolved) << "s=" << s;
+                ASSERT_EQ(got.weight, want.weight) << "s=" << s;
+                ASSERT_EQ(got.correction, want.correction) << "s=" << s;
+                ASSERT_EQ(got.defects, want.defects) << "s=" << s;
+                ASSERT_EQ(got.effort, 0) << "s=" << s;
+            }
         }
     }
 }
@@ -372,10 +371,10 @@ TEST(LookupTableDecoder, UnavailableBeyondTableLimitAndDeclines)
     const RotatedSurfaceCode code(7);  // 24 checks: no table
     const LookupTableDecoder lut(code, CheckType::Z);
     EXPECT_FALSE(lut.available());
-    std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
-    syndrome[0] = 1;
-    syndrome[3] = 1;
-    const auto result = lut.decode_syndrome(syndrome);
+    PackedSyndrome syndrome(code.num_checks(CheckType::Z));
+    syndrome.set(0);
+    syndrome.set(3);
+    const auto result = lut.decode_packed(syndrome);
     EXPECT_FALSE(result.resolved);
     // Empty syndromes still resolve trivially (nothing to look up).
     const auto empty = lut.decode({}, 1);
@@ -386,17 +385,20 @@ TEST(LookupTableDecoder, UnavailableBeyondTableLimitAndDeclines)
 TEST(LookupTableDecoder, LutTierResolvesInChainAndEscalatesWhenUnable)
 {
     // lut,mwpm at d=3: every single-round signature resolves at tier 0
-    // (bit-exact with the exact matcher); a multi-round window falls
-    // through to MWPM.
+    // (bit-exact with the exact matcher); the LUT declines a
+    // multi-round window, so a chain escalates it.
     const RotatedSurfaceCode code(3);
     const TierChain chain(code, CheckType::Z,
                           TierChainConfig::parse("lut,mwpm"));
     const ExactDecoder exact(code, CheckType::Z);
     const int nc = code.num_checks(CheckType::Z);
-    std::vector<uint8_t> syndrome(static_cast<size_t>(nc), 0);
+    PackedSyndrome syndrome(nc);
     for (size_t s = 1; s < (size_t(1) << nc); ++s) {
+        syndrome.clear();
         for (int c = 0; c < nc; ++c) {
-            syndrome[c] = (s >> c) & 1 ? 1 : 0;
+            if ((s >> c) & 1) {
+                syndrome.set(c);
+            }
         }
         const TierChain::Result result = chain.decode_syndrome(syndrome);
         ASSERT_TRUE(result.resolved);
@@ -404,14 +406,14 @@ TEST(LookupTableDecoder, LutTierResolvesInChainAndEscalatesWhenUnable)
         ASSERT_EQ(result.tier_index, 0) << "s=" << s;
         ASSERT_FALSE(result.offchip);
         ASSERT_EQ(result.decode.correction,
-                  exact.decode_syndrome(syndrome).correction)
+                  exact.decode_packed(syndrome).correction)
             << "s=" << s;
     }
     const std::vector<DetectionEvent> window = {{0, 0}, {0, 1}};
-    const TierChain::Result spacetime = chain.decode(window, 2);
-    EXPECT_TRUE(spacetime.resolved);
-    EXPECT_EQ(spacetime.tier, DecoderTier::Mwpm);
-    EXPECT_EQ(spacetime.tier_index, 1);
+    ASSERT_EQ(chain.spec(0).kind, DecoderTier::Lut);
+    const Decoder::Result spacetime = chain.decoder(0).decode(window, 2);
+    EXPECT_FALSE(spacetime.resolved);
+    EXPECT_EQ(spacetime.defects, 2);
 }
 
 TEST(LookupTableDecoder, TierSpellingParsesAndDescribes)

@@ -251,13 +251,13 @@ TEST(OffchipQueueFaults, ShedRemovesWaitingRequestsFromTheLedger)
 
 SharedOffchipService::Request
 oracle_request(int owner, int half,
-               std::vector<uint8_t> payload = {0, 0, 0})
+               const std::vector<uint8_t> &correction = {0, 0, 0})
 {
     SharedOffchipService::Request request;
     request.owner = owner;
     request.half = half;
     request.oracle = true;
-    request.payload = std::move(payload);
+    request.payload.from_bytes(correction);
     return request;
 }
 

@@ -40,7 +40,7 @@ TEST(SharedService, NarrowLinkServesOwnersInFifoOrder)
         request.owner = owner;
         request.half = owner % 2;
         request.oracle = true;
-        request.payload = {0, 0, 0};
+        request.payload = PackedBits(3);
         service.enqueue(std::move(request));
     }
     std::vector<int> landed_owners;
@@ -162,9 +162,9 @@ TEST(SharedService, ExactFleetSharedMatchesPrivateAtUnlimited)
 TEST(SharedService, MixedOwnerBatchesRouteBackToOwningHalf)
 {
     // A wide shared link over a busy fleet: several qubits escalate in
-    // the same machine cycle, so served batches mix owners (the
-    // fleet-scale decode_batch amortization a one-tenant link can never
-    // exhibit -- its batches are bounded at one request per half).
+    // the same machine cycle, so served batches mix owners (which a
+    // one-tenant link can never exhibit -- its batches are bounded at
+    // one request per half).
     // Every correction must land on the half that escalated it: a
     // mis-routed correction would XOR garbage onto another tenant's
     // frame and the closed loops would wander off.

@@ -20,12 +20,29 @@
 namespace btwc {
 namespace {
 
-std::vector<uint8_t>
+PackedSyndrome
 syndrome_of(const RotatedSurfaceCode & /*code*/, const ErrorFrame &frame)
 {
-    std::vector<uint8_t> syndrome;
-    frame.measure_perfect(syndrome);
+    return frame.syndrome();
+}
+
+/** One fired check of `code`'s Z detector. */
+PackedSyndrome
+single_defect(const RotatedSurfaceCode &code, int check)
+{
+    PackedSyndrome syndrome(code.num_checks(CheckType::Z));
+    syndrome.set(check);
     return syndrome;
+}
+
+/** Apply a chain decode's correction: the walk leaves it empty when
+ * nothing fired, so (like every consumer) gate on the defects. */
+void
+apply(ErrorFrame &frame, const TierChain::Result &result)
+{
+    if (result.decode.defects > 0) {
+        frame.apply_mask(result.decode.correction);
+    }
 }
 
 TEST(Hierarchy, TrivialSignaturesStayAtCliqueTier)
@@ -37,7 +54,7 @@ TEST(Hierarchy, TrivialSignaturesStayAtCliqueTier)
         frame.flip(q);
         const auto result = chain.decode_syndrome(syndrome_of(code, frame));
         ASSERT_EQ(result.tier, DecoderTier::Clique) << "q=" << q;
-        frame.apply_mask(result.decode.correction);
+        apply(frame, result);
         ASSERT_TRUE(frame.syndrome_clear());
     }
 }
@@ -46,7 +63,7 @@ TEST(Hierarchy, AllZeroSignatureIsFree)
 {
     const RotatedSurfaceCode code(5);
     const TierChain chain(code, CheckType::Z, TierChainConfig::deep());
-    std::vector<uint8_t> zeros(code.num_checks(CheckType::Z), 0);
+    const PackedSyndrome zeros(code.num_checks(CheckType::Z));
     const auto result = chain.decode_syndrome(zeros);
     EXPECT_EQ(result.tier, DecoderTier::Clique);
     for (const uint8_t bit : result.decode.correction) {
@@ -78,7 +95,7 @@ TEST(Hierarchy, ShortChainsResolveAtUnionFindTier)
         }
         ++total;
         uf_resolved += result.tier == DecoderTier::UnionFind ? 1 : 0;
-        frame.apply_mask(result.decode.correction);
+        apply(frame, result);
         ASSERT_TRUE(frame.syndrome_clear()) << "check " << c;
     }
     ASSERT_GT(total, 0);
@@ -96,9 +113,7 @@ TEST(Hierarchy, ZeroThresholdDisablesUnionFind)
         if (!code.boundary_data(CheckType::Z, c).empty()) {
             continue;
         }
-        std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
-        syndrome[c] = 1;
-        const auto result = chain.decode_syndrome(syndrome);
+        const auto result = chain.decode_syndrome(single_defect(code, c));
         EXPECT_EQ(result.tier, DecoderTier::Mwpm);
     }
 }
@@ -115,7 +130,7 @@ TEST(Hierarchy, EveryTierClearsTheSyndrome)
         const auto syndrome = syndrome_of(code, frame);
         const auto result = chain.decode_syndrome(syndrome);
         ++tiers_seen[static_cast<int>(result.tier)];
-        frame.apply_mask(result.decode.correction);
+        apply(frame, result);
         ASSERT_TRUE(frame.syndrome_clear()) << "iter=" << iter;
     }
     // At p=3% on d=9 all three tiers must be exercised.
@@ -128,7 +143,7 @@ TEST(Hierarchy, HigherThresholdKeepsMoreOffMwpm)
 {
     const RotatedSurfaceCode code(9);
     Rng rng(72);
-    std::vector<std::vector<uint8_t>> syndromes;
+    std::vector<PackedSyndrome> syndromes;
     for (int iter = 0; iter < 400; ++iter) {
         ErrorFrame frame(code, CheckType::X);
         frame.inject(0.03, rng);
@@ -163,7 +178,7 @@ TEST(Hierarchy, MatchesMwpmWithinHalfDistance)
             frame.flip(static_cast<int>(rng.next_below(code.num_data())));
         }
         const auto result = chain.decode_syndrome(syndrome_of(code, frame));
-        frame.apply_mask(result.decode.correction);
+        apply(frame, result);
         ASSERT_TRUE(frame.syndrome_clear());
         ASSERT_FALSE(frame.logical_flipped()) << "iter=" << iter;
     }
@@ -179,10 +194,7 @@ TEST(Hierarchy, WorksForBothCheckTypes)
         for (int iter = 0; iter < 100; ++iter) {
             ErrorFrame frame(code, err);
             frame.inject(0.02, rng);
-            std::vector<uint8_t> syndrome;
-            frame.measure_perfect(syndrome);
-            frame.apply_mask(
-                chain.decode_syndrome(syndrome).decode.correction);
+            apply(frame, chain.decode_syndrome(frame.syndrome()));
             ASSERT_TRUE(frame.syndrome_clear());
         }
     }
@@ -200,9 +212,7 @@ TEST(Hierarchy, ReportsGrowthEffort)
         if (!code.boundary_data(CheckType::Z, c).empty()) {
             continue;
         }
-        std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
-        syndrome[c] = 1;
-        const auto result = chain.decode_syndrome(syndrome);
+        const auto result = chain.decode_syndrome(single_defect(code, c));
         if (result.tier != DecoderTier::Clique) {
             EXPECT_GT(result.effort, 0) << "check " << c;
         }
@@ -224,9 +234,8 @@ TEST(Hierarchy, AgreesWithMwpmLogicallyOnRandomNoise)
         hier_frame.inject(0.02, rng);
         ErrorFrame mwpm_frame = hier_frame;
         const auto syndrome = syndrome_of(code, hier_frame);
-        hier_frame.apply_mask(
-            chain.decode_syndrome(syndrome).decode.correction);
-        mwpm_frame.apply_mask(mwpm.decode_syndrome(syndrome).correction);
+        apply(hier_frame, chain.decode_syndrome(syndrome));
+        mwpm_frame.apply_mask(mwpm.decode_packed(syndrome).correction);
         disagreements += hier_frame.logical_flipped() !=
                                  mwpm_frame.logical_flipped()
                              ? 1

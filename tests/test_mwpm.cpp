@@ -38,8 +38,8 @@ TEST(Mwpm, EmptySyndromeNoCorrection)
 {
     const RotatedSurfaceCode code(5);
     const MwpmDecoder decoder(code, CheckType::Z);
-    std::vector<uint8_t> syndrome(code.num_checks(CheckType::Z), 0);
-    const auto fix = decoder.decode_syndrome(syndrome);
+    const PackedSyndrome syndrome(code.num_checks(CheckType::Z));
+    const auto fix = decoder.decode_packed(syndrome);
     EXPECT_EQ(fix.weight, 0);
     EXPECT_EQ(fix.defects, 0);
     for (const uint8_t c : fix.correction) {
@@ -59,9 +59,8 @@ TEST_P(MwpmDistance, CorrectsAllSingleErrors)
     for (int q = 0; q < code.num_data(); ++q) {
         ErrorFrame frame(code, CheckType::X);
         frame.flip(q);
-        std::vector<uint8_t> syndrome;
-        frame.measure_perfect(syndrome);
-        const auto fix = decoder.decode_syndrome(syndrome);
+        const PackedSyndrome syndrome = frame.syndrome();
+        const auto fix = decoder.decode_packed(syndrome);
         expect_corrects(code, frame, fix, true);
     }
 }
@@ -79,9 +78,8 @@ TEST_P(MwpmDistance, CorrectsAllErrorPairs)
             ErrorFrame frame(code, CheckType::X);
             frame.flip(q1);
             frame.flip(q2);
-            std::vector<uint8_t> syndrome;
-            frame.measure_perfect(syndrome);
-            const auto fix = decoder.decode_syndrome(syndrome);
+            const PackedSyndrome syndrome = frame.syndrome();
+            const auto fix = decoder.decode_packed(syndrome);
             frame.apply_mask(fix.correction);
             ASSERT_TRUE(frame.syndrome_clear())
                 << "q1=" << q1 << " q2=" << q2;
@@ -105,9 +103,8 @@ TEST_P(MwpmDistance, CorrectsRandomHalfDistanceErrors)
         for (int i = 0; i < k; ++i) {
             frame.flip(static_cast<int>(rng.next_below(code.num_data())));
         }
-        std::vector<uint8_t> syndrome;
-        frame.measure_perfect(syndrome);
-        const auto fix = decoder.decode_syndrome(syndrome);
+        const PackedSyndrome syndrome = frame.syndrome();
+        const auto fix = decoder.decode_packed(syndrome);
         frame.apply_mask(fix.correction);
         ASSERT_TRUE(frame.syndrome_clear());
         // Repeated flips can cancel, so the realized weight may be
@@ -143,9 +140,8 @@ TEST(Mwpm, BothErrorTypesDecode)
         const MwpmDecoder decoder(code, detector_of_error(err));
         ErrorFrame frame(code, err);
         frame.flip(12);
-        std::vector<uint8_t> syndrome;
-        frame.measure_perfect(syndrome);
-        const auto fix = decoder.decode_syndrome(syndrome);
+        const PackedSyndrome syndrome = frame.syndrome();
+        const auto fix = decoder.decode_packed(syndrome);
         expect_corrects(code, frame, fix, true);
     }
 }
@@ -258,9 +254,8 @@ TEST(Mwpm, WeightedDecoderStillCorrectsHalfDistanceErrors)
         for (int i = 0; i < k; ++i) {
             frame.flip(static_cast<int>(rng.next_below(code.num_data())));
         }
-        std::vector<uint8_t> syndrome;
-        frame.measure_perfect(syndrome);
-        frame.apply_mask(decoder.decode_syndrome(syndrome).correction);
+        const PackedSyndrome syndrome = frame.syndrome();
+        frame.apply_mask(decoder.decode_packed(syndrome).correction);
         ASSERT_TRUE(frame.syndrome_clear());
         ASSERT_FALSE(frame.logical_flipped()) << "iter=" << iter;
     }

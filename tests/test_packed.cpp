@@ -4,14 +4,16 @@
  * against the byte-vector reference path at every layer: PackedBits
  * itself (word-boundary widths), syndrome extraction, the measurement
  * filter, event materialization, Clique screening, the Union-Find
- * mid-tier, and the full TierChain walk — across distances, round
- * counts, both detector types and random noise.
+ * mid-tier, and the full TierChain walk (against a test-local
+ * event-path walk) — across distances, round counts, both detector
+ * types and random noise.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <ios>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -56,6 +58,20 @@ error_syndrome(const RotatedSurfaceCode &code, CheckType error_type,
     std::vector<uint8_t> syndrome;
     frame.measure_perfect(syndrome);
     return syndrome;
+}
+
+/** Round-0 events of a byte syndrome, ascending check order: the
+ * byte-vector reference for `events_from_packed`. */
+std::vector<DetectionEvent>
+byte_events(const std::vector<uint8_t> &syndrome)
+{
+    std::vector<DetectionEvent> events;
+    for (int c = 0; c < static_cast<int>(syndrome.size()); ++c) {
+        if (syndrome[static_cast<size_t>(c)] & 1) {
+            events.push_back(DetectionEvent{c, 0});
+        }
+    }
+    return events;
 }
 
 /** Random spacetime detection events, ascending (round, check). */
@@ -250,15 +266,14 @@ TEST(PackedEvents, MatchesByteEventsAcrossDistances)
             PackedSyndrome packed;
             packed.from_bytes(syndrome);
 
-            const std::vector<DetectionEvent> byte_events =
-                events_from_syndrome(syndrome);
+            const std::vector<DetectionEvent> want = byte_events(syndrome);
             std::vector<DetectionEvent> packed_events;
             events_from_packed(packed, packed_events);
 
-            ASSERT_EQ(byte_events.size(), packed_events.size());
-            for (size_t i = 0; i < byte_events.size(); ++i) {
-                EXPECT_EQ(byte_events[i].check, packed_events[i].check);
-                EXPECT_EQ(byte_events[i].round, packed_events[i].round);
+            ASSERT_EQ(want.size(), packed_events.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(want[i].check, packed_events[i].check);
+                EXPECT_EQ(want[i].round, packed_events[i].round);
             }
         }
     }
@@ -474,7 +489,8 @@ expect_pooled_matches_fresh(const RotatedSurfaceCode &code,
         reused.correction.assign(3, 1);
         reused.weight = -1;
         pooled.decode_packed(packed, reused);
-        expect_result_eq(fresh.decode_syndrome(syndrome), reused, what);
+        expect_result_eq(fresh.decode(byte_events(syndrome), 1), reused,
+                         what);
     }
 }
 
@@ -565,13 +581,58 @@ TEST(PackedTiers, CliqueTierAndLutMatchByteDecodeSyndrome)
                 random_syndrome(num_checks, 0.1, rng);
             PackedSyndrome packed;
             packed.from_bytes(syndrome);
-            expect_result_eq(clique_tier.decode_syndrome(syndrome),
+            const std::vector<DetectionEvent> events =
+                byte_events(syndrome);
+            expect_result_eq(clique_tier.decode(events, 1),
                              clique_tier.decode_packed(packed),
                              "clique tier");
-            expect_result_eq(lut.decode_syndrome(syndrome),
+            expect_result_eq(lut.decode(events, 1),
                              lut.decode_packed(packed), "lut tier");
         }
     }
+}
+
+/**
+ * Test-local reference walk over a byte syndrome: every tier on its
+ * event path (`Decoder::decode(events, 1)`) under the escalation rule
+ * of src/decoders/README.md; an all-zero syndrome resolves at tier 0.
+ */
+TierChain::Result
+byte_walk(const TierChain &chain, const std::vector<uint8_t> &syndrome,
+          const TierChain::Options &options)
+{
+    const std::vector<DetectionEvent> events = byte_events(syndrome);
+    TierChain::Result result;
+    result.tier = chain.spec(0).kind;
+    if (events.empty()) {
+        result.decode = chain.decoder(0).decode(events, 1);
+        return result;
+    }
+    int effort = 0;
+    for (size_t i = 0; i < chain.size(); ++i) {
+        const TierSpec &spec = chain.spec(i);
+        result.tier_index = static_cast<int>(i);
+        result.tier = spec.kind;
+        result.offchip = spec.offchip;
+        if (options.stop_before_offchip && spec.offchip) {
+            result.resolved = false;
+            result.effort = effort;
+            result.decode.defects = static_cast<int>(events.size());
+            return result;
+        }
+        Decoder::Result attempt = chain.decoder(i).decode(events, 1);
+        effort = attempt.effort > effort ? attempt.effort : effort;
+        const bool accept =
+            attempt.resolved && (spec.escalation_threshold < 0 ||
+                                 attempt.effort <= spec.escalation_threshold);
+        if (accept || i + 1 == chain.size()) {
+            result.resolved = attempt.resolved;
+            result.effort = effort;
+            result.decode = std::move(attempt);
+            return result;
+        }
+    }
+    return result;
 }
 
 void
@@ -582,7 +643,7 @@ expect_chain_match(const TierChain &chain,
     PackedSyndrome packed;
     packed.from_bytes(syndrome);
     const TierChain::Result byte_result =
-        chain.decode_syndrome(syndrome, options);
+        byte_walk(chain, syndrome, options);
     TierChain::Result packed_result;
     chain.decode_syndrome(packed, options, packed_result);
 

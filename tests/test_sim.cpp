@@ -359,9 +359,12 @@ TEST(Fleet, BinomialDemandMatchesMean)
 TEST(Fleet, ExactTraceAgreesWithBinomialModel)
 {
     // Small exact fleet: per-qubit full pipelines. Its demand mean
-    // must match Binomial(n, q) with q from a lifetime run.
-    const int distance = 3;
-    const double p = 5e-3;
+    // must match Binomial(n, q) with q from a lifetime run. The
+    // operating point keeps q near 4%, so the mean (~0.84) is large
+    // enough for a purely relative tolerance: the combined standard
+    // error is ~2.8% of it, and a 1.25x disagreement fails.
+    const int distance = 5;
+    const double p = 8e-3;
     LifetimeConfig lconfig;
     lconfig.distance = distance;
     lconfig.p = p;
@@ -382,8 +385,7 @@ TEST(Fleet, ExactTraceAgreesWithBinomialModel)
         run_fabric(exact_fleet_fabric(fleet, false)).demand;
 
     const double expected_mean = qubits * q;
-    EXPECT_NEAR(exact.mean(), expected_mean,
-                0.35 * expected_mean + 0.05);
+    EXPECT_NEAR(exact.mean(), expected_mean, 0.15 * expected_mean);
 }
 
 TEST(Fleet, FullBandwidthNeverStalls)

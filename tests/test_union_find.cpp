@@ -31,9 +31,8 @@ TEST_P(UnionFindSweep, CorrectsAllSingleErrors)
     for (int q = 0; q < code.num_data(); ++q) {
         ErrorFrame frame(code, CheckType::X);
         frame.flip(q);
-        std::vector<uint8_t> syndrome;
-        frame.measure_perfect(syndrome);
-        const auto fix = decoder.decode_syndrome(syndrome);
+        const PackedSyndrome syndrome = frame.syndrome();
+        const auto fix = decoder.decode_packed(syndrome);
         frame.apply_mask(fix.correction);
         ASSERT_TRUE(frame.syndrome_clear()) << "q=" << q;
         ASSERT_FALSE(frame.logical_flipped()) << "q=" << q;
@@ -49,9 +48,8 @@ TEST_P(UnionFindSweep, ClearsSyndromesOfRandomErrors)
     for (int iter = 0; iter < 300; ++iter) {
         ErrorFrame frame(code, CheckType::X);
         frame.inject(0.04, rng);
-        std::vector<uint8_t> syndrome;
-        frame.measure_perfect(syndrome);
-        const auto fix = decoder.decode_syndrome(syndrome);
+        const PackedSyndrome syndrome = frame.syndrome();
+        const auto fix = decoder.decode_packed(syndrome);
         frame.apply_mask(fix.correction);
         ASSERT_TRUE(frame.syndrome_clear()) << "iter=" << iter;
     }
@@ -135,10 +133,9 @@ TEST(UnionFind, AccuracyWithinSmallFactorOfMwpm)
         ErrorFrame uf_frame(code, CheckType::X);
         uf_frame.inject(0.05, rng);
         ErrorFrame mwpm_frame = uf_frame;
-        std::vector<uint8_t> syndrome;
-        uf_frame.measure_perfect(syndrome);
-        uf_frame.apply_mask(uf.decode_syndrome(syndrome).correction);
-        mwpm_frame.apply_mask(mwpm.decode_syndrome(syndrome).correction);
+        const PackedSyndrome syndrome = uf_frame.syndrome();
+        uf_frame.apply_mask(uf.decode_packed(syndrome).correction);
+        mwpm_frame.apply_mask(mwpm.decode_packed(syndrome).correction);
         uf_failures += uf_frame.logical_flipped() ? 1 : 0;
         mwpm_failures += mwpm_frame.logical_flipped() ? 1 : 0;
     }

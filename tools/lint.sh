@@ -72,6 +72,15 @@ if grep_code 'vector[[:space:]]*<[[:space:]]*BtwcSystem[[:space:]]*>' src |
     fail "vector<BtwcSystem> outside src/fabric/harness.cpp; run the fleet through run_fabric"
 fi
 
+# One tier walk: TierChain::decode_syndrome over a packed syndrome is
+# the only walk through a decoder chain (the off-chip service resumes
+# it per served request). A batch, event-list or byte-syndrome walk in
+# src/ would grow a second one beside it.
+if grep_code '(^|[^_[:alnum:]])(decode_batch|decode_batch_from|decode_from|events_from_syndrome)[[:space:]]*\(' \
+        src; then
+    fail "batch/event/byte tier walk in src/; call TierChain::decode_syndrome (resume with first_tier)"
+fi
+
 # One key table: every scenario key, spelling and enum value name lives
 # in a row or name list of src/api/scenario.cpp, matched by loops over
 # them. A string-literal comparison there would be a second,
