@@ -55,24 +55,28 @@ sample_packed(const RotatedSurfaceCode &code, int errors, Rng &rng)
     return syndrome;
 }
 
-/** Detection events of a full d-round spacetime window at rate p. */
+/** Detection events of a full d-round spacetime window at rate p: each
+ * packed round XOR the one before it, in (round, check) order. */
 std::vector<DetectionEvent>
 sample_window(const RotatedSurfaceCode &code, Rng &rng, double p = 5e-3)
 {
     const int d = code.distance();
     ErrorFrame frame(code, CheckType::X);
-    std::vector<std::vector<uint8_t>> raw(d + 1);
-    std::vector<DetectionEvent> events;
+    std::vector<PackedSyndrome> raw(d + 1);
     for (int t = 0; t < d; ++t) {
         frame.inject(p, rng);
-        frame.measure(p, rng, raw[t]);
+        frame.measure_packed(p, rng, raw[t]);
     }
-    frame.measure_perfect(raw[d]);
+    raw[d] = frame.syndrome();
+    std::vector<DetectionEvent> events;
     for (int t = 0; t <= d; ++t) {
-        for (int c = 0; c < code.num_checks(CheckType::Z); ++c) {
-            const uint8_t prev = t == 0 ? 0 : raw[t - 1][c];
-            if ((raw[t][c] ^ prev) & 1) {
-                events.push_back(DetectionEvent{c, t});
+        for (int w = 0; w < raw[t].num_words(); ++w) {
+            uint64_t bits =
+                raw[t].word(w) ^ (t == 0 ? 0 : raw[t - 1].word(w));
+            while (bits != 0) {
+                events.push_back(
+                    DetectionEvent{w * 64 + __builtin_ctzll(bits), t});
+                bits &= bits - 1;
             }
         }
     }
@@ -155,9 +159,9 @@ BENCHMARK(BM_UnionFindDecodeSyndrome)->Arg(5)->Arg(9)->Arg(21);
 /**
  * The packed-fast-path pairs (byte baseline vs word-parallel packed,
  * same pre-sampled inputs): Clique screening and noisy syndrome
- * extraction, followed by the Union-Find decoder on its single-round
- * and stream-window loads. See the archived BENCH_decoders.json for
- * the measured trajectory.
+ * extraction, followed by the Union-Find decoder on its stream-window
+ * load (BM_UnionFindDecodeSyndrome times its single-round load). See
+ * the archived BENCH_decoders.json for the measured trajectory.
  */
 void
 BM_CliqueScreenByte(benchmark::State &state)
@@ -196,27 +200,6 @@ BM_CliqueScreenPacked(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CliqueScreenPacked)->Arg(9)->Arg(21);
-
-void
-BM_UnionFindDecodePacked(benchmark::State &state)
-{
-    // Single-round decodes on one pooled instance: cached topology,
-    // bitset cluster state, per-call work bounded by the clusters.
-    const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
-    const UnionFindDecoder uf(code, CheckType::Z);
-    Rng rng(13);
-    std::vector<std::vector<DetectionEvent>> events(64);
-    for (std::vector<DetectionEvent> &slot : events) {
-        events_from_packed(
-            sample_packed(code, static_cast<int>(state.range(0)) / 2, rng),
-            slot);
-    }
-    size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(uf.decode(events[i++ & 63], 1));
-    }
-}
-BENCHMARK(BM_UnionFindDecodePacked)->Arg(9)->Arg(21);
 
 /** Rounds per stream-d21 window, and its commit region [0, 6). */
 constexpr int kStreamWindow = 8;

@@ -38,6 +38,21 @@ MemoryResult::ler_interval() const
 namespace {
 
 /**
+ * One shard's trial state. Every trial resets the frame and the filter
+ * and overwrites the rest, so the frame keeps its noise walks (no
+ * exp/log1p per trial) and every buffer keeps its capacity.
+ */
+struct TrialState
+{
+    ErrorFrame frame;
+    PackedMeasurementFilter filter;
+    /** The `rounds` noisy rounds, then the noiseless closing round. */
+    std::vector<PackedSyndrome> raw;
+    std::vector<DetectionEvent> events;
+    PackedBits correction;
+};
+
+/**
  * One trial: returns true on logical failure. `offchip_rounds` is
  * incremented for every round the Clique arm flags COMPLEX;
  * `unclear_syndromes` for a decode that leaves the perfect-round
@@ -45,70 +60,71 @@ namespace {
  * MemoryResult::unclear_syndromes).
  */
 bool
-run_trial(const RotatedSurfaceCode &code, const MemoryConfig &config,
-          DecoderArm arm, const MwpmDecoder &mwpm,
-          const UnionFindDecoder &uf, const CliqueDecoder &clique,
-          Rng &rng, uint64_t &offchip_rounds, uint64_t &unclear_syndromes)
+run_trial(const MemoryConfig &config, DecoderArm arm,
+          const MwpmDecoder &mwpm, const UnionFindDecoder &uf,
+          const CliqueDecoder &clique, TrialState &s, Rng &rng,
+          uint64_t &offchip_rounds, uint64_t &unclear_syndromes)
 {
-    const CheckType detector = detector_of_error(config.error_type);
     const int rounds = config.rounds > 0 ? config.rounds
                                          : config.distance;
-    const int num_checks = code.num_checks(detector);
-
-    ErrorFrame frame(code, config.error_type);
-    MeasurementFilter filter(num_checks, config.filter_rounds);
-
-    std::vector<std::vector<uint8_t>> raw(
-        static_cast<size_t>(rounds) + 1);
+    s.frame.reset();
+    s.filter.reset();
     for (int t = 0; t < rounds; ++t) {
-        frame.inject(config.p, rng);
-        frame.measure(config.meas_probability(), rng, raw[t]);
+        s.frame.inject(config.p, rng);
+        s.frame.measure_packed(config.meas_probability(), rng, s.raw[t]);
         if (arm == DecoderArm::CliqueMwpm) {
-            const std::vector<uint8_t> &filtered = filter.push(raw[t]);
-            const CliqueOutcome outcome = clique.decode(filtered);
-            if (outcome.verdict == CliqueVerdict::Trivial) {
-                frame.apply(outcome.corrections);
-            } else if (outcome.verdict == CliqueVerdict::Complex) {
+            const CliqueVerdict verdict = clique.decode_packed(
+                s.filter.push(s.raw[t]), s.correction);
+            if (verdict == CliqueVerdict::Trivial) {
+                s.frame.apply_packed(s.correction);
+            } else if (verdict == CliqueVerdict::Complex) {
                 ++offchip_rounds;
             }
         }
     }
     // Final perfect round closes every chain so the residual after
     // correction is guaranteed syndrome-free.
-    frame.measure_perfect(raw[rounds]);
+    s.raw[rounds] = s.frame.syndrome();
 
-    std::vector<DetectionEvent> events;
+    // Detection events in (round, check) order: each round XOR the one
+    // before it (all-zero before round 0), walked word by word.
+    s.events.clear();
     for (int t = 0; t <= rounds; ++t) {
-        for (int c = 0; c < num_checks; ++c) {
-            const uint8_t prev = t == 0 ? 0 : raw[t - 1][c];
-            if ((raw[t][c] ^ prev) & 1) {
-                events.push_back(DetectionEvent{c, t});
+        const PackedSyndrome &cur = s.raw[t];
+        for (int w = 0; w < cur.num_words(); ++w) {
+            uint64_t bits =
+                cur.word(w) ^ (t == 0 ? 0 : s.raw[t - 1].word(w));
+            while (bits != 0) {
+                s.events.push_back(
+                    DetectionEvent{w * 64 + __builtin_ctzll(bits), t});
+                bits &= bits - 1;
             }
         }
     }
 
     MwpmDecoder::Result fix;
     if (arm == DecoderArm::UnionFindOnly) {
-        fix = uf.decode(events, rounds + 1);
+        fix = uf.decode(s.events, rounds + 1);
     } else {
-        fix = mwpm.decode(events, rounds + 1);
+        fix = mwpm.decode(s.events, rounds + 1);
     }
-    frame.apply_mask(fix.correction);
+    s.frame.apply_mask(fix.correction);
     if (audit_deep()) {
-        frame.audit();
+        s.frame.audit();
     }
 
     // Counted runtime check (not an assert): Release builds must see
     // a violation of the syndrome-clear invariant too.
-    if (!frame.syndrome_clear()) {
+    if (!s.frame.syndrome_clear()) {
         ++unclear_syndromes;
     }
-    return frame.logical_flipped();
+    return s.frame.logical_flipped();
 }
 
 /**
- * One shard: the historical single-threaded trial loop. `config`
- * carries the shard's trial budget, failure target and seed.
+ * One shard: the historical single-threaded trial loop, on one
+ * TrialState. `config` carries the shard's trial budget, failure
+ * target and seed.
  */
 MemoryResult
 run_memory_shard(const MemoryConfig &config, DecoderArm arm)
@@ -129,11 +145,17 @@ run_memory_shard(const MemoryConfig &config, DecoderArm arm)
     MemoryResult result;
     const int rounds = config.rounds > 0 ? config.rounds
                                          : config.distance;
+    TrialState state{
+        ErrorFrame(code, config.error_type),
+        PackedMeasurementFilter(code.num_checks(detector),
+                                config.filter_rounds),
+        std::vector<PackedSyndrome>(static_cast<size_t>(rounds) + 1),
+        {}, {}};
     while (result.trials < config.max_trials &&
            result.failures < config.target_failures) {
         ++result.trials;
         result.total_rounds += static_cast<uint64_t>(rounds);
-        if (run_trial(code, config, arm, mwpm, uf, clique, rng,
+        if (run_trial(config, arm, mwpm, uf, clique, state, rng,
                       result.offchip_rounds,
                       result.unclear_syndromes)) {
             ++result.failures;

@@ -114,6 +114,17 @@ struct MemoryResult
  * that the final MWPM pass resolves as identity); rounds flagged
  * COMPLEX leave their events to the final MWPM pass, which models the
  * off-chip hand-over.
+ *
+ * Each trial runs the packed per-cycle pipeline (src/core/README.md):
+ * per round `ErrorFrame::inject`, `measure_packed`, and on the Clique
+ * arm `PackedMeasurementFilter::push` and `CliqueDecoder::decode_packed`;
+ * the closing round is the frame's noiseless `syndrome()`. Detection
+ * events are the word-wise XOR of consecutive rounds, in (round,
+ * check) order. A shard keeps one trial state, the frame (with its
+ * noise walks), the filter, the rounds, the event list and the Clique
+ * correction, and resets it per trial: a trial draws exactly what a
+ * fresh state would, and its per-round stages allocate nothing once
+ * the first trial has run.
  */
 MemoryResult run_memory_experiment(const MemoryConfig &config,
                                    DecoderArm arm);

@@ -81,6 +81,20 @@ if grep_code '(^|[^_[:alnum:]])(decode_batch|decode_batch_from|decode_from|event
     fail "batch/event/byte tier walk in src/; call TierChain::decode_syndrome (resume with first_tier)"
 fi
 
+# One per-cycle pipeline: every harness extracts with measure_packed
+# (or reads the noiseless syndrome()), filters with
+# PackedMeasurementFilter and screens with CliqueDecoder::decode_packed.
+# The byte extraction and byte filter remain only for the benchmark's
+# replicas; a call elsewhere in src/ would grow a second pipeline.
+if grep_code '(\.|->)measure(_perfect)?[[:space:]]*\(' src |
+        grep -v '^src/surface/frame\.'; then
+    fail "byte measure()/measure_perfect() outside src/surface/frame.*; call measure_packed or read syndrome()"
+fi
+if grep_code '(^|[^_[:alnum:]])MeasurementFilter([^_[:alnum:]]|$)' src |
+        grep -v '^src/core/filter\.'; then
+    fail "byte MeasurementFilter outside src/core/filter.*; use PackedMeasurementFilter"
+fi
+
 # One key table: every scenario key, spelling and enum value name lives
 # in a row or name list of src/api/scenario.cpp, matched by loops over
 # them. A string-literal comparison there would be a second,
