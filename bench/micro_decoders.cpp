@@ -83,6 +83,21 @@ sample_window(const RotatedSurfaceCode &code, Rng &rng, double p = 5e-3)
     return events;
 }
 
+/**
+ * Share of `mwpm`'s decodes since (`certified0`, `blossom0`) that
+ * skipped the blossom (MwpmDecoder::certified_decodes).
+ */
+double
+certified_share(const MwpmDecoder &mwpm, uint64_t certified0,
+                uint64_t blossom0)
+{
+    const double certified =
+        static_cast<double>(mwpm.certified_decodes() - certified0);
+    const double solved =
+        static_cast<double>(mwpm.blossom_decodes() - blossom0);
+    return certified + solved > 0 ? certified / (certified + solved) : 0.0;
+}
+
 void
 BM_CliqueDecode(benchmark::State &state)
 {
@@ -128,11 +143,14 @@ BM_MwpmDecodeSyndrome(benchmark::State &state)
             sample_packed(code, static_cast<int>(state.range(0)) / 2, rng));
     }
     Decoder::Result out;
+    const uint64_t certified0 = mwpm.certified_decodes();
+    const uint64_t blossom0 = mwpm.blossom_decodes();
     size_t i = 0;
     for (auto _ : state) {
         mwpm.decode_packed(syndromes[i++ & 63], out);
         benchmark::DoNotOptimize(out.weight);
     }
+    state.counters["certified"] = certified_share(mwpm, certified0, blossom0);
 }
 BENCHMARK(BM_MwpmDecodeSyndrome)->Arg(5)->Arg(9)->Arg(21);
 
@@ -391,11 +409,14 @@ BM_MwpmDecodeMemory(benchmark::State &state)
         windows.push_back(sample_window(code, rng, 1e-2));
         defects += windows.back().size();
     }
+    const uint64_t certified0 = mwpm.certified_decodes();
+    const uint64_t blossom0 = mwpm.blossom_decodes();
     size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(mwpm.decode(windows[i++ & 63], d + 1));
     }
     state.counters["defects"] = static_cast<double>(defects) / 64.0;
+    state.counters["certified"] = certified_share(mwpm, certified0, blossom0);
 }
 BENCHMARK(BM_MwpmDecodeMemory);
 
@@ -417,12 +438,16 @@ BM_MwpmDecodeWindow(benchmark::State &state)
     const std::vector<std::vector<DetectionEvent>> windows =
         stream_windows(code, window, window - overlap, true, defects);
     MwpmMatches matches;
+    Decoder::Result out;
+    const uint64_t certified0 = mwpm.certified_decodes();
+    const uint64_t blossom0 = mwpm.blossom_decodes();
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            mwpm.decode_matched(windows[i++ & 63], window, matches));
+        mwpm.decode_matched(windows[i++ & 63], window, matches, out);
+        benchmark::DoNotOptimize(out.weight);
     }
     state.counters["defects"] = defects;
+    state.counters["certified"] = certified_share(mwpm, certified0, blossom0);
 }
 BENCHMARK(BM_MwpmDecodeWindow)->Args({8, 2})->Args({42, 21});
 

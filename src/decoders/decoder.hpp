@@ -86,13 +86,13 @@ class Decoder
      * implementation unpacks into the pooled event scratch and runs
      * `decode(events, 1)`; word-parallel tiers (CliqueTierDecoder,
      * LookupTableDecoder) override it to skip event materialization
-     * entirely, and UnionFindDecoder to reuse `out`'s correction
-     * capacity. Every override returns exactly what `decode(events, 1)`
-     * returns for the set bits as round-0 events (re-checked on every
-     * chain walk at AuditLevel::Deep, tier_chain.hpp). Like every
-     * pooled-scratch path in this codebase,
-     * decoder instances are not concurrency-safe; concurrent shards
-     * own their own instances.
+     * entirely, and UnionFindDecoder and MwpmDecoder to reuse `out`'s
+     * correction capacity. Every override returns exactly what
+     * `decode(events, 1)` returns for the set bits as round-0 events
+     * (re-checked on every chain walk at AuditLevel::Deep,
+     * tier_chain.hpp). Like every pooled-scratch path in this
+     * codebase, decoder instances are not concurrency-safe; concurrent
+     * shards own their own instances.
      */
     virtual void decode_packed(const PackedSyndrome &syndrome,
                                Result &out) const;

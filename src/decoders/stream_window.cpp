@@ -149,6 +149,7 @@ StreamWindowDecoder::steady_state_bytes() const
     bytes += origin_.capacity() * sizeof(uint64_t);
     bytes += matches_.pairs.capacity() * sizeof(MwpmMatches::Pair);
     bytes += matches_.path_data.capacity() * sizeof(int);
+    bytes += matched_.correction.capacity();
     bytes += static_cast<size_t>(prev_raw_.num_words() +
                                  committed_.num_words() +
                                  audit_mask_.num_words()) *
@@ -295,8 +296,7 @@ StreamWindowDecoder::decode_window(int avail, int commit)
     // Matched MWPM path: decode with pair attribution, then commit
     // exactly the pairs whose endpoints all lie in the commit region.
     ++stats_.matched_windows;
-    const Decoder::Result result =
-        matcher_.decode_matched(events_, rounds, matches_);
+    matcher_.decode_matched(events_, rounds, matches_, matched_);
     if (audit_deep()) {
         // Machine-check the MwpmMatches contract: the XOR of the pair
         // paths reproduces the full correction mask bit for bit.
@@ -309,7 +309,7 @@ StreamWindowDecoder::decode_window(int avail, int commit)
         for (int i = 0; i < code_.num_data(); ++i) {
             BTWC_CHECK_MSG(
                 audit_mask_.test(i) ==
-                    ((result.correction[static_cast<size_t>(i)] & 1) != 0),
+                    ((matched_.correction[static_cast<size_t>(i)] & 1) != 0),
                 "matched-pair path XOR must reproduce the MWPM "
                 "correction mask");
         }

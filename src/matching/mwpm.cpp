@@ -37,15 +37,21 @@ log_likelihood_weight(double p, double scale)
  * matcher's dense edge matrix) holds on to its grown capacity, so
  * after the first few decodes the steady state allocates nothing —
  * this is what the `BM_MwpmDecodeSingle` benchmark measures. One
- * Scratch lives in each decoder (`MwpmDecoder::scratch_`); `decode`
- * and `decode_matched` both route through it. No pairwise distance
- * is stored: the blossom's weight rows are written straight from the
- * oracle, and the few distances needed after the solve are recomputed.
+ * Scratch lives in each decoder (`MwpmDecoder::scratch_`); every
+ * decode entry point routes through it.
  */
 struct MwpmDecoder::Scratch
 {
     std::vector<int64_t> boundary_dist;  ///< b_i per defect
     std::vector<int> mate_defect;
+
+    // Certificate attempt: the spacetime distance of every defect pair
+    // (row-major k x k, only the part right of the diagonal written),
+    // each defect's nearest-defect key and the doubled duals.
+    std::vector<int64_t> dist;
+    std::vector<uint64_t> nearest;
+    std::vector<int64_t> dual;
+    std::vector<int> audit_mate;  ///< deep audit: the blossom's pairing
 
     // Subset-DP bridge: k x k spacetime distances, -1 on the diagonal.
     std::vector<std::vector<int64_t>> dp_w;
@@ -53,6 +59,113 @@ struct MwpmDecoder::Scratch
     // Pooled pairing engine (MaxWeightMatching::load_rows).
     MaxWeightMatching matcher;
 };
+
+namespace {
+
+/**
+ * k >= 3 instances with 2 k^2 > rounds * num_checks skip the
+ * certificate and go straight to the blossom. The certificate needs
+ * every defect clear of rivals, and the expected number of defect
+ * pairs within a given distance grows as k^2 over the spacetime node
+ * count. Near k^2 / nodes = 1/2 about one attempt in five certifies
+ * (single-round d=11 syndromes at k=5, memory-d9's d=9 trials at
+ * k=12-14), below what repays the failed ones; stream-d21's windows
+ * (k^2 / nodes ~0.07) certify ~80%, memory-d9's typical trials (k~25,
+ * ~1.6) under 5%, and d=21 spacetime windows at p=5e-3 (k~130, ~3.4)
+ * none.
+ */
+constexpr int64_t kCertifyCrowding = 2;
+
+/**
+ * One pass over the k defect pairs: defect u's distances come from one
+ * read of its check's hop row into row u of the row-major k x k table
+ * `dist` (right of the diagonal only), and each pair updates both
+ * endpoints' nearest defect, keyed (w << shift) | index so that the
+ * minimum is the first index at the least distance: selects, not
+ * data-dependent branches. A free function of plain values, so no
+ * scalar of the caller is reloaded after each table store.
+ */
+void
+scan_pairs(const CheckGraphDistances &oracle, const DetectionEvent *events,
+           int k, int64_t sw, int64_t tw, int shift, int64_t *dist,
+           uint64_t *nearest)
+{
+    const size_t ks = static_cast<size_t>(k);
+    std::fill_n(nearest, ks, std::numeric_limits<uint64_t>::max());
+    for (int u = 0; u < k; ++u) {
+        const uint16_t *hops = oracle.row(events[u].check);
+        const int ru = events[u].round;
+        int64_t *row = dist + static_cast<size_t>(u) * ks;
+        uint64_t best = nearest[u];
+        for (int j = u + 1; j < k; ++j) {
+            const int64_t w = hops[events[j].check] * sw +
+                              std::abs(ru - events[j].round) * tw;
+            row[j] = w;
+            const uint64_t key = static_cast<uint64_t>(w) << shift;
+            best = std::min(best, key | static_cast<uint64_t>(j));
+            nearest[j] = std::min(nearest[j], key | static_cast<uint64_t>(u));
+        }
+        nearest[u] = best;
+    }
+}
+
+/**
+ * The pairing of a certified k >= 3 instance, or false. `dist` holds
+ * the pair distances right of the diagonal of a row-major k x k
+ * table, `b` the boundary distances, and `nearest[i]` is
+ * (w_ij << shift) | j for i's nearest defect j, the first index at the
+ * least distance (the caller guarantees that no distance overflows
+ * its field).
+ *
+ * The candidate pairs mutual-nearest defects whose distance beats both
+ * retirements (w_ij < b_i + b_j) and retires the rest; it is returned
+ * only under strict complementary slackness of the doubled duals Y
+ * (Y_i = w_ij paired, 2 b_i retired): Y_i < 2 b_i for every paired i
+ * and Y_i + Y_j < 2 w_ij for every pair outside it, which makes it the
+ * unique optimal boundary matching (src/decoders/README.md,
+ * "Certified instances"). The tests run cheapest first and the
+ * attempt stops at the first violation: the paired defects' slack,
+ * every defect against its nearest (the pair most likely to fail),
+ * then the full sweep.
+ */
+bool
+certify(int k, const int64_t *dist, const int64_t *b, const uint64_t *nearest,
+        int shift, int64_t *dual, int *mate)
+{
+    const size_t ks = static_cast<size_t>(k);
+    const uint64_t mask = (uint64_t{1} << shift) - 1;
+    for (int i = 0; i < k; ++i) {
+        const int j = static_cast<int>(nearest[i] & mask);
+        const int64_t wij = static_cast<int64_t>(nearest[i] >> shift);
+        const bool paired = static_cast<int>(nearest[j] & mask) == i &&
+                            wij < b[i] + b[j];
+        if (paired && wij >= 2 * b[i]) {
+            return false;
+        }
+        mate[i] = paired ? j : -1;
+        dual[i] = paired ? wij : 2 * b[i];
+    }
+    for (int i = 0; i < k; ++i) {
+        const int j = static_cast<int>(nearest[i] & mask);
+        const int64_t wij = static_cast<int64_t>(nearest[i] >> shift);
+        if (mate[i] != j && dual[i] + dual[j] >= 2 * wij) {
+            return false;
+        }
+    }
+    for (int i = 0; i < k; ++i) {
+        const int64_t *row = dist + static_cast<size_t>(i) * ks;
+        const int64_t yi = dual[i];
+        const int mi = mate[i];
+        for (int j = i + 1; j < k; ++j) {
+            if (yi + dual[j] >= 2 * row[j] && j != mi) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+} // namespace
 
 MwpmDecoder::MwpmDecoder(const RotatedSurfaceCode &code, CheckType detector,
                          int space_weight, int time_weight, Matcher matcher)
@@ -65,34 +178,56 @@ MwpmDecoder::MwpmDecoder(const RotatedSurfaceCode &code, CheckType detector,
 
 MwpmDecoder::~MwpmDecoder() = default;
 
+const CheckGraphDistances &
+MwpmDecoder::oracle() const
+{
+    if (oracle_ == nullptr) {
+        oracle_ = &code_.check_distances(detector_);
+    }
+    return *oracle_;
+}
+
 MwpmDecoder::Result
 MwpmDecoder::decode(const std::vector<DetectionEvent> &events,
                     int rounds) const
 {
     thread_owner_.assert_single_thread_owner();
-    return decode_impl(events, rounds);
+    Result result;
+    decode_impl(events, rounds, result, nullptr);
+    return result;
 }
 
-MwpmDecoder::Result
-MwpmDecoder::decode_matched(const std::vector<DetectionEvent> &events,
-                            int rounds, MwpmMatches &matches) const
+void
+MwpmDecoder::decode_packed(const PackedSyndrome &syndrome, Result &out) const
 {
     thread_owner_.assert_single_thread_owner();
-    return decode_impl(events, rounds, &matches);
+    events_from_packed(syndrome, events_scratch_);
+    decode_impl(events_scratch_, 1, out, nullptr);
 }
 
-MwpmDecoder::Result
-MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
-                         int rounds, MwpmMatches *matches) const
+void
+MwpmDecoder::decode_matched(const std::vector<DetectionEvent> &events,
+                            int rounds, MwpmMatches &matches,
+                            Result &out) const
 {
-    Result result;
-    result.correction.assign(code_.num_data(), 0);
-    result.defects = static_cast<int>(events.size());
+    thread_owner_.assert_single_thread_owner();
+    decode_impl(events, rounds, out, &matches);
+}
+
+void
+MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
+                         int rounds, Result &out, MwpmMatches *matches) const
+{
+    out.correction.assign(static_cast<size_t>(code_.num_data()), 0);
+    out.weight = 0;
+    out.defects = static_cast<int>(events.size());
+    out.effort = 0;
+    out.resolved = true;
     if (matches != nullptr) {
         matches->clear();
     }
     if (events.empty()) {
-        return result;
+        return;
     }
     BTWC_CHECK(rounds >= 1);
 
@@ -107,7 +242,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     // distance is space hops * sw + time separation * tw, and a
     // boundary is nearest in the defect's own round. Both come from
     // the precomputed check-graph tables in O(1).
-    const CheckGraphDistances &oracle = code_.check_distances(detector_);
+    const CheckGraphDistances &oracle = this->oracle();
     if (audit_basic()) {
         for (const DetectionEvent &e : events) {
             BTWC_CHECK(e.round >= 0 && e.round < rounds);
@@ -127,6 +262,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     // Solve the pairing: mate_defect[i] is another defect index, or -1
     // for a boundary retirement.
     std::vector<int> &mate_defect = scratch.mate_defect;
+    mate_defect.resize(ks);
     if (matcher_ == Matcher::ExactDp && k <= kExactDpMaxDefects) {
         std::vector<std::vector<int64_t>> &dp_w = scratch.dp_w;
         if (dp_w.size() < ks) {
@@ -154,65 +290,144 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         // retirements. A mate with w_ij <= b_i + b_j maps back to a
         // direct pair, every other mate (V included) to boundary
         // retirements.
-        //
+        const int64_t *b = boundary_dist.data();
+
+        // Uncrowded k >= 3 instances try the certificate (certify): one
+        // pass over the defect pairs (scan_pairs) fills a pooled k x k
+        // distance table, from which the blossom's rows are then
+        // written should the attempt fail, and every defect's
+        // nearest-defect key. The keys carry each nearest distance
+        // exactly when no distance can overflow its shifted field;
+        // weights too large for that skip the attempt.
+        int shift = 1;
+        while ((int64_t{1} << shift) < k) {
+            ++shift;
+        }
+        const int64_t max_distance =
+            oracle.num_checks() * sw + static_cast<int64_t>(rounds - 1) * tw;
+        const bool attempt =
+            matcher_ == Matcher::Blossom && k >= 3 &&
+            kCertifyCrowding * k * k <=
+                static_cast<int64_t>(rounds) * oracle.num_checks() &&
+            max_distance <= (std::numeric_limits<int64_t>::max() >> shift);
+        if (attempt) {
+            if (scratch.dist.size() < ks * ks) {
+                scratch.dist.resize(ks * ks);  // never shrunk: no refill
+            }
+            scratch.nearest.resize(ks);
+            scratch.dual.resize(ks);
+            scan_pairs(oracle, events.data(), k, sw, tw, shift,
+                       scratch.dist.data(), scratch.nearest.data());
+        }
+        const int64_t *dist = scratch.dist.data();
+
         // No edge costs more than its endpoints' b (V's is 0), so no
         // perfect matching costs more than the sum of all b_i: with
         // `big` above it, a maximum-weight matching under weights
         // big - cost is a minimum-cost perfect matching, and every
         // weight is positive.
-        const int n = k + (k & 1);
-        int64_t big = 1;
-        for (int i = 0; i < k; ++i) {
-            big += boundary_dist[i];
-        }
-        MaxWeightMatching &solver = scratch.matcher;
-        solver.load_rows(n, [&](int u, int64_t *row) {
-            if (u == k) {
-                return;  // V is the last vertex: its row is all mirror
+        auto solve_blossom = [&](std::vector<int> &mate_out) {
+            const int n = k + (k & 1);
+            int64_t big = 1;
+            for (int i = 0; i < k; ++i) {
+                big += b[i];
             }
-            // One read of u's hop row serves the whole weight row.
-            const uint16_t *hops = oracle.row(events[u].check);
-            const int ru = events[u].round;
-            const int64_t bu = boundary_dist[u];
-            for (int j = u + 1; j < k; ++j) {
-                const int64_t w = hops[events[j].check] * sw +
-                                  std::abs(ru - events[j].round) * tw;
-                row[j] = big - std::min(w, bu + boundary_dist[j]);
-            }
-            if (n > k) {
-                row[k] = big - bu;
-            }
-        });
-        if (audit_deep()) {
-            // Every loaded weight, re-derived from the closed form.
-            for (int i = 0; i < n; ++i) {
-                for (int j = 0; j < n; ++j) {
-                    int64_t cost = 0;
-                    if (i < k && j < k) {
-                        cost = std::min(distance(i, j),
-                                        boundary_dist[i] + boundary_dist[j]);
-                    } else if (i < k || j < k) {
-                        cost = boundary_dist[std::min(i, j)];
+            MaxWeightMatching &solver = scratch.matcher;
+            if (attempt) {
+                // Row u of the distance table the attempt filled. Plain
+                // values only: no captured scalar is reloaded after each
+                // row store.
+                solver.load_rows(n, [dist, b, ks, k, n, big](int u,
+                                                             int64_t *row) {
+                    if (u == k) {
+                        return;  // V is the last vertex: all mirror
                     }
-                    BTWC_CHECK_MSG(solver.edge_weight(i, j) ==
-                                       (i == j ? 0 : big - cost),
-                                   "a loaded weight is big - c_ij");
+                    const int64_t *du = dist + static_cast<size_t>(u) * ks;
+                    const int64_t bu = b[u];
+                    for (int j = u + 1; j < k; ++j) {
+                        row[j] = big - std::min(du[j], bu + b[j]);
+                    }
+                    if (n > k) {
+                        row[k] = big - bu;
+                    }
+                });
+            } else {
+                solver.load_rows(n, [&](int u, int64_t *row) {
+                    if (u == k) {
+                        return;  // V is the last vertex: all mirror
+                    }
+                    // One read of u's hop row serves the whole weight row.
+                    const uint16_t *hops = oracle.row(events[u].check);
+                    const int ru = events[u].round;
+                    const int64_t bu = b[u];
+                    for (int j = u + 1; j < k; ++j) {
+                        const int64_t w = hops[events[j].check] * sw +
+                                          std::abs(ru - events[j].round) * tw;
+                        row[j] = big - std::min(w, bu + b[j]);
+                    }
+                    if (n > k) {
+                        row[k] = big - bu;
+                    }
+                });
+            }
+            if (audit_deep()) {
+                // Every loaded weight, re-derived from the closed form.
+                for (int i = 0; i < n; ++i) {
+                    for (int j = 0; j < n; ++j) {
+                        int64_t cost = 0;
+                        if (i < k && j < k) {
+                            cost = std::min(distance(i, j), b[i] + b[j]);
+                        } else if (i < k || j < k) {
+                            cost = b[std::min(i, j)];
+                        }
+                        BTWC_CHECK_MSG(solver.edge_weight(i, j) ==
+                                           (i == j ? 0 : big - cost),
+                                       "a loaded weight is big - c_ij");
+                    }
                 }
             }
-        }
 
-        const std::vector<int> &mate = solver.solve();
-        mate_defect.assign(ks, -1);
-        for (int i = 0; i < k; ++i) {
-            const int m = mate[i];
-            BTWC_CHECK_MSG(m >= 0,
-                           "a complete graph on an even vertex count "
-                           "admits a perfect matching");
-            if (i < m && m < k &&
-                distance(i, m) <= boundary_dist[i] + boundary_dist[m]) {
-                mate_defect[i] = m;
-                mate_defect[m] = i;
+            const std::vector<int> &mate = solver.solve();
+            mate_out.assign(ks, -1);
+            for (int i = 0; i < k; ++i) {
+                const int m = mate[i];
+                BTWC_CHECK_MSG(m >= 0,
+                               "a complete graph on an even vertex count "
+                               "admits a perfect matching");
+                if (i < m && m < k && distance(i, m) <= b[i] + b[m]) {
+                    mate_out[i] = m;
+                    mate_out[m] = i;
+                }
             }
+        };
+
+        // With k <= 2 the instance has exactly one perfect matching, so
+        // the pairing is forced, and the blossom's mapping rule,
+        // w <= b_0 + b_1, decides a pair. A certified pairing is the
+        // unique optimum, so it is the blossom's. Every other instance
+        // is solved.
+        bool settled = false;
+        if (matcher_ == Matcher::Blossom && k <= 2) {
+            const bool pair = k == 2 && distance(0, 1) <= b[0] + b[1];
+            mate_defect[0] = pair ? 1 : -1;
+            mate_defect[ks - 1] = pair ? 0 : -1;
+            settled = true;
+        } else if (attempt) {
+            settled = certify(k, dist, b, scratch.nearest.data(), shift,
+                              scratch.dual.data(), mate_defect.data());
+        }
+        if (settled) {
+            ++certified_;
+            if (audit_deep()) {
+                solve_blossom(scratch.audit_mate);
+                BTWC_CHECK_MSG(scratch.audit_mate == mate_defect,
+                               "a certified pairing is the blossom's");
+            }
+        } else {
+            if (matcher_ == Matcher::Blossom) {
+                ++blossom_;
+            }
+            solve_blossom(mate_defect);
         }
     }
 
@@ -224,7 +439,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     // space step and (c, r+1) on a geodesic. A space step goes to the
     // smallest-id neighbour one hop closer.
     auto toggle = [&](int via) {
-        result.correction[via] ^= 1;
+        out.correction[via] ^= 1;
         if (matches != nullptr) {
             matches->path_data.push_back(via);
         }
@@ -277,14 +492,13 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             pair_weight = distance(i, m);
             walk(i, events[m].check, events[m].round);
         }
-        result.weight += pair_weight;
+        out.weight += pair_weight;
         if (matches != nullptr) {
             matches->pairs.push_back(
                 {i, m, pair_weight, path_begin,
                  static_cast<int>(matches->path_data.size())});
         }
     }
-    return result;
 }
 
 } // namespace btwc

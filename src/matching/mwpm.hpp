@@ -79,16 +79,35 @@ struct MwpmMatches
  * other mate, the virtual vertex included, means retirement to the
  * boundary.
  *
- * The instance is loaded in one pass (`MaxWeightMatching::load_rows`):
- * defect i's weight row comes from one read of its check's hop row
- * (`CheckGraphDistances::row`), and no pairwise distance matrix is
- * kept; the few distances needed after the solve (the direct-pair
- * test and the weight of each matched pair) are recomputed from the
- * oracle.
+ * Certified instances skip the blossom (Blossom matcher only; the
+ * ExactDp oracle always runs its DP). With k <= 2 the instance has one
+ * perfect matching, so the pairing is forced: one defect retires, two
+ * pair iff w <= b_0 + b_1. A k >= 3 instance with
+ * 2 k^2 <= rounds * num_checks tries a certificate: one pass over the
+ * defect pairs reads each defect's check hop row once
+ * (`CheckGraphDistances::row`) into a pooled k x k distance table and
+ * finds every defect's nearest defect; the candidate pairs
+ * mutual-nearest defects with w_ij < b_i + b_j and retires the rest,
+ * and it is used only when the doubled duals Y_i = w_ij (paired) or
+ * 2 b_i (retired) satisfy strict complementary slackness
+ * (Y_i < 2 b_i for every paired i, Y_i + Y_j < 2 w_ij for every pair
+ * not matched), which makes it the unique optimal boundary matching
+ * and hence the pairing the blossom returns (src/decoders/README.md,
+ * "Certified instances"). Every other instance goes to the blossom,
+ * loaded in one pass (`MaxWeightMatching::load_rows`): each weight row
+ * comes from the table after a failed attempt, else from one read of
+ * the defect's check hop row. More crowded instances skip the
+ * attempt because they seldom certify and a failed attempt adds
+ * 10-20% to a decode. At AuditLevel::Deep every certified instance is
+ * also solved by the blossom and the two pairings must agree.
+ * `certified_decodes()` and `blossom_decodes()` count the two paths.
  *
  * Hot-path contract: each decoder instance owns one persistent
- * matcher scratch (grown once, reused by every decode
- * call), so steady-state decoding is allocation-free. Instances are
+ * matcher scratch (grown once, reused by every decode call), and
+ * `decode_packed` and `decode_matched` write into a caller-owned
+ * Result, so steady-state decoding through them is allocation-free.
+ * The check-graph tables are looked up on the first decode and kept,
+ * so a decoder that never decodes builds none. Instances are
  * therefore not safe for concurrent `decode` calls from multiple
  * threads — the sharded Monte-Carlo engine gives every shard its own
  * decoder stack, which is the intended usage.
@@ -136,32 +155,57 @@ class MwpmDecoder : public Decoder
     Result decode(const std::vector<DetectionEvent> &events,
                   int rounds) const override;
 
+    /** Single-round decode into `out`, reusing its correction
+     * capacity (no event list beyond the pooled one, no fresh
+     * Result). */
+    void decode_packed(const PackedSyndrome &syndrome,
+                       Result &out) const override;
+    using Decoder::decode_packed;
+
     /**
-     * As `decode`, but also report the solved pairing into `matches`
-     * (overwritten; capacity reused): one entry per matched pair or
-     * boundary retirement, each event index appearing in exactly one
-     * entry, with the data-qubit path of that pair's correction. The
-     * Result is bit-identical to `decode` on the same input — the
-     * match record is filled inside the same path-recovery walk the
-     * plain decode runs (see MwpmMatches).
+     * As `decode`, into a caller-owned `out` (every field overwritten,
+     * correction capacity reused), and also report the solved pairing
+     * into `matches` (overwritten; capacity reused): one entry per
+     * matched pair or boundary retirement, each event index appearing
+     * in exactly one entry, with the data-qubit path of that pair's
+     * correction. `out` is bit-identical to `decode` on the same
+     * input — the match record is filled inside the same
+     * path-recovery walk the plain decode runs (see MwpmMatches).
      */
-    Result decode_matched(const std::vector<DetectionEvent> &events,
-                          int rounds, MwpmMatches &matches) const;
+    void decode_matched(const std::vector<DetectionEvent> &events,
+                        int rounds, MwpmMatches &matches,
+                        Result &out) const;
+
+    /** Decodes with at least one defect that skipped the blossom: the
+     * k <= 2 closed form and certified k >= 3 instances (Blossom
+     * matcher only; see the class comment). */
+    uint64_t certified_decodes() const { return certified_; }
+
+    /** Decodes the blossom solved (Blossom matcher; the certificate
+     * failed). */
+    uint64_t blossom_decodes() const { return blossom_; }
 
   private:
     struct Scratch;
 
-    Result decode_impl(const std::vector<DetectionEvent> &events,
-                       int rounds, MwpmMatches *matches = nullptr) const;
+    void decode_impl(const std::vector<DetectionEvent> &events, int rounds,
+                     Result &out, MwpmMatches *matches) const;
+
+    /** The check-graph tables, looked up on the first decode. */
+    const CheckGraphDistances &oracle() const;
 
     const RotatedSurfaceCode &code_;
     CheckType detector_;
     int space_weight_;
     int time_weight_;
     Matcher matcher_;
+    mutable const CheckGraphDistances *oracle_ = nullptr;
+    mutable uint64_t certified_ = 0;
+    mutable uint64_t blossom_ = 0;
     /**
-     * Persistent per-instance working set (boundary distances, mates,
-     * the subset-DP bridge and the pooled blossom matcher); every
+     * Persistent per-instance working set (boundary distances, the
+     * certificate's pair-distance table and nearest-defect keys,
+     * mates, the subset-DP bridge and the pooled blossom matcher); every
      * decode entry point routes through it, so
      * single-shot `decode()` calls — the dominant `BtwcSystem`
      * per-cycle path — reuse grown capacity instead of reallocating.

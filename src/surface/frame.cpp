@@ -58,6 +58,8 @@ ErrorFrame::apply(const std::vector<int> &corrections)
 void
 ErrorFrame::apply_mask(const std::vector<uint8_t> &mask)
 {
+    BTWC_CHECK_MSG(mask.size() == err_.size(),
+                   "a correction mask has one byte per data qubit");
     for (size_t i = 0; i < err_.size(); ++i) {
         if (mask[i] & 1) {
             flip(static_cast<int>(i));

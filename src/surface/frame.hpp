@@ -73,7 +73,9 @@ class ErrorFrame
     /** Apply a correction: toggle every listed data qubit. */
     void apply(const std::vector<int> &corrections);
 
-    /** Apply a correction mask (one byte per data qubit). */
+    /** Apply a correction mask, one byte per data qubit (checked: a
+     * mask of any other length throws CheckFailure; `TierChain`
+     * leaves the correction empty when nothing fired). */
     void apply_mask(const std::vector<uint8_t> &mask);
 
     /** Apply a packed correction mask (one bit per data qubit). */

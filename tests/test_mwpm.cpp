@@ -414,8 +414,8 @@ TEST(Mwpm, MatchingWeightIsOptimal)
                 const auto fix = decoder.decode(events, rounds);
                 ASSERT_EQ(fix.weight, want)
                     << "d=" << d << " rounds=" << rounds << " iter=" << iter;
-                const auto matched =
-                    decoder.decode_matched(events, rounds, matches);
+                MwpmDecoder::Result matched;
+                decoder.decode_matched(events, rounds, matches, matched);
                 ASSERT_EQ(matched.weight, want)
                     << "d=" << d << " rounds=" << rounds << " iter=" << iter;
                 EXPECT_EQ(matched.correction, fix.correction);
@@ -455,7 +455,8 @@ TEST(Mwpm, BoundaryPairTieRule)
         std::vector<int64_t> b;
         independent_distances(code, det, 1, events, w, b);
         MwpmMatches matches;
-        const auto fix = decoder.decode_matched(events, 1, matches);
+        MwpmDecoder::Result fix;
+        decoder.decode_matched(events, 1, matches, fix);
         EXPECT_EQ(fix.weight, exact_min_weight_with_boundary(
                                   static_cast<int>(events.size()), w, b));
         expect_consistent_matches(matches, fix, w, b);

@@ -52,8 +52,8 @@ decode_line(const std::string &label, const MwpmDecoder &decoder,
             const std::vector<DetectionEvent> &events, int rounds,
             MwpmMatches &matches)
 {
-    const MwpmDecoder::Result result =
-        decoder.decode_matched(events, rounds, matches);
+    MwpmDecoder::Result result;
+    decoder.decode_matched(events, rounds, matches, result);
     uint64_t h = kFnvOffset;
     for (const MwpmMatches::Pair &pair : matches.pairs) {
         h = fnv1a(h, pair.a);

@@ -266,8 +266,8 @@ TEST(MwpmRows, RowFillMatchesTheSetWeightReference)
                             random_events(num_checks, rounds, k, rng);
                         const Decoder::Result want =
                             reference.decode(events, want_m);
-                        const Decoder::Result got =
-                            decoder.decode_matched(events, rounds, got_m);
+                        Decoder::Result got;
+                        decoder.decode_matched(events, rounds, got_m, got);
                         SCOPED_TRACE(::testing::Message()
                                      << "d=" << d << " det="
                                      << check_type_name(det) << " sw=" << w[0]

@@ -36,7 +36,10 @@
  *            no perfect matching exists).
  *
  * Each line reads `<label> <defects> <weight> <fnv1a64 hex>`; lines
- * starting with '#' are comments.
+ * starting with '#' are comments. The decode corpus takes both of
+ * `MwpmDecoder`'s paths, the certificate and the blossom
+ * (`MwpmCertified.PairingGoldenCorpusTakesBothPaths`), so its lines
+ * pin the certified pairings too.
  */
 
 #include <gtest/gtest.h>
@@ -71,8 +74,17 @@ format_line(const std::string &label, int defects, int64_t weight,
     return buf;
 }
 
+/** Decodes of the `decode:` corpus by path (MwpmDecoder counters). */
+struct DecodePaths
+{
+    uint64_t certified = 0;
+    uint64_t certified_large = 0;  ///< k >= 3: the certificate itself
+    uint64_t solved = 0;
+};
+
 void
-append_decode_corpus(std::vector<std::string> &lines)
+append_decode_corpus(std::vector<std::string> &lines,
+                     DecodePaths *paths = nullptr)
 {
     // Target defect counts, two instances each; p is set from the
     // spacetime node count so every configuration sweeps sparse to
@@ -97,8 +109,13 @@ append_decode_corpus(std::vector<std::string> &lines)
                     const std::vector<DetectionEvent> events =
                         phenomenological_events(code, det, rounds, p, true,
                                                 rng);
-                    const Decoder::Result result =
-                        decoder.decode_matched(events, rounds, matches);
+                    const uint64_t certified0 = decoder.certified_decodes();
+                    Decoder::Result result;
+                    decoder.decode_matched(events, rounds, matches, result);
+                    if (paths != nullptr && events.size() >= 3) {
+                        paths->certified_large +=
+                            decoder.certified_decodes() - certified0;
+                    }
                     uint64_t h = kFnvOffset;
                     for (const MwpmMatches::Pair &pair : matches.pairs) {
                         h = fnv1a(h, pair.a);
@@ -110,6 +127,10 @@ append_decode_corpus(std::vector<std::string> &lines)
                             check_type_name(det) + ":" +
                             std::to_string(i),
                         result.defects, result.weight, h));
+                }
+                if (paths != nullptr) {
+                    paths->certified += decoder.certified_decodes();
+                    paths->solved += decoder.blossom_decodes();
                 }
             }
         }
@@ -272,6 +293,20 @@ TEST(MwpmPairingGolden, MatchesCommittedPairings)
     // The decode corpus must run from tiny to large windows.
     EXPECT_LE(min_defects, 2);
     EXPECT_GT(max_defects, 100);
+}
+
+TEST(MwpmCertified, PairingGoldenCorpusTakesBothPaths)
+{
+    // The committed `decode:` lines pin the certified path as well as
+    // the blossom: both must carry a share of the corpus, and the
+    // certified share must include k >= 3 instances, which only the
+    // dual certificate settles (k <= 2 is forced).
+    std::vector<std::string> lines;
+    DecodePaths paths;
+    append_decode_corpus(lines, &paths);
+    EXPECT_GT(paths.certified_large, 20u);
+    EXPECT_GT(paths.certified, paths.certified_large);
+    EXPECT_GT(paths.solved, 50u);
 }
 
 } // namespace

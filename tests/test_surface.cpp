@@ -12,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
@@ -333,6 +334,22 @@ TEST(ErrorFrame, ApplyMaskTogglesErrors)
     frame.apply_mask(mask);
     EXPECT_EQ(frame.weight(), 0);
     EXPECT_TRUE(frame.syndrome_clear());
+}
+
+TEST(ErrorFrame, ApplyMaskRejectsWrongLength)
+{
+    // A TierChain walk leaves its correction empty when nothing fired;
+    // applying that (or any mask not one byte per data qubit) must
+    // fail loudly instead of reading past the mask's end.
+    const RotatedSurfaceCode code(5);
+    ErrorFrame frame(code, CheckType::X);
+    frame.flip(7);
+    EXPECT_THROW(frame.apply_mask({}), CheckFailure);
+    EXPECT_THROW(frame.apply_mask(std::vector<uint8_t>(code.num_data() - 1, 1)),
+                 CheckFailure);
+    EXPECT_THROW(frame.apply_mask(std::vector<uint8_t>(code.num_data() + 1, 1)),
+                 CheckFailure);
+    EXPECT_EQ(frame.weight(), 1);  // nothing was applied
 }
 
 TEST(ErrorFrame, LogicalFlipDetected)

@@ -103,6 +103,15 @@ if grep_code '[!=]=[[:space:]]*"' src/api/scenario.cpp; then
     fail "string-literal comparison in src/api/scenario.cpp; add a key-table row or value name"
 fi
 
+# No environment switches: the library reads one variable, the
+# BTWC_AUDIT latch in src/common/check.cpp. A getenv() elsewhere in
+# src/ would let a fast path or a behaviour ship behind a switch that
+# no spec, flag or Report records.
+if grep_code '(^|[^_[:alnum:]])(std::)?getenv[[:space:]]*\(' src |
+        grep -v '^src/common/check\.cpp:'; then
+    fail "getenv() in src/ outside src/common/check.cpp; add a spec key or flag instead"
+fi
+
 # -- hot-path idioms -----------------------------------------------------
 # One popcount: without a POPCNT target (no build passes -mpopcnt) GCC
 # lowers __builtin_popcount* to a libgcc call, so every count goes
