@@ -55,8 +55,28 @@ sample_packed(const RotatedSurfaceCode &code, int errors, Rng &rng)
     return syndrome;
 }
 
-/** Detection events of a full d-round spacetime window at rate p: each
- * packed round XOR the one before it, in (round, check) order. */
+/** Detection events of a run of packed rounds: each round XOR the one
+ * before it (all-zero before round 0), in (round, check) order. */
+std::vector<DetectionEvent>
+round_events(const std::vector<PackedSyndrome> &raw)
+{
+    std::vector<DetectionEvent> events;
+    for (size_t t = 0; t < raw.size(); ++t) {
+        for (int w = 0; w < raw[t].num_words(); ++w) {
+            uint64_t bits =
+                raw[t].word(w) ^ (t == 0 ? 0 : raw[t - 1].word(w));
+            while (bits != 0) {
+                events.push_back(DetectionEvent{
+                    w * 64 + __builtin_ctzll(bits), static_cast<int>(t)});
+                bits &= bits - 1;
+            }
+        }
+    }
+    return events;
+}
+
+/** Detection events of a full d-round spacetime window at rate p, closed
+ * by the noiseless syndrome. */
 std::vector<DetectionEvent>
 sample_window(const RotatedSurfaceCode &code, Rng &rng, double p = 5e-3)
 {
@@ -68,19 +88,41 @@ sample_window(const RotatedSurfaceCode &code, Rng &rng, double p = 5e-3)
         frame.measure_packed(p, rng, raw[t]);
     }
     raw[d] = frame.syndrome();
-    std::vector<DetectionEvent> events;
-    for (int t = 0; t <= d; ++t) {
-        for (int w = 0; w < raw[t].num_words(); ++w) {
-            uint64_t bits =
-                raw[t].word(w) ^ (t == 0 ? 0 : raw[t - 1].word(w));
-            while (bits != 0) {
-                events.push_back(
-                    DetectionEvent{w * 64 + __builtin_ctzll(bits), t});
-                bits &= bits - 1;
+    return round_events(raw);
+}
+
+/**
+ * 64 memory-experiment trials of d rounds at rate p, drawn the way the
+ * Clique arm's `run_trial` (sim/memory.cpp) draws them: each noisy
+ * round goes through the packed 2-round filter and
+ * `CliqueDecoder::decode_packed`, a Trivial verdict's mask is applied
+ * with `apply_mask`, and the noiseless syndrome closes the trial.
+ */
+std::vector<std::vector<DetectionEvent>>
+memory_trials(const RotatedSurfaceCode &code, double p, Rng &rng)
+{
+    const int d = code.distance();
+    ErrorFrame frame(code, CheckType::X);
+    PackedMeasurementFilter filter(code.num_checks(frame.detector()), 2);
+    const CliqueDecoder clique(code, frame.detector());
+    PackedBits correction;
+    std::vector<PackedSyndrome> raw(d + 1);
+    std::vector<std::vector<DetectionEvent>> trials;
+    while (trials.size() < 64) {
+        frame.reset();
+        filter.reset();
+        for (int t = 0; t < d; ++t) {
+            frame.inject(p, rng);
+            frame.measure_packed(p, rng, raw[t]);
+            if (clique.decode_packed(filter.push(raw[t]), correction) ==
+                CliqueVerdict::Trivial) {
+                frame.apply_mask(correction);
             }
         }
+        raw[d] = frame.syndrome();
+        trials.push_back(round_events(raw));
     }
-    return events;
+    return trials;
 }
 
 /**
@@ -280,11 +322,11 @@ BM_UnionFindDecodeWindow(benchmark::State &state)
     double defects = 0.0;
     const std::vector<std::vector<DetectionEvent>> windows =
         stream_windows(code, kStreamWindow, kStreamCommit, false, defects);
-    Decoder::Result scalars;
+    Decoder::Result out;
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            uf.decode_mask(windows[i++ & 63], kStreamWindow, scalars));
+        uf.decode(windows[i++ & 63], kStreamWindow, out);
+        benchmark::DoNotOptimize(out.weight);
     }
     state.counters["defects"] = defects;
 }
@@ -394,26 +436,27 @@ BENCHMARK(BM_MwpmDecodeSingle)->Arg(11)->Arg(15)->Arg(21);
 void
 BM_MwpmDecodeMemory(benchmark::State &state)
 {
-    // The memory experiment's matcher load (Fig. 14): d = 9 spacetime
-    // windows of d + 1 rounds at p = 1e-2, decoded by one pooled
-    // decoder over a fixed corpus. These windows average ~18 defects;
-    // the Clique arm's on-chip corrections raise memory-d9's trials
-    // to ~25.
+    // The memory experiment's matcher load (Fig. 14): memory-d9's
+    // Clique-arm trials (d = 9, p = 1e-2, `memory_trials`), decoded
+    // over d + 1 rounds by one pooled decoder into a pooled Result, as
+    // `run_trial` does.
     const int d = 9;
     const RotatedSurfaceCode code(d);
     const MwpmDecoder mwpm(code, CheckType::Z);
     Rng rng(31);
-    std::vector<std::vector<DetectionEvent>> windows;
+    const std::vector<std::vector<DetectionEvent>> windows =
+        memory_trials(code, 1e-2, rng);
     size_t defects = 0;
-    for (int i = 0; i < 64; ++i) {
-        windows.push_back(sample_window(code, rng, 1e-2));
-        defects += windows.back().size();
+    for (const std::vector<DetectionEvent> &window : windows) {
+        defects += window.size();
     }
     const uint64_t certified0 = mwpm.certified_decodes();
     const uint64_t blossom0 = mwpm.blossom_decodes();
+    Decoder::Result out;
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mwpm.decode(windows[i++ & 63], d + 1));
+        mwpm.decode(windows[i++ & 63], d + 1, out);
+        benchmark::DoNotOptimize(out.weight);
     }
     state.counters["defects"] = static_cast<double>(defects) / 64.0;
     state.counters["certified"] = certified_share(mwpm, certified0, blossom0);

@@ -272,9 +272,9 @@ void
 SharedOffchipService::serve_decode(std::vector<Request> served)
 {
     for (Request &request : served) {
-        std::vector<uint8_t> correction;
+        PackedBits correction;
         if (request.oracle) {
-            request.payload.to_bytes(correction);
+            correction = std::move(request.payload);
         } else {
             // Finish the owner's walk where it stopped: the resumed
             // tiers are off-chip (escalation monotonicity), so they
@@ -427,8 +427,8 @@ SharedOffchipService::step()
         }
         if (injector_ && !delivery.correction.empty() &&
             injector_->corrupt_delivery(land_index)) {
-            delivery.correction[injector_->corrupt_byte(
-                land_index, delivery.correction.size())] ^= 1;
+            delivery.correction.flip(injector_->corrupt_bit(
+                land_index, delivery.correction.size()));
             ++corrupted_;
         }
         const uint64_t land_cycle = queue_.total_cycles() - 1;

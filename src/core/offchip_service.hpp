@@ -111,8 +111,10 @@ class SharedOffchipService
     {
         int owner = 0;
         int half = 0;
-        std::vector<uint8_t> correction;  ///< per-data-qubit flip mask
-        bool synthetic = false;           ///< surge ballast (swallowed)
+        /** One bit per data qubit: the resumed walk's correction, or
+         * the Oracle payload as sent. Zero width = a shed nack. */
+        PackedBits correction;
+        bool synthetic = false;  ///< surge ballast (swallowed)
     };
 
     /** Per-tenant link accounting (indexed by owner in `tenant_stats`). */
@@ -197,7 +199,7 @@ class SharedOffchipService
     /**
      * Enable admission-control load shedding: each `step()` first
      * sheds every waiting request already past its lane deadline and
-     * delivers an empty-correction nack to its owner in the same
+     * delivers a zero-width-correction nack to its owner in the same
      * cycle, so the owner's half unblocks instead of waiting on a
      * decode that could no longer help. Expired synthetic
      * surge ballast is shed silently (counted, no nack) — that is what
@@ -279,7 +281,7 @@ class SharedOffchipService
     /** Extra deliveries injected by the duplicate clause. */
     uint64_t duplicated() const { return duplicated_; }
 
-    /** Deliveries whose correction landed with a flipped byte. */
+    /** Deliveries whose correction landed with one bit flipped. */
     uint64_t corrupted() const { return corrupted_; }
 
     /** Requests shed past deadline (admission control). */

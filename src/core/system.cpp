@@ -166,7 +166,7 @@ BtwcSystem::step()
                 request.distance = code_.distance();
                 request.oracle = config_.offchip == OffchipPolicy::Oracle;
                 request.payload = request.oracle
-                                      ? frame.error_packed()
+                                      ? frame.error()
                                       : halves_[t].filter.filtered();
                 link_->enqueue(std::move(request));
                 half_busy_[t] = true;
@@ -232,8 +232,8 @@ BtwcSystem::attach_shared_service(SharedOffchipService *service, int owner)
 }
 
 void
-BtwcSystem::deliver_offchip_correction(
-    int half, const std::vector<uint8_t> &correction)
+BtwcSystem::deliver_offchip_correction(int half,
+                                       const PackedBits &correction)
 {
     if (!half_busy_[half]) {
         // Nothing outstanding: a fault-plan duplicate of a correction

@@ -188,11 +188,11 @@ class BtwcSystem
 
     /**
      * Apply a correction the service routed back to `half`
-     * (error-type index) and free that half for its next escalation
-     * (an empty correction is a shed nack: it only frees the half).
+     * (error-type index), one bit per data qubit, and free that half
+     * for its next escalation. A zero-width correction is a shed nack:
+     * it only frees the half and leaves the frame untouched.
      */
-    void deliver_offchip_correction(int half,
-                                    const std::vector<uint8_t> &correction);
+    void deliver_offchip_correction(int half, const PackedBits &correction);
 
     /** Number of cycles executed. */
     uint64_t cycles() const { return cycles_; }
@@ -233,7 +233,7 @@ class BtwcSystem
     /** Timed-out halves resolved by the on-chip UF fallback. */
     uint64_t degraded_decodes() const { return degraded_; }
 
-    /** Empty-correction nacks received (shed requests). */
+    /** Zero-width-correction nacks received (shed requests). */
     uint64_t shared_nacks() const { return shared_nacks_; }
 
     /** Deliveries dropped because the half was no longer waiting

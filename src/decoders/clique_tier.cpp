@@ -4,22 +4,26 @@
 
 namespace btwc {
 
-CliqueTierDecoder::Result
+void
 CliqueTierDecoder::decode(const std::vector<DetectionEvent> &events,
-                          int rounds) const
+                          int rounds, Result &out) const
 {
-    Result result;
-    result.correction.assign(code_.num_data(), 0);
-    result.defects = static_cast<int>(events.size());
+    out.correction.reset(code_.num_data());
+    out.weight = 0;
+    out.effort = 0;
+    out.resolved = true;
+    out.defects = static_cast<int>(events.size());
     if (events.empty()) {
-        return result;  // nothing fired: resolved, nothing to do
+        return;  // nothing fired: resolved, nothing to do
     }
     if (rounds != 1) {
         // Combinational logic sees one (filtered) round at a time.
-        result.resolved = false;
-        return result;
+        out.resolved = false;
+        return;
     }
 
+    // The byte Clique path: the deep audit's independent reference
+    // for the packed override below.
     syndrome_scratch_.assign(
         static_cast<size_t>(code_.num_checks(detector())), 0);
     for (const DetectionEvent &ev : events) {
@@ -27,38 +31,36 @@ CliqueTierDecoder::decode(const std::vector<DetectionEvent> &events,
     }
     clique_.decode(syndrome_scratch_, outcome_scratch_);
     if (outcome_scratch_.verdict == CliqueVerdict::Complex) {
-        result.resolved = false;
-        return result;
+        out.resolved = false;
+        return;
     }
     for (const int q : outcome_scratch_.corrections) {
-        result.correction[q] ^= 1;
-        ++result.weight;
+        out.correction.flip(q);
+        ++out.weight;
     }
-    return result;
 }
 
 void
 CliqueTierDecoder::decode_packed(const PackedSyndrome &syndrome,
                                  Result &out) const
 {
-    out.correction.assign(static_cast<size_t>(code_.num_data()), 0);
     out.weight = 0;
     out.effort = 0;
     out.resolved = true;
     out.defects = syndrome.popcount();
     if (out.defects == 0) {
+        out.correction.reset(code_.num_data());
         return;  // nothing fired: resolved, nothing to do
     }
-    const CliqueVerdict verdict =
-        clique_.decode_packed(syndrome, correction_scratch_);
-    if (verdict == CliqueVerdict::Complex) {
+    // Writes (or, on Complex, clears) the full-width mask.
+    if (clique_.decode_packed(syndrome, out.correction) ==
+        CliqueVerdict::Complex) {
         out.resolved = false;
         return;
     }
-    correction_scratch_.for_each_set([&out](int q) {
-        out.correction[q] = 1;
-        ++out.weight;
-    });
+    // Clique sets each corrected qubit once: the weight is the mask's
+    // popcount.
+    out.weight = out.correction.popcount();
 }
 
 } // namespace btwc

@@ -16,7 +16,7 @@ namespace btwc {
  * Clique's verdicts onto the escalation contract:
  *
  *  - AllZeros / Trivial: resolved; the correction mask carries the
- *    per-clique local fixes (empty for AllZeros).
+ *    per-clique local fixes (all-zero for AllZeros).
  *  - Complex: declined; the signature must escalate to the next tier.
  *
  * `effort` is always 0 -- Clique's decision is one pass of
@@ -34,16 +34,17 @@ class CliqueTierDecoder : public Decoder
 
     CheckType detector() const override { return clique_.detector(); }
 
-    Result decode(const std::vector<DetectionEvent> &events,
-                  int rounds) const override;
+    void decode(const std::vector<DetectionEvent> &events, int rounds,
+                Result &out) const override;
+    using Decoder::decode;
 
     /**
      * Word-parallel single-round fast path: the packed syndrome feeds
-     * `CliqueDecoder::decode_packed` directly (no event
-     * materialization, no byte rebuild) and the Result — verdict
-     * mapping included — is bit-identical to `decode` on the
-     * equivalent single-round event list. Reuses `out`'s correction
-     * capacity, so steady-state Trivial cycles allocate nothing.
+     * `CliqueDecoder::decode_packed`, which writes its mask straight
+     * into `out.correction` (no event materialization, no byte
+     * rebuild), and the Result — verdict mapping included — is
+     * bit-identical to `decode` on the equivalent single-round event
+     * list.
      */
     void decode_packed(const PackedSyndrome &syndrome,
                        Result &out) const override;
@@ -59,7 +60,6 @@ class CliqueTierDecoder : public Decoder
     // see Decoder::decode_packed).
     mutable std::vector<uint8_t> syndrome_scratch_;
     mutable CliqueOutcome outcome_scratch_;
-    mutable PackedBits correction_scratch_;
 };
 
 } // namespace btwc

@@ -16,7 +16,7 @@ Decoder::decode_packed(const PackedSyndrome &syndrome, Result &out) const
 {
     thread_owner_.assert_single_thread_owner();
     events_from_packed(syndrome, events_scratch_);
-    out = decode(events_scratch_, 1);
+    decode(events_scratch_, 1, out);
 }
 
 } // namespace btwc

@@ -50,6 +50,12 @@ void events_from_packed(const PackedSyndrome &syndrome,
  *    exceeds the tier's configured threshold -- the resolution is
  *    cheap but possibly inaccurate, so a stronger decoder gets the
  *    final say.
+ *
+ * Every decode writes into a caller-owned `Result`: each field is
+ * overwritten and the correction's word capacity is reused, so a
+ * pooled Result makes steady-state decoding allocation-free. Like
+ * every pooled-scratch path in this codebase, decoder instances are
+ * not concurrency-safe; concurrent shards own their own instances.
  */
 class Decoder
 {
@@ -57,7 +63,13 @@ class Decoder
     /** Result of one decode call. */
     struct Result
     {
-        std::vector<uint8_t> correction;  ///< per-data-qubit flip mask
+        /**
+         * One bit per data qubit, set = flip. A backend always writes
+         * the full num_data width; zero width means no tier ran (a
+         * `TierChain` walk with nothing fired, or stopped before an
+         * off-chip tier) or a shed nack.
+         */
+        PackedBits correction;
         int64_t weight = 0;               ///< total matched weight
         int defects = 0;                  ///< number of detection events
         int effort = 0;      ///< tier-specific escalation signal
@@ -74,30 +86,35 @@ class Decoder
 
     /**
      * Decode a set of detection events observed over `rounds`
-     * measurement rounds (all event rounds must lie in [0, rounds)).
+     * measurement rounds (all event rounds must lie in [0, rounds))
+     * into `out`. The one entry every backend implements.
      */
-    virtual Result decode(const std::vector<DetectionEvent> &events,
-                          int rounds) const = 0;
+    virtual void decode(const std::vector<DetectionEvent> &events,
+                        int rounds, Result &out) const = 0;
+
+    /** Value form of the above (a fresh Result per call). */
+    Result decode(const std::vector<DetectionEvent> &events,
+                  int rounds) const
+    {
+        Result out;
+        decode(events, rounds, out);
+        return out;
+    }
 
     /**
-     * Packed single-round decode into a caller-owned Result whose
-     * vector capacity is reused (the allocation-free steady-state
-     * spelling: every field of `out` is overwritten). The base
-     * implementation unpacks into the pooled event scratch and runs
-     * `decode(events, 1)`; word-parallel tiers (CliqueTierDecoder,
-     * LookupTableDecoder) override it to skip event materialization
-     * entirely, and UnionFindDecoder and MwpmDecoder to reuse `out`'s
-     * correction capacity. Every override returns exactly what
-     * `decode(events, 1)` returns for the set bits as round-0 events
-     * (re-checked on every chain walk at AuditLevel::Deep,
-     * tier_chain.hpp). Like every pooled-scratch path in this
-     * codebase, decoder instances are not concurrency-safe; concurrent
-     * shards own their own instances.
+     * Packed single-round decode into `out`. The base implementation
+     * unpacks into the pooled event scratch and runs
+     * `decode(events, 1, out)`; the word-parallel tiers
+     * (CliqueTierDecoder, LookupTableDecoder) override it to skip
+     * event materialization entirely. Every override returns exactly
+     * what `decode(events, 1)` returns for the set bits as round-0
+     * events (re-checked on every chain walk at AuditLevel::Deep,
+     * tier_chain.hpp).
      */
     virtual void decode_packed(const PackedSyndrome &syndrome,
                                Result &out) const;
 
-    /** Convenience value-returning form of the above. */
+    /** Value form of the above. */
     Result decode_packed(const PackedSyndrome &syndrome) const
     {
         Result out;

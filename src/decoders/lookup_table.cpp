@@ -10,13 +10,15 @@ namespace btwc {
 LookupTableDecoder::LookupTableDecoder(const RotatedSurfaceCode &code,
                                        CheckType detector)
     : code_(code), detector_(detector),
-      num_checks_(code.num_checks(detector)), num_data_(code.num_data())
+      num_checks_(code.num_checks(detector)), num_data_(code.num_data()),
+      words_(packed_words(code.num_data()))
 {
     if (num_checks_ > kMaxTableChecks) {
         return;  // too large to tabulate; decode() declines everything
     }
     const size_t entries = size_t(1) << num_checks_;
-    corrections_.assign(entries * static_cast<size_t>(num_data_), 0);
+    const size_t words = static_cast<size_t>(words_);
+    corrections_.assign(entries * words, 0);
     weights_.assign(entries, 0);
 
     // One exact decode per syndrome. The oracle-backed exact matcher
@@ -31,28 +33,45 @@ LookupTableDecoder::LookupTableDecoder(const RotatedSurfaceCode &code,
         syndrome.data()[0] = static_cast<uint64_t>(s);
         teacher.decode_packed(syndrome, fix);
         BTWC_CHECK(fix.resolved);
-        std::copy(fix.correction.begin(), fix.correction.end(),
-                  corrections_.begin() + s * static_cast<size_t>(num_data_));
+        std::copy(fix.correction.data(), fix.correction.data() + words,
+                  corrections_.begin() + static_cast<long>(s * words));
         weights_[s] = fix.weight;
     }
 }
 
-LookupTableDecoder::Result
-LookupTableDecoder::decode(const std::vector<DetectionEvent> &events,
-                           int rounds) const
+void
+LookupTableDecoder::clear_result(Result &out, int defects) const
 {
-    Result result;
-    result.correction.assign(static_cast<size_t>(num_data_), 0);
-    result.defects = static_cast<int>(events.size());
+    out.correction.reset(num_data_);
+    out.weight = 0;
+    out.effort = 0;
+    out.resolved = true;
+    out.defects = defects;
+}
+
+void
+LookupTableDecoder::load_entry(size_t index, Result &out) const
+{
+    const uint64_t *entry =
+        &corrections_[index * static_cast<size_t>(words_)];
+    std::copy(entry, entry + words_, out.correction.data());
+    out.weight = weights_[index];
+}
+
+void
+LookupTableDecoder::decode(const std::vector<DetectionEvent> &events,
+                           int rounds, Result &out) const
+{
+    clear_result(out, static_cast<int>(events.size()));
     if (events.empty()) {
-        return result;
+        return;
     }
     // The table indexes single-round syndromes only; decline
     // multi-round windows (time-like pairings are not tabulated) and
     // codes too large to tabulate, so the chain escalates.
     if (!available() || rounds != 1) {
-        result.resolved = false;
-        return result;
+        out.resolved = false;
+        return;
     }
     size_t index = 0;
     for (const DetectionEvent &event : events) {
@@ -60,22 +79,14 @@ LookupTableDecoder::decode(const std::vector<DetectionEvent> &events,
         BTWC_AUDIT(event.check >= 0 && event.check < num_checks_);
         index |= size_t(1) << event.check;
     }
-    const uint8_t *entry =
-        &corrections_[index * static_cast<size_t>(num_data_)];
-    std::copy(entry, entry + num_data_, result.correction.begin());
-    result.weight = weights_[index];
-    return result;
+    load_entry(index, out);
 }
 
 void
 LookupTableDecoder::decode_packed(const PackedSyndrome &syndrome,
                                   Result &out) const
 {
-    out.correction.assign(static_cast<size_t>(num_data_), 0);
-    out.weight = 0;
-    out.effort = 0;
-    out.resolved = true;
-    out.defects = syndrome.popcount();
+    clear_result(out, syndrome.popcount());
     if (out.defects == 0) {
         return;
     }
@@ -85,11 +96,7 @@ LookupTableDecoder::decode_packed(const PackedSyndrome &syndrome,
     }
     // num_checks_ <= kMaxTableChecks <= 64: the whole syndrome lives
     // in word 0, already in table-index bit order.
-    const size_t index = static_cast<size_t>(syndrome.word(0));
-    const uint8_t *entry =
-        &corrections_[index * static_cast<size_t>(num_data_)];
-    std::copy(entry, entry + num_data_, out.correction.begin());
-    out.weight = weights_[index];
+    load_entry(static_cast<size_t>(syndrome.word(0)), out);
 }
 
 } // namespace btwc

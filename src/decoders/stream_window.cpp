@@ -52,6 +52,8 @@ StreamWindowDecoder::StreamWindowDecoder(const RotatedSurfaceCode &code,
     round_events_.resize(static_cast<size_t>(config_.window));
     prev_raw_.resize(num_checks_);
     committed_.resize(code.num_data());
+    screened_.correction.resize(code.num_data());
+    matched_.correction.resize(code.num_data());
     audit_mask_.resize(code.num_data());
 }
 
@@ -149,9 +151,10 @@ StreamWindowDecoder::steady_state_bytes() const
     bytes += origin_.capacity() * sizeof(uint64_t);
     bytes += matches_.pairs.capacity() * sizeof(MwpmMatches::Pair);
     bytes += matches_.path_data.capacity() * sizeof(int);
-    bytes += matched_.correction.capacity();
     bytes += static_cast<size_t>(prev_raw_.num_words() +
                                  committed_.num_words() +
+                                 screened_.correction.num_words() +
+                                 matched_.correction.num_words() +
                                  audit_mask_.num_words()) *
              sizeof(uint64_t);
     return bytes;
@@ -264,22 +267,20 @@ StreamWindowDecoder::decode_window(int avail, int commit)
         }
     }
     if (all_commit && screen_ != nullptr) {
-        Decoder::Result screened;  // scalar fields only; no allocation
-        const PackedBits &mask =
-            screen_->decode_mask(events_, rounds, screened);
+        screen_->decode(events_, rounds, screened_);
         bool accepted = false;
         for (const TierSpec &tier : config_.screen) {
-            if (screened.resolved &&
+            if (screened_.resolved &&
                 (tier.escalation_threshold < 0 ||
-                 screened.effort <= tier.escalation_threshold)) {
+                 screened_.effort <= tier.escalation_threshold)) {
                 accepted = true;
                 break;
             }
         }
         if (accepted) {
             ++stats_.screened_windows;
-            committed_ ^= mask;
-            stats_.committed_weight += screened.weight;
+            committed_ ^= screened_.correction;
+            stats_.committed_weight += screened_.weight;
             stats_.defects_committed += events_.size();
             for (const uint64_t o : origin_) {
                 stats_.commit_lag.add(now - o);
@@ -306,13 +307,9 @@ StreamWindowDecoder::decode_window(int avail, int commit)
                 audit_mask_.flip(matches_.path_data[static_cast<size_t>(i)]);
             }
         }
-        for (int i = 0; i < code_.num_data(); ++i) {
-            BTWC_CHECK_MSG(
-                audit_mask_.test(i) ==
-                    ((matched_.correction[static_cast<size_t>(i)] & 1) != 0),
-                "matched-pair path XOR must reproduce the MWPM "
-                "correction mask");
-        }
+        BTWC_CHECK_MSG(audit_mask_ == matched_.correction,
+                       "matched-pair path XOR must reproduce the MWPM "
+                       "correction mask");
     }
 
     carried_next_.clear();

@@ -119,12 +119,12 @@ struct StreamWindowStats
  * escalation thresholds — the same accept rule TierChain applies.
  *
  * Pooling: the round ring, carry lists, presented-event arrays, match
- * records, the matched decode's Result and packed masks all hold their
- * grown capacity, so after warmup a steady-state stream allocates
- * nothing in this class (`steady_state_bytes()` exposes the pooled
- * footprint for the bounded-memory fuzz tests). Like every
- * pooled-scratch decoder here, instances are single-owner (Decoder's
- * thread contract).
+ * records, the screen and matched decodes' Results and packed masks
+ * all hold their grown capacity, so after warmup a steady-state
+ * stream allocates nothing in this class (`steady_state_bytes()`
+ * exposes the pooled footprint for the bounded-memory fuzz tests).
+ * Like every pooled-scratch decoder here, instances are single-owner
+ * (Decoder's thread contract).
  */
 class StreamWindowDecoder
 {
@@ -242,7 +242,8 @@ class StreamWindowDecoder
     std::vector<DetectionEvent> events_;  ///< presented window events
     std::vector<uint64_t> origin_;  ///< absolute origin round per event
     MwpmMatches matches_;
-    Decoder::Result matched_;  ///< matched MWPM decode of the window
+    Decoder::Result screened_;  ///< screen decode of the window
+    Decoder::Result matched_;   ///< matched MWPM decode of the window
     PackedBits audit_mask_;  ///< deep-audit path-XOR scratch
 
     StreamWindowStats stats_;

@@ -281,11 +281,11 @@ TierChain::walk(const PackedSyndrome &syndrome, const Options &options,
         // Nothing fired: tier 0 resolves trivially without running
         // (its result is fully determined) and nothing leaves the
         // chip, regardless of stop_before_offchip. The correction
-        // stays empty, see the header note.
+        // has zero width, see the header note.
         out.tier_index = 0;
         out.tier = config_.tiers[0].kind;
         out.effort = 0;
-        out.decode.correction.clear();
+        out.decode.correction.resize(0);
         out.decode.weight = 0;
         out.decode.effort = 0;
         out.decode.resolved = true;
@@ -307,7 +307,7 @@ TierChain::walk(const PackedSyndrome &syndrome, const Options &options,
             // resumes the walk here (first_tier = this tier_index).
             out.resolved = false;
             out.effort = effort;
-            out.decode.correction.clear();
+            out.decode.correction.resize(0);
             out.decode.weight = 0;
             out.decode.effort = 0;
             out.decode.resolved = true;
@@ -315,7 +315,7 @@ TierChain::walk(const PackedSyndrome &syndrome, const Options &options,
             return;
         }
         if constexpr (EventPath) {
-            attempt_scratch_ = tiers_[i]->decode(events_scratch_, 1);
+            tiers_[i]->decode(events_scratch_, 1, attempt_scratch_);
         } else {
             tiers_[i]->decode_packed(syndrome, attempt_scratch_);
         }

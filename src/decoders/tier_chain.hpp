@@ -177,8 +177,9 @@ class TierChain
      * materialization; Clique and LUT stay word-parallel end-to-end),
      * and `out` is overwritten in place reusing its correction
      * capacity, so steady-state cycles allocate nothing. When no check
-     * fired, no tier runs: tier 0 resolves with an *empty*
-     * `out.decode.correction` (every consumer gates application on
+     * fired, no tier runs: tier 0 resolves with a *zero-width*
+     * `out.decode.correction` in O(1), as does a walk stopped before
+     * an off-chip tier (every consumer gates application on
      * `decode.defects > 0`).
      *
      * `first_tier > 0` resumes a walk that `stop_before_offchip`
@@ -222,9 +223,9 @@ class TierChain
     /**
      * The walk behind `decode_syndrome`, seeded with `effort` as the
      * max-effort accumulator. `EventPath` runs every tier through
-     * `Decoder::decode(events, 1)` instead of `decode_packed`: the
-     * reference the deep audit re-runs each walk against, which
-     * re-derives every packed override (Clique, LUT, UF) and checks
+     * `Decoder::decode(events, 1, out)` instead of `decode_packed`:
+     * the reference the deep audit re-runs each walk against, which
+     * re-derives the word-parallel overrides (Clique, LUT) and checks
      * that the pooled scratch leaks no state between walks. A
      * compile-time flag keeps the per-cycle instance free of it.
      */
@@ -236,7 +237,7 @@ class TierChain
     TierChainConfig config_;
     std::vector<std::unique_ptr<Decoder>> tiers_;
     // Pooled scratch of the walk (swapped with out.decode on accept
-    // so vector capacity ping-pongs between the two).
+    // so correction capacity ping-pongs between the two).
     mutable Decoder::Result attempt_scratch_;
     mutable std::vector<DetectionEvent> events_scratch_;
     /** Single-owner guard over the pooled scratch above (the

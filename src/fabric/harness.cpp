@@ -211,9 +211,9 @@ run_fabric(const FabricFleetConfig &config)
                         static_cast<uint64_t>(report.suppressed);
                 }
                 // All tenants stepped: advance every link one machine
-                // cycle and route the landings home. Empty corrections
-                // are shed nacks — delivered (they unblock the half)
-                // but not counted as landings.
+                // cycle and route the landings home. Zero-width
+                // corrections are shed nacks — delivered (they unblock
+                // the half) but not counted as landings.
                 for (const SharedOffchipService::Delivery &landing :
                      fabric.step()) {
                     qubits[static_cast<size_t>(landing.owner)]

@@ -102,7 +102,7 @@ struct FabricFaultStats
     uint64_t outage_cycles = 0;   ///< link-down cycles across links
     uint64_t dropped = 0;         ///< deliveries lost
     uint64_t duplicated = 0;      ///< deliveries duplicated
-    uint64_t corrupted = 0;       ///< corrections byte-flipped
+    uint64_t corrupted = 0;       ///< corrections with a flipped bit
     uint64_t shed = 0;            ///< requests shed past deadline
     uint64_t canceled = 0;        ///< requests canceled by give-ups
     uint64_t stale_discards = 0;  ///< landings discarded after give-ups

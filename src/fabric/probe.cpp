@@ -29,8 +29,7 @@ LogicalFailureProbe::logical_parity(const ErrorFrame &frame)
     const RotatedSurfaceCode &code = frame.code();
     code.syndrome_of(frame.detector(), result_.correction,
                      correction_syndrome_);
-    correction_packed_.from_bytes(correction_syndrome_);
-    BTWC_CHECK_MSG(correction_packed_ == frame.syndrome(),
+    BTWC_CHECK_MSG(correction_syndrome_ == frame.syndrome(),
                    "an MWPM correction clears the probed syndrome "
                    "(every defect is matched)");
     return frame.logical_flipped() !=

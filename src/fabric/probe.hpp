@@ -54,8 +54,7 @@ class LogicalFailureProbe
     // matching state), and the probe needs one per error type.
     std::vector<std::unique_ptr<MwpmDecoder>> decoders_;
     Decoder::Result result_;  ///< pooled decode of the frame's syndrome
-    std::vector<uint8_t> correction_syndrome_;  ///< closure check scratch
-    PackedSyndrome correction_packed_;          ///< closure check scratch
+    PackedSyndrome correction_syndrome_;  ///< closure check scratch
 };
 
 } // namespace btwc

@@ -391,15 +391,15 @@ FaultInjector::corrupt_delivery(uint64_t index) const
     return hash_bernoulli(3, index, plan_.corrupt);
 }
 
-size_t
-FaultInjector::corrupt_byte(uint64_t index, size_t size) const
+int
+FaultInjector::corrupt_bit(uint64_t index, int size) const
 {
-    BTWC_CHECK_MSG(size > 0, "corruption flips a byte of a non-empty "
+    BTWC_CHECK_MSG(size > 0, "corruption flips a bit of a non-empty "
                              "correction");
     const uint64_t key = plan_.seed ^
                          (static_cast<uint64_t>(link_) << 40) ^
                          (uint64_t{4} << 56) ^ index;
-    return static_cast<size_t>(fault_mix(key) % size);
+    return static_cast<int>(fault_mix(key) % static_cast<uint64_t>(size));
 }
 
 } // namespace btwc

@@ -30,7 +30,7 @@ namespace btwc {
  *         service latency during the window
  *     drop:<p>      each landing delivery is lost with probability p
  *     dup:<p>       each landing delivery is delivered twice
- *     corrupt:<p>   one byte of the landing correction is flipped
+ *     corrupt:<p>   one bit of the landing correction is flipped
  *     surge:<period>:<duration>:<count>[:<tenant>]  `count` synthetic
  *         requests per cycle charged to `tenant`'s lane while active
  *     fseed:<n>     seed of the fault hash stream
@@ -156,8 +156,8 @@ class FaultInjector
     /** Whether landing delivery `index` lands corrupted. */
     bool corrupt_delivery(uint64_t index) const;
 
-    /** Which byte of a `size`-byte correction flips (size >= 1). */
-    size_t corrupt_byte(uint64_t index, size_t size) const;
+    /** Which bit of a `size`-bit correction flips (size >= 1). */
+    int corrupt_bit(uint64_t index, int size) const;
 
   private:
     /** Bernoulli(p) keyed by (seed, link, salt, index). */

@@ -187,22 +187,12 @@ MwpmDecoder::oracle() const
     return *oracle_;
 }
 
-MwpmDecoder::Result
-MwpmDecoder::decode(const std::vector<DetectionEvent> &events,
-                    int rounds) const
-{
-    thread_owner_.assert_single_thread_owner();
-    Result result;
-    decode_impl(events, rounds, result, nullptr);
-    return result;
-}
-
 void
-MwpmDecoder::decode_packed(const PackedSyndrome &syndrome, Result &out) const
+MwpmDecoder::decode(const std::vector<DetectionEvent> &events, int rounds,
+                    Result &out) const
 {
     thread_owner_.assert_single_thread_owner();
-    events_from_packed(syndrome, events_scratch_);
-    decode_impl(events_scratch_, 1, out, nullptr);
+    decode_impl(events, rounds, out, nullptr);
 }
 
 void
@@ -218,7 +208,7 @@ void
 MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
                          int rounds, Result &out, MwpmMatches *matches) const
 {
-    out.correction.assign(static_cast<size_t>(code_.num_data()), 0);
+    out.correction.reset(code_.num_data());
     out.weight = 0;
     out.defects = static_cast<int>(events.size());
     out.effort = 0;
@@ -439,7 +429,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     // space step and (c, r+1) on a geodesic. A space step goes to the
     // smallest-id neighbour one hop closer.
     auto toggle = [&](int via) {
-        out.correction[via] ^= 1;
+        out.correction.flip(via);
         if (matches != nullptr) {
             matches->path_data.push_back(via);
         }

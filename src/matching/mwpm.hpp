@@ -103,9 +103,9 @@ struct MwpmMatches
  * `certified_decodes()` and `blossom_decodes()` count the two paths.
  *
  * Hot-path contract: each decoder instance owns one persistent
- * matcher scratch (grown once, reused by every decode call), and
- * `decode_packed` and `decode_matched` write into a caller-owned
- * Result, so steady-state decoding through them is allocation-free.
+ * matcher scratch (grown once, reused by every decode call), and every
+ * entry but the value forms writes into a caller-owned Result, so
+ * steady-state decoding into a pooled Result is allocation-free.
  * The check-graph tables are looked up on the first decode and kept,
  * so a decoder that never decodes builds none. Instances are
  * therefore not safe for concurrent `decode` calls from multiple
@@ -150,21 +150,16 @@ class MwpmDecoder : public Decoder
 
     /**
      * Decode a set of detection events observed over `rounds`
-     * measurement rounds (all event rounds must lie in [0, rounds)).
+     * measurement rounds (all event rounds must lie in [0, rounds))
+     * into `out`. Single-round packed syndromes come in through the
+     * base `decode_packed`.
      */
-    Result decode(const std::vector<DetectionEvent> &events,
-                  int rounds) const override;
-
-    /** Single-round decode into `out`, reusing its correction
-     * capacity (no event list beyond the pooled one, no fresh
-     * Result). */
-    void decode_packed(const PackedSyndrome &syndrome,
-                       Result &out) const override;
-    using Decoder::decode_packed;
+    void decode(const std::vector<DetectionEvent> &events, int rounds,
+                Result &out) const override;
+    using Decoder::decode;
 
     /**
-     * As `decode`, into a caller-owned `out` (every field overwritten,
-     * correction capacity reused), and also report the solved pairing
+     * As `decode`, and also report the solved pairing
      * into `matches` (overwritten; capacity reused): one entry per
      * matched pair or boundary retirement, each event index appearing
      * in exactly one entry, with the data-qubit path of that pair's
@@ -206,9 +201,8 @@ class MwpmDecoder : public Decoder
      * Persistent per-instance working set (boundary distances, the
      * certificate's pair-distance table and nearest-defect keys,
      * mates, the subset-DP bridge and the pooled blossom matcher); every
-     * decode entry point routes through it, so
-     * single-shot `decode()` calls — the dominant `BtwcSystem`
-     * per-cycle path — reuse grown capacity instead of reallocating.
+     * decode entry point routes through it, so repeated decodes reuse
+     * grown capacity instead of reallocating.
      * Mutated under `const` decode; see the class comment for the
      * (non-)thread-safety contract.
      */

@@ -49,8 +49,6 @@ struct UnionFindDecoder::Scratch
     std::vector<int> parent_edge;      ///< -1 at a tree root
     std::vector<int> parent_node;
     std::vector<int> order;            ///< BFS visit order (and queue)
-
-    PackedBits correction;             ///< num_data-bit output mask
 };
 
 UnionFindDecoder::UnionFindDecoder(const RotatedSurfaceCode &code,
@@ -59,7 +57,6 @@ UnionFindDecoder::UnionFindDecoder(const RotatedSurfaceCode &code,
       num_checks_(code.num_checks(detector)),
       scratch_(std::make_unique<Scratch>())
 {
-    scratch_->correction.resize(code.num_data());
 }
 
 UnionFindDecoder::~UnionFindDecoder() = default;
@@ -149,27 +146,9 @@ UnionFindDecoder::prepare_topology(int rounds) const
     s.order.reserve(static_cast<size_t>(n1));
 }
 
-UnionFindDecoder::Result
-UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
-                         int rounds) const
-{
-    Result result;
-    decode_mask(events, rounds, result).to_bytes(result.correction);
-    return result;
-}
-
 void
-UnionFindDecoder::decode_packed(const PackedSyndrome &syndrome,
-                                Result &out) const
-{
-    thread_owner_.assert_single_thread_owner();
-    events_from_packed(syndrome, events_scratch_);
-    decode_mask(events_scratch_, 1, out).to_bytes(out.correction);
-}
-
-const PackedBits &
-UnionFindDecoder::decode_mask(const std::vector<DetectionEvent> &events,
-                              int rounds, Result &out) const
+UnionFindDecoder::decode(const std::vector<DetectionEvent> &events,
+                         int rounds, Result &out) const
 {
     thread_owner_.assert_single_thread_owner();
     Scratch &s = *scratch_;
@@ -184,13 +163,13 @@ UnionFindDecoder::decode_mask(const std::vector<DetectionEvent> &events,
                            "between calls");
         }
     }
-    s.correction.clear();
+    out.correction.reset(code_.num_data());
     out.weight = 0;
     out.defects = static_cast<int>(events.size());
     out.effort = 0;
     out.resolved = true;
     if (events.empty()) {
-        return s.correction;
+        return;
     }
     BTWC_CHECK(rounds >= 1);
 
@@ -360,7 +339,7 @@ UnionFindDecoder::decode_mask(const std::vector<DetectionEvent> &events,
         const UfEdge &e =
             s.edges[static_cast<size_t>(s.parent_edge[static_cast<size_t>(v)])];
         if (e.data >= 0) {
-            s.correction.flip(e.data);
+            out.correction.flip(e.data);
             ++out.weight;
         }
         s.is_defect.reset_bit(v);
@@ -373,7 +352,6 @@ UnionFindDecoder::decode_mask(const std::vector<DetectionEvent> &events,
     }
     s.in_cluster.for_each_set(
         [&s](int v) { s.parent[static_cast<size_t>(v)] = v; });
-    return s.correction;
 }
 
 } // namespace btwc

@@ -32,12 +32,14 @@ namespace btwc {
  * nothing to grow). The tier chain (§8.1) escalates to MWPM above a
  * configured threshold.
  *
- * One implementation, with every spelling routed through
- * `decode_mask`. The spacetime topology (edges plus a CSR incidence
- * list in ascending edge order) is cached per round count, and all
- * per-call state lives in a per-instance scratch, so in steady state
- * `decode_mask` allocates nothing and costs what its clusters grow,
- * not the window's size:
+ * One implementation, the event entry `decode(events, rounds, out)`,
+ * which peels the correction straight into `out.correction`; every
+ * other spelling (the value form, the base `decode_packed`) routes
+ * through it. The spacetime topology (edges plus a CSR incidence list
+ * in ascending edge order) is cached per round count, and all per-call
+ * state lives in a per-instance scratch, so in steady state a decode
+ * into a pooled Result allocates nothing and costs what its clusters
+ * grow, not the window's size:
  *
  *  - Between calls, every edge's growth is zero and the union-find
  *    `parent` array is the identity. A call records each edge whose
@@ -71,28 +73,13 @@ class UnionFindDecoder : public Decoder
     CheckType detector() const override { return detector_; }
 
     /**
-     * Decode detection events over `rounds` rounds (cf. MwpmDecoder).
-     * `Result::effort` carries the cluster growth iteration count.
+     * Decode detection events over `rounds` rounds into `out` (cf.
+     * MwpmDecoder). `Result::effort` carries the cluster growth
+     * iteration count.
      */
-    Result decode(const std::vector<DetectionEvent> &events,
-                  int rounds) const override;
-
-    /** Single-round decode into `out`, reusing its correction
-     * capacity (no event list beyond the pooled one, no fresh
-     * Result). */
-    void decode_packed(const PackedSyndrome &syndrome,
-                       Result &out) const override;
-    using Decoder::decode_packed;
-
-    /**
-     * The allocation-free entry point behind every other spelling:
-     * decodes `events` over `rounds` rounds, fills the scalar fields
-     * of `out` (weight, defects, effort, resolved; `out.correction`
-     * is left untouched) and returns the correction as a pooled
-     * num_data-bit mask, valid until the next call on this instance.
-     */
-    const PackedBits &decode_mask(const std::vector<DetectionEvent> &events,
-                                  int rounds, Result &out) const;
+    void decode(const std::vector<DetectionEvent> &events, int rounds,
+                Result &out) const override;
+    using Decoder::decode;
 
   private:
     struct Scratch;

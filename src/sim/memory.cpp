@@ -49,7 +49,10 @@ struct TrialState
     /** The `rounds` noisy rounds, then the noiseless closing round. */
     std::vector<PackedSyndrome> raw;
     std::vector<DetectionEvent> events;
-    PackedBits correction;
+    /** The Clique arm's per-round mask. */
+    PackedBits clique_correction;
+    /** The closing decode. */
+    Decoder::Result fix;
 };
 
 /**
@@ -74,9 +77,9 @@ run_trial(const MemoryConfig &config, DecoderArm arm,
         s.frame.measure_packed(config.meas_probability(), rng, s.raw[t]);
         if (arm == DecoderArm::CliqueMwpm) {
             const CliqueVerdict verdict = clique.decode_packed(
-                s.filter.push(s.raw[t]), s.correction);
+                s.filter.push(s.raw[t]), s.clique_correction);
             if (verdict == CliqueVerdict::Trivial) {
-                s.frame.apply_packed(s.correction);
+                s.frame.apply_mask(s.clique_correction);
             } else if (verdict == CliqueVerdict::Complex) {
                 ++offchip_rounds;
             }
@@ -102,13 +105,12 @@ run_trial(const MemoryConfig &config, DecoderArm arm,
         }
     }
 
-    MwpmDecoder::Result fix;
     if (arm == DecoderArm::UnionFindOnly) {
-        fix = uf.decode(s.events, rounds + 1);
+        uf.decode(s.events, rounds + 1, s.fix);
     } else {
-        fix = mwpm.decode(s.events, rounds + 1);
+        mwpm.decode(s.events, rounds + 1, s.fix);
     }
-    s.frame.apply_mask(fix.correction);
+    s.frame.apply_mask(s.fix.correction);
     if (audit_deep()) {
         s.frame.audit();
     }
@@ -150,7 +152,7 @@ run_memory_shard(const MemoryConfig &config, DecoderArm arm)
         PackedMeasurementFilter(code.num_checks(detector),
                                 config.filter_rounds),
         std::vector<PackedSyndrome>(static_cast<size_t>(rounds) + 1),
-        {}, {}};
+        {}, {}, {}};
     while (result.trials < config.max_trials &&
            result.failures < config.target_failures) {
         ++result.trials;

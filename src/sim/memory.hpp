@@ -121,10 +121,11 @@ struct MemoryResult
  * the closing round is the frame's noiseless `syndrome()`. Detection
  * events are the word-wise XOR of consecutive rounds, in (round,
  * check) order. A shard keeps one trial state, the frame (with its
- * noise walks), the filter, the rounds, the event list and the Clique
- * correction, and resets it per trial: a trial draws exactly what a
- * fresh state would, and its per-round stages allocate nothing once
- * the first trial has run.
+ * noise walks), the filter, the rounds, the event list, the Clique
+ * correction and the closing decode's Result, and resets it per
+ * trial: a trial draws exactly what a fresh state would, and its
+ * per-round stages and the closing decode's correction allocate
+ * nothing once the first trial has run.
  */
 MemoryResult run_memory_experiment(const MemoryConfig &config,
                                    DecoderArm arm);

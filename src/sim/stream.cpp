@@ -64,7 +64,7 @@ run_stream_shard(const StreamConfig &config)
     // syndrome (the memory-experiment template, sim/memory.cpp).
     decoder.push_round(frame.syndrome());
     decoder.flush();
-    frame.apply_packed(decoder.committed_correction());
+    frame.apply_mask(decoder.committed_correction());
     if (audit_deep()) {
         frame.audit();
     }

@@ -5,10 +5,9 @@ namespace btwc {
 ErrorFrame::ErrorFrame(const RotatedSurfaceCode &code, CheckType error_type)
     : code_(code), error_type_(error_type),
       detector_(detector_of_error(error_type)),
-      err_(static_cast<size_t>(code.num_data()), 0),
-      packed_(code.num_data()),
+      error_(code.num_data()),
       syndrome_(code.num_checks(detector_)),
-      data_walk_(0.0, err_.size()),
+      data_walk_(0.0, static_cast<uint64_t>(error_.size())),
       meas_walk_(0.0, static_cast<uint64_t>(syndrome_.size()))
 {
 }
@@ -25,8 +24,7 @@ ErrorFrame::walk(GapSampler &cache, double p)
 void
 ErrorFrame::flip(int data)
 {
-    err_[data] ^= 1;
-    packed_.flip(data);
+    error_.flip(data);
     for (const int check : code_.checks_of_data(detector_, data)) {
         syndrome_.flip(check);
     }
@@ -35,8 +33,7 @@ ErrorFrame::flip(int data)
 void
 ErrorFrame::reset()
 {
-    std::fill(err_.begin(), err_.end(), 0);
-    packed_.clear();
+    error_.clear();
     syndrome_.clear();
 }
 
@@ -56,20 +53,10 @@ ErrorFrame::apply(const std::vector<int> &corrections)
 }
 
 void
-ErrorFrame::apply_mask(const std::vector<uint8_t> &mask)
+ErrorFrame::apply_mask(const PackedBits &mask)
 {
-    BTWC_CHECK_MSG(mask.size() == err_.size(),
-                   "a correction mask has one byte per data qubit");
-    for (size_t i = 0; i < err_.size(); ++i) {
-        if (mask[i] & 1) {
-            flip(static_cast<int>(i));
-        }
-    }
-}
-
-void
-ErrorFrame::apply_packed(const PackedBits &mask)
-{
+    BTWC_CHECK_MSG(mask.size() == error_.size(),
+                   "a correction mask has one bit per data qubit");
     mask.for_each_set([this](int data) { flip(data); });
 }
 
@@ -103,17 +90,13 @@ ErrorFrame::measure_perfect(std::vector<uint8_t> &out) const
 void
 ErrorFrame::audit() const
 {
-    packed_.audit();
+    error_.audit();
     syndrome_.audit();
-    PackedBits mirror;
-    mirror.from_bytes(err_);
-    BTWC_CHECK_MSG(mirror == packed_,
-                   "packed error mirror must equal the byte error");
-    std::vector<uint8_t> want;
-    code_.syndrome_of(detector_, err_, want);
-    PackedSyndrome want_packed;
-    want_packed.from_bytes(want);
-    BTWC_CHECK_MSG(want_packed == syndrome_,
+    BTWC_CHECK_MSG(error_.size() == code_.num_data(),
+                   "the error has one bit per data qubit");
+    PackedSyndrome want;
+    code_.syndrome_of(detector_, error_, want);
+    BTWC_CHECK_MSG(want == syndrome_,
                    "stored syndrome must equal the syndrome of the "
                    "current error");
 }
@@ -121,13 +104,13 @@ ErrorFrame::audit() const
 int
 ErrorFrame::weight() const
 {
-    return packed_.popcount();
+    return error_.popcount();
 }
 
 bool
 ErrorFrame::logical_flipped() const
 {
-    return code_.logical_flipped(error_type_, err_);
+    return code_.logical_flipped(error_type_, error_);
 }
 
 } // namespace btwc

@@ -18,14 +18,11 @@ namespace btwc {
  * "Pauli frame" of one half of the independently-decoded lattice.
  *
  * State, and the invariant every mutator keeps:
- *   - `err_`, one byte per data qubit (`error()`, what byte-path
- *     consumers read);
- *   - `packed_`, its bit-packed mirror (`error_packed()`);
+ *   - `error_`, one bit per data qubit (`error()`);
  *   - `syndrome_`, the noiseless syndrome of the current error, packed
- *     one bit per check: always equal to `code.syndrome_of(err_)`.
- * A flipped qubit toggles its bit in both error copies and its 1-2
- * owning checks in `syndrome_`. `audit()` re-derives the other two
- * from `err_`.
+ *     one bit per check: always equal to `code.syndrome_of(error_)`.
+ * A flipped qubit toggles its error bit and its 1-2 owning checks in
+ * `syndrome_`. `audit()` re-derives the syndrome from the error.
  *
  * Noise: `inject` walks `data_walk_` over the data qubits and the
  * noisy reads walk `meas_walk_` over the checks. Both are GapSamplers
@@ -37,9 +34,9 @@ namespace btwc {
  *
  * Costs: `flip` O(1); `inject` O(d^2 p + 1), plus one exp/log1p pair
  * when p differs from the previous call's; `apply` O(list length);
- * `apply_mask` O(d^2); `apply_packed` O(words + mask weight); `reset`
- * O(d^2). Reads: `measure_packed` is a word copy of `syndrome_` plus
- * the measurement-flip walk, O(checks/64 + checks * p_meas + 1);
+ * `apply_mask` O(words + mask weight); `reset` O(words). Reads:
+ * `measure_packed` is a word copy of `syndrome_` plus the
+ * measurement-flip walk, O(checks/64 + checks * p_meas + 1);
  * `measure` and `measure_perfect` unpack `syndrome_`, O(checks); a
  * noisy read at a new p_meas adds one exp/log1p pair;
  * `syndrome_clear` and `weight` are whole-word scans. No read
@@ -73,13 +70,17 @@ class ErrorFrame
     /** Apply a correction: toggle every listed data qubit. */
     void apply(const std::vector<int> &corrections);
 
-    /** Apply a correction mask, one byte per data qubit (checked: a
-     * mask of any other length throws CheckFailure; `TierChain`
-     * leaves the correction empty when nothing fired). */
-    void apply_mask(const std::vector<uint8_t> &mask);
+    /**
+     * Apply a correction mask, one bit per data qubit (checked: a mask
+     * of any other width throws CheckFailure; `TierChain` leaves the
+     * correction zero-width when nothing fired, so gate on
+     * `decode.defects > 0`).
+     */
+    void apply_mask(const PackedBits &mask);
 
-    /** Apply a packed correction mask (one bit per data qubit). */
-    void apply_packed(const PackedBits &mask);
+    /** Alias of `apply_mask`: the spelling benchmark/replica.cpp
+     * calls (tools/lint.sh keeps it out of the rest of src/). */
+    void apply_packed(const PackedBits &mask) { apply_mask(mask); }
 
     /**
      * One noisy measurement round: `out[c]` is the parity of the
@@ -112,19 +113,16 @@ class ErrorFrame
      */
     bool logical_flipped() const;
 
-    /** Raw per-qubit error indicators. */
-    const std::vector<uint8_t> &error() const { return err_; }
-
-    /** Bit-packed per-qubit error indicators (mirror of error()). */
-    const PackedBits &error_packed() const { return packed_; }
+    /** Per-qubit error indicators, one bit per data qubit. */
+    const PackedBits &error() const { return error_; }
 
     /** The noiseless syndrome of the current error, one bit per check. */
     const PackedSyndrome &syndrome() const { return syndrome_; }
 
     /**
-     * Verify the stored state against a recomputation: the packed
-     * mirror equals `error()` and the stored syndrome equals
-     * `code().syndrome_of(detector(), error())`. O(d^2); runs at the
+     * Verify the stored state against a recomputation: the stored
+     * syndrome equals `code().syndrome_of(detector(), error())`, and
+     * both bitsets keep their width and zero tail. O(d^2); runs at the
      * deep-audit points of the pipelines that own frames. Throws
      * CheckFailure.
      */
@@ -140,8 +138,7 @@ class ErrorFrame
     const RotatedSurfaceCode &code_;
     CheckType error_type_;
     CheckType detector_;
-    std::vector<uint8_t> err_;
-    PackedBits packed_;
+    PackedBits error_;
     PackedSyndrome syndrome_;
     GapSampler data_walk_;
     // A cache, not frame state: the const noisy reads rebuild it.

@@ -175,35 +175,40 @@ RotatedSurfaceCode::edge_of_data(CheckType t, int data) const
 }
 
 void
-RotatedSurfaceCode::syndrome_of(CheckType detector,
-                                const std::vector<uint8_t> &error,
-                                std::vector<uint8_t> &out) const
+RotatedSurfaceCode::syndrome_of(CheckType detector, const PackedBits &error,
+                                PackedSyndrome &out) const
 {
+    BTWC_CHECK_MSG(error.size() == num_data(),
+                   "an error mask has one bit per data qubit");
     const auto &list = checks_[index(detector)];
-    out.assign(list.size(), 0);
+    out.reset(static_cast<int>(list.size()));
     for (const Check &chk : list) {
-        uint8_t parity = 0;
+        bool parity = false;
         for (const int data : chk.data) {
-            parity ^= (error[data] & 1);
+            parity ^= error.test(data);
         }
-        out[chk.id] = parity;
+        if (parity) {
+            out.set(chk.id);
+        }
     }
 }
 
 bool
 RotatedSurfaceCode::logical_flipped(CheckType error_type,
-                                    const std::vector<uint8_t> &error) const
+                                    const PackedBits &error) const
 {
+    BTWC_CHECK_MSG(error.size() == num_data(),
+                   "an error mask has one bit per data qubit");
     // An X-type residual fails the logical qubit when it anticommutes
     // with Z_L (and symmetrically for Z residuals), i.e. when its
     // overlap with the *opposite* type's logical support is odd.
     const CheckType dual =
         error_type == CheckType::X ? CheckType::Z : CheckType::X;
-    uint8_t parity = 0;
+    bool parity = false;
     for (const int data : logical_[index(dual)]) {
-        parity ^= (error[data] & 1);
+        parity ^= error.test(data);
     }
-    return parity != 0;
+    return parity;
 }
 
 } // namespace btwc

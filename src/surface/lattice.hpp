@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "surface/packed.hpp"
+
 namespace btwc {
 
 class CheckGraphDistances;
@@ -172,20 +174,21 @@ class RotatedSurfaceCode
 
     /**
      * Noiseless syndrome: for every check of type `detector`, the
-     * parity of `error` (one byte per data qubit, nonzero = flipped)
-     * over the check support. `out` is resized to num_checks.
+     * parity of `error` (one bit per data qubit, set = flipped) over
+     * the check support. `out` is reset to num_checks bits.
      */
-    void syndrome_of(CheckType detector, const std::vector<uint8_t> &error,
-                     std::vector<uint8_t> &out) const;
+    void syndrome_of(CheckType detector, const PackedBits &error,
+                     PackedSyndrome &out) const;
 
     /**
-     * Parity of an error pattern over the logical support of the
-     * *opposite* error type; odd parity after a trivial-syndrome
-     * residual means a logical failure. For X-type residual errors
-     * pass error_type = X (overlap with Z_L is evaluated).
+     * Parity of an error pattern (one bit per data qubit) over the
+     * logical support of the *opposite* error type; odd parity after a
+     * trivial-syndrome residual means a logical failure. For X-type
+     * residual errors pass error_type = X (overlap with Z_L is
+     * evaluated).
      */
     bool logical_flipped(CheckType error_type,
-                         const std::vector<uint8_t> &error) const;
+                         const PackedBits &error) const;
 
     /**
      * Precomputed matching-graph geometry of one check type

@@ -88,6 +88,10 @@ class PackedBits
     int size() const { return bits_; }
     int num_words() const { return static_cast<int>(words_.size()); }
 
+    /** True at zero width; an all-zero mask of nonzero width is
+     * `none()` but not `empty()`. */
+    bool empty() const { return bits_ == 0; }
+
     uint64_t word(int w) const { return words_[static_cast<size_t>(w)]; }
     const uint64_t *data() const { return words_.data(); }
     uint64_t *data() { return words_.data(); }

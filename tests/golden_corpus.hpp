@@ -10,6 +10,7 @@
  */
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -45,26 +46,30 @@ phenomenological_events(const RotatedSurfaceCode &code, CheckType detector,
                         int rounds, double p, bool close, Rng &rng)
 {
     const int nc = code.num_checks(detector);
-    std::vector<uint8_t> error(static_cast<size_t>(code.num_data()), 0);
-    std::vector<uint8_t> prev(static_cast<size_t>(nc), 0);
-    std::vector<uint8_t> cur;
+    PackedBits error(code.num_data());
+    PackedSyndrome prev(nc);
+    PackedSyndrome cur;
     std::vector<DetectionEvent> events;
     for (int t = 0; t < rounds; ++t) {
-        for (uint8_t &e : error) {
-            e ^= rng.bernoulli(p) ? 1 : 0;
+        for (int q = 0; q < code.num_data(); ++q) {
+            if (rng.bernoulli(p)) {
+                error.flip(q);
+            }
         }
         code.syndrome_of(detector, error, cur);
         if (!close || t + 1 < rounds) {
-            for (uint8_t &s : cur) {
-                s ^= rng.bernoulli(p) ? 1 : 0;
+            for (int c = 0; c < nc; ++c) {
+                if (rng.bernoulli(p)) {
+                    cur.flip(c);
+                }
             }
         }
         for (int c = 0; c < nc; ++c) {
-            if ((cur[c] ^ prev[c]) & 1) {
+            if (cur.test(c) != prev.test(c)) {
                 events.push_back(DetectionEvent{c, t});
             }
         }
-        prev.swap(cur);
+        std::swap(prev, cur);
     }
     return events;
 }

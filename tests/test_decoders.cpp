@@ -19,6 +19,7 @@
 #include "decoders/clique_tier.hpp"
 #include "decoders/decoder.hpp"
 #include "decoders/exact_decoder.hpp"
+#include "decoders/lookup_table.hpp"
 #include "decoders/tier_chain.hpp"
 #include "matching/mwpm.hpp"
 #include "matching/union_find.hpp"
@@ -96,6 +97,63 @@ TEST(DecoderInterface, SharedWrapperMatchesManualEventConstruction)
     }
 }
 
+TEST(DecoderInterface, OutParamDecodeEqualsValueFormAndReusesCapacity)
+{
+    // Every backend's one event entry writes into the caller's Result:
+    // it equals the value form field for field, and a second decode
+    // into the same Result keeps its correction words (no
+    // reallocation; the memory trials and the stream rely on it).
+    const RotatedSurfaceCode code(5);
+    const CheckType det = CheckType::Z;
+    const int num_checks = code.num_checks(det);
+    std::vector<std::unique_ptr<Decoder>> backends;
+    backends.push_back(std::make_unique<CliqueTierDecoder>(code, det));
+    backends.push_back(std::make_unique<LookupTableDecoder>(code, det));
+    backends.push_back(std::make_unique<UnionFindDecoder>(code, det));
+    backends.push_back(std::make_unique<MwpmDecoder>(code, det));
+    backends.push_back(std::make_unique<ExactDecoder>(code, det));
+    for (const std::unique_ptr<Decoder> &decoder : backends) {
+        Rng rng(23);
+        Decoder::Result out;
+        const uint64_t *words = nullptr;
+        for (int trial = 0; trial < 60; ++trial) {
+            // Single-round syndromes (which the word-parallel tiers
+            // resolve or decline) and three-round windows.
+            const int rounds = trial % 3 == 0 ? 3 : 1;
+            std::vector<DetectionEvent> events;
+            PackedSyndrome syndrome(num_checks);
+            for (int t = 0; t < rounds; ++t) {
+                for (int c = 0; c < num_checks; ++c) {
+                    if (rng.bernoulli(0.15)) {
+                        events.push_back({c, t});
+                        syndrome.set(c);
+                    }
+                }
+            }
+            const Decoder::Result value = decoder->decode(events, rounds);
+            decoder->decode(events, rounds, out);
+            ASSERT_EQ(out.correction.size(), code.num_data())
+                << decoder->name();
+            EXPECT_EQ(out.correction, value.correction) << decoder->name();
+            EXPECT_EQ(out.weight, value.weight) << decoder->name();
+            EXPECT_EQ(out.defects, value.defects) << decoder->name();
+            EXPECT_EQ(out.effort, value.effort) << decoder->name();
+            EXPECT_EQ(out.resolved, value.resolved) << decoder->name();
+            if (words == nullptr) {
+                words = out.correction.data();
+            }
+            EXPECT_EQ(out.correction.data(), words) << decoder->name();
+            if (rounds == 1) {
+                decoder->decode_packed(syndrome, out);
+                EXPECT_EQ(out.correction, value.correction)
+                    << decoder->name();
+                EXPECT_EQ(out.weight, value.weight) << decoder->name();
+                EXPECT_EQ(out.correction.data(), words) << decoder->name();
+            }
+        }
+    }
+}
+
 TEST(DecoderInterface, CliqueTierDeclinesComplexSignatures)
 {
     const RotatedSurfaceCode code(7);
@@ -108,9 +166,8 @@ TEST(DecoderInterface, CliqueTierDeclinesComplexSignatures)
         const auto result =
             clique.decode_packed(single_defect(code, CheckType::Z, c));
         EXPECT_FALSE(result.resolved) << "check " << c;
-        for (const uint8_t bit : result.correction) {
-            EXPECT_EQ(bit, 0);
-        }
+        EXPECT_EQ(result.correction.size(), code.num_data());
+        EXPECT_TRUE(result.correction.none());
     }
 }
 

@@ -361,9 +361,7 @@ TEST(LookupTableDecoder, DeclinesMultiRoundWindows)
     const auto result = lut.decode(events, 2);
     EXPECT_FALSE(result.resolved);
     EXPECT_EQ(result.defects, 2);
-    for (const uint8_t bit : result.correction) {
-        EXPECT_EQ(bit, 0);
-    }
+    EXPECT_TRUE(result.correction.none());
 }
 
 TEST(LookupTableDecoder, UnavailableBeyondTableLimitAndDeclines)

@@ -28,12 +28,15 @@
 #include "common/check.hpp"
 #include "core/offchip_queue.hpp"
 #include "core/offchip_service.hpp"
+#include "core/system.hpp"
 #include "fabric/harness.hpp"
 #include "fabric/scheduler.hpp"
 #include "faults/fault_plan.hpp"
 #include "sim/fleet.hpp"
 #include "spec_corpus.hpp"
+#include "surface/frame.hpp"
 #include "surface/lattice.hpp"
+#include "surface/packed.hpp"
 
 namespace btwc {
 namespace {
@@ -304,6 +307,10 @@ TEST(ServiceFaults, DuplicatesDeliverTwiceAndCorruptionFlipsOneByte)
                                  OffchipQueueConfig{0, 0, 0});
     service.set_scheduler(make_scheduler(SchedulerKind::Fifo, 64));
     service.set_fault_injector(injector_for("dup:1;corrupt:1", 0));
+    // The first landing flips the bit the injector names for landing
+    // index 0 of a 4-bit correction.
+    const int flipped_bit =
+        injector_for("dup:1;corrupt:1", 0)->corrupt_bit(0, 4);
     service.enqueue(oracle_request(0, 0, {1, 0, 0, 1}));
     const std::vector<SharedOffchipService::Delivery> landings =
         service.step();
@@ -311,14 +318,15 @@ TEST(ServiceFaults, DuplicatesDeliverTwiceAndCorruptionFlipsOneByte)
     EXPECT_EQ(service.duplicated(), 1u);
     EXPECT_EQ(service.delivered(), 1u);  // duplicates are extras
     EXPECT_EQ(service.corrupted(), 1u);
-    // Exactly one byte differs from the correction that was sent, and
-    // the duplicate repeats the corrupted bytes verbatim.
-    const std::vector<uint8_t> sent = {1, 0, 0, 1};
-    size_t flipped = 0;
-    for (size_t i = 0; i < sent.size(); ++i) {
-        flipped += landings[0].correction[i] != sent[i] ? 1 : 0;
-    }
-    EXPECT_EQ(flipped, 1u);
+    // Exactly that bit differs from the correction that was sent, and
+    // the duplicate repeats the corrupted mask verbatim.
+    PackedBits sent;
+    sent.from_bytes({1, 0, 0, 1});
+    PackedBits diff = landings[0].correction;
+    ASSERT_EQ(diff.size(), sent.size());
+    diff ^= sent;
+    EXPECT_EQ(diff.popcount(), 1);
+    EXPECT_TRUE(diff.test(flipped_bit));
     EXPECT_EQ(landings[1].correction, landings[0].correction);
 }
 
@@ -372,9 +380,9 @@ TEST(ServiceFaults, SheddingNacksExpiredRequestsAndBallast)
     // Four requests then two synthetic ballast entries contend for a
     // bandwidth-1 link; everything still waiting past deadline 2 is
     // shed. The link serves at most three before the budget expires,
-    // so at least one real request sheds (an empty-correction nack to
-    // its owner) and the trailing ballast sheds silently (counted,
-    // no nack).
+    // so at least one real request sheds (a nack with a zero-width
+    // correction to its owner) and the trailing ballast sheds silently
+    // (counted, no nack).
     service.enqueue(oracle_request(0, 0));
     service.enqueue(oracle_request(0, 1));
     service.enqueue(oracle_request(1, 0));
@@ -394,6 +402,58 @@ TEST(ServiceFaults, SheddingNacksExpiredRequestsAndBallast)
               service.shed_requests() + service.canceled());
     EXPECT_EQ(service.pending(), 0u);
     service.audit();
+}
+
+TEST(ServiceFaults, ShedNackReachesTheOwnerAsZeroWidthAndLeavesItsFrame)
+{
+    // A tenant behind a ballast surge on a bandwidth-1 link with a
+    // 1-cycle deadline: its requests shed, and each nack reaches
+    // deliver_offchip_correction as a zero-width mask that frees the
+    // half and applies nothing.
+    const ScopedAuditLevel deep(AuditLevel::Deep);
+    const RotatedSurfaceCode code(5);
+    SystemConfig config;
+    config.offchip = OffchipPolicy::Mwpm;
+    SharedOffchipService service(code, config.tiers,
+                                 OffchipQueueConfig{1, 2, 0});
+    service.set_scheduler(make_scheduler(SchedulerKind::Fifo, 64));
+    TenantLane lane;
+    lane.deadline = 1;
+    service.set_tenant_lane(0, lane);
+    service.enable_shedding(true);
+    BtwcSystem system(code, NoiseParams::uniform(0.05), config, 7);
+    system.attach_shared_service(&service, 0);
+    uint64_t nacks = 0;
+    uint64_t landed = 0;
+    for (int cycle = 0; cycle < 200; ++cycle) {
+        service.enqueue_synthetic(0, 3);
+        system.step();
+        for (const SharedOffchipService::Delivery &landing :
+             service.step()) {
+            if (!landing.correction.empty()) {
+                ASSERT_EQ(landing.correction.size(), code.num_data());
+                system.deliver_offchip_correction(landing.half,
+                                                  landing.correction);
+                ++landed;
+                continue;
+            }
+            const ErrorFrame &frame =
+                system.frame(static_cast<CheckType>(landing.half));
+            const PackedBits error = frame.error();
+            const PackedSyndrome syndrome = frame.syndrome();
+            const size_t pending = system.pending_offchip();
+            system.deliver_offchip_correction(landing.half,
+                                              landing.correction);
+            ++nacks;
+            EXPECT_EQ(frame.error(), error);
+            EXPECT_EQ(frame.syndrome(), syndrome);
+            EXPECT_EQ(system.pending_offchip(), pending - 1);
+        }
+    }
+    ASSERT_GT(nacks, 0u);
+    EXPECT_EQ(system.shared_nacks(), nacks);
+    EXPECT_EQ(system.shared_landed(), landed);
+    EXPECT_EQ(system.duplicate_drops(), 0u);
 }
 
 // -------------------------------------------- zero-fault bit-exactness

@@ -287,9 +287,8 @@ TEST(GapWalk, FrameWalksMatchTheReferenceWalk)
     const RotatedSurfaceCode large(9);
     ErrorFrame frames[2] = {ErrorFrame(small, CheckType::X),
                             ErrorFrame(large, CheckType::Z)};
-    std::vector<uint8_t> want_err[2] = {
-        std::vector<uint8_t>(static_cast<size_t>(small.num_data()), 0),
-        std::vector<uint8_t>(static_cast<size_t>(large.num_data()), 0)};
+    PackedBits want_err[2] = {PackedBits(small.num_data()),
+                              PackedBits(large.num_data())};
     const double schedule[] = {1e-3, 1e-3, 5e-2, 1e-3, 1.0, 0.0,
                                0.3,  2e-3, 1e-9, 0.9,  1e-3};
     Rng rng(41);
@@ -299,11 +298,13 @@ TEST(GapWalk, FrameWalksMatchTheReferenceWalk)
         for (const double p : schedule) {
             for (int f = 0; f < 2; ++f) {
                 ErrorFrame &frame = frames[f];
-                const uint64_t data = want_err[f].size();
+                const uint64_t data =
+                    static_cast<uint64_t>(want_err[f].size());
                 // inject
                 frame.inject(p, rng);
-                reference_walk(p, data, twin,
-                               [&](uint64_t i) { want_err[f][i] ^= 1; });
+                reference_walk(p, data, twin, [&](uint64_t i) {
+                    want_err[f].flip(static_cast<int>(i));
+                });
                 ASSERT_EQ(frame.error(), want_err[f]) << "step " << step;
                 // measure (byte) at a different rate than inject
                 const double p_meas = p == 1.0 ? 1.0 : p * 0.5;
@@ -329,7 +330,7 @@ TEST(GapWalk, FrameWalksMatchTheReferenceWalk)
             if (pass % 3 == 2) {
                 for (int f = 0; f < 2; ++f) {
                     frames[f].reset();
-                    std::fill(want_err[f].begin(), want_err[f].end(), 0);
+                    want_err[f].clear();
                 }
             }
         }

@@ -42,9 +42,7 @@ TEST(Mwpm, EmptySyndromeNoCorrection)
     const auto fix = decoder.decode_packed(syndrome);
     EXPECT_EQ(fix.weight, 0);
     EXPECT_EQ(fix.defects, 0);
-    for (const uint8_t c : fix.correction) {
-        EXPECT_EQ(c, 0);
-    }
+    EXPECT_TRUE(fix.correction.none());
 }
 
 class MwpmDistance : public ::testing::TestWithParam<int>
@@ -127,9 +125,7 @@ TEST(Mwpm, TimeLikePairYieldsNoDataCorrection)
         const std::vector<DetectionEvent> events = {{c, 1}, {c, 2}};
         const auto fix = decoder.decode(events, 4);
         EXPECT_EQ(fix.weight, 1);
-        for (const uint8_t bit : fix.correction) {
-            EXPECT_EQ(bit, 0);
-        }
+        EXPECT_TRUE(fix.correction.none());
     }
 }
 
@@ -229,16 +225,12 @@ TEST(Mwpm, EdgeWeightsSteerTheMatching)
     const MwpmDecoder cheap_time(code, det, /*space=*/5, /*time=*/1);
     const auto time_fix = cheap_time.decode(events, 4);
     EXPECT_EQ(time_fix.weight, 2);
-    for (const uint8_t bit : time_fix.correction) {
-        EXPECT_EQ(bit, 0);
-    }
+    EXPECT_TRUE(time_fix.correction.none());
 
     const MwpmDecoder cheap_space(code, det, /*space=*/1, /*time=*/5);
     const auto space_fix = cheap_space.decode(events, 4);
     EXPECT_EQ(space_fix.weight, 2);
-    for (const uint8_t bit : space_fix.correction) {
-        EXPECT_EQ(bit, 0);
-    }
+    EXPECT_TRUE(space_fix.correction.none());
 }
 
 TEST(Mwpm, WeightedDecoderStillCorrectsHalfDistanceErrors)
@@ -341,7 +333,7 @@ expect_consistent_matches(const MwpmMatches &matches,
                           const std::vector<int64_t> &boundary)
 {
     std::vector<int> seen(boundary.size(), 0);
-    std::vector<uint8_t> mask(fix.correction.size(), 0);
+    PackedBits mask(fix.correction.size());
     int64_t total = 0;
     for (const MwpmMatches::Pair &p : matches.pairs) {
         ASSERT_GE(p.a, 0);
@@ -354,7 +346,7 @@ expect_consistent_matches(const MwpmMatches &matches,
         }
         total += p.weight;
         for (int i = p.path_begin; i < p.path_end; ++i) {
-            mask[static_cast<size_t>(matches.path_data[i])] ^= 1;
+            mask.flip(matches.path_data[static_cast<size_t>(i)]);
         }
     }
     for (size_t i = 0; i < seen.size(); ++i) {

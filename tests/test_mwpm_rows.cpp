@@ -57,7 +57,7 @@ class ReferenceDecoder
                            MwpmMatches &matches)
     {
         Decoder::Result result;
-        result.correction.assign(code_.num_data(), 0);
+        result.correction.resize(code_.num_data());
         result.defects = static_cast<int>(events.size());
         matches.clear();
         const int k = static_cast<int>(events.size());
@@ -123,7 +123,7 @@ class ReferenceDecoder
         }
 
         auto toggle = [&](int via) {
-            result.correction[via] ^= 1;
+            result.correction.flip(via);
             matches.path_data.push_back(via);
         };
         auto walk = [&](int i, int c, int r) {

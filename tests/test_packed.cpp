@@ -105,6 +105,27 @@ expect_result_eq(const Decoder::Result &byte_result,
 // exactly 64/65/128 checks, so the container is exercised directly.
 // ---------------------------------------------------------------- //
 
+TEST(PackedBits, EmptyMeansZeroWidth)
+{
+    // Zero width is the "no tier ran" / nack marker of a correction;
+    // an all-zero mask of nonzero width is none() but not empty().
+    PackedBits mask;
+    EXPECT_TRUE(mask.empty());
+    EXPECT_TRUE(mask.none());
+    EXPECT_EQ(mask.size(), 0);
+    for (const int bits : {1, 25, 64, 65}) {
+        mask.resize(bits);
+        EXPECT_FALSE(mask.empty()) << bits;
+        EXPECT_TRUE(mask.none()) << bits;
+        mask.set(bits - 1);
+        EXPECT_FALSE(mask.empty()) << bits;
+        EXPECT_FALSE(mask.none()) << bits;
+        mask.resize(0);
+        EXPECT_TRUE(mask.empty()) << bits;
+        EXPECT_TRUE(mask.none()) << bits;
+    }
+}
+
 TEST(PackedBits, WordBoundaryWidths)
 {
     for (const int bits : {1, 63, 64, 65, 127, 128, 129}) {
@@ -313,25 +334,28 @@ TEST(PackedExtraction, MeasurePackedMatchesByteMeasureAndRngStream)
 
 TEST(PackedFrame, ApplyPackedMatchesApplyMask)
 {
+    // Both spellings are one checked path; each equals toggling every
+    // set qubit with flip().
     Rng rng(55);
     const RotatedSurfaceCode code(9);
-    ErrorFrame byte_frame(code, CheckType::X);
+    ErrorFrame flip_frame(code, CheckType::X);
+    ErrorFrame mask_frame(code, CheckType::X);
     ErrorFrame packed_frame(code, CheckType::X);
     for (int trial = 0; trial < 30; ++trial) {
-        std::vector<uint8_t> mask(
-            static_cast<size_t>(code.num_data()), 0);
-        for (auto &bit : mask) {
-            bit = rng.bernoulli(0.05) ? 1 : 0;
+        PackedBits mask(code.num_data());
+        for (int q = 0; q < code.num_data(); ++q) {
+            if (rng.bernoulli(0.05)) {
+                mask.set(q);
+                flip_frame.flip(q);
+            }
         }
-        PackedBits packed_mask;
-        packed_mask.from_bytes(mask);
-        byte_frame.apply_mask(mask);
-        packed_frame.apply_packed(packed_mask);
-        EXPECT_EQ(byte_frame.error(), packed_frame.error());
-        std::vector<uint8_t> unpacked;
-        packed_frame.error_packed().to_bytes(unpacked);
-        EXPECT_EQ(packed_frame.error(), unpacked);
-        EXPECT_EQ(byte_frame.weight(), packed_frame.weight());
+        mask_frame.apply_mask(mask);
+        packed_frame.apply_packed(mask);
+        EXPECT_EQ(flip_frame.error(), mask_frame.error());
+        EXPECT_EQ(packed_frame.error(), mask_frame.error());
+        EXPECT_EQ(flip_frame.syndrome(), mask_frame.syndrome());
+        EXPECT_EQ(flip_frame.weight(), packed_frame.weight());
+        mask_frame.audit();
     }
 }
 
@@ -454,8 +478,22 @@ TEST(PackedClique, ScratchReuseAcrossCalls)
 // call into the next.
 // ---------------------------------------------------------------- //
 
+/** A Result holding another call's leftovers in every field. */
+Decoder::Result
+dirty_result()
+{
+    Decoder::Result dirty;
+    dirty.correction.resize(3);
+    dirty.correction.set(1);
+    dirty.weight = -1;
+    dirty.defects = -1;
+    dirty.effort = -1;
+    dirty.resolved = false;
+    return dirty;
+}
+
 /** Decode on `pooled` through every spelling and on a fresh instance;
- * all four must agree. */
+ * all must agree. */
 void
 expect_pooled_matches_fresh(const RotatedSurfaceCode &code,
                             const UnionFindDecoder &pooled,
@@ -465,19 +503,13 @@ expect_pooled_matches_fresh(const RotatedSurfaceCode &code,
     const UnionFindDecoder fresh(code, pooled.detector());
     const Decoder::Result expected = fresh.decode(events, rounds);
     expect_result_eq(expected, pooled.decode(events, rounds), what);
-    Decoder::Result scalars;
-    const PackedBits &mask = pooled.decode_mask(events, rounds, scalars);
-    PackedBits expected_mask;
-    expected_mask.from_bytes(expected.correction);
-    EXPECT_EQ(mask, expected_mask) << what;
-    EXPECT_EQ(scalars.weight, expected.weight) << what;
-    EXPECT_EQ(scalars.defects, expected.defects) << what;
-    EXPECT_EQ(scalars.effort, expected.effort) << what;
-    EXPECT_TRUE(scalars.resolved) << what;
+    // The out-param entry overwrites every field of a reused Result.
+    Decoder::Result reused = dirty_result();
+    pooled.decode(events, rounds, reused);
+    expect_result_eq(expected, reused, what);
     if (rounds == 1) {
         // The packed single-round spelling sees each fired check once
-        // (repeated events cancel) and overwrites every field of a
-        // reused Result.
+        // (repeated events cancel).
         std::vector<uint8_t> syndrome(
             static_cast<size_t>(code.num_checks(pooled.detector())), 0);
         for (const DetectionEvent &e : events) {
@@ -485,9 +517,7 @@ expect_pooled_matches_fresh(const RotatedSurfaceCode &code,
         }
         PackedSyndrome packed;
         packed.from_bytes(syndrome);
-        Decoder::Result reused;
-        reused.correction.assign(3, 1);
-        reused.weight = -1;
+        reused = dirty_result();
         pooled.decode_packed(packed, reused);
         expect_result_eq(fresh.decode(byte_events(syndrome), 1), reused,
                          what);
@@ -664,15 +694,11 @@ expect_chain_match(const TierChain &chain,
     } else {
         // Documented shape difference: with nothing fired (or a
         // stopped/declined walk) the packed walk leaves the
-        // correction empty where the byte walk may carry num_data
-        // zeros. Consumers gate on defects, so only all-zero content
-        // is permitted here.
-        for (const uint8_t bit : packed_result.decode.correction) {
-            EXPECT_EQ(bit, 0);
-        }
-        for (const uint8_t bit : byte_result.decode.correction) {
-            EXPECT_EQ(bit, 0);
-        }
+        // correction zero-width where the byte walk may carry
+        // num_data zero bits. Consumers gate on defects, so only
+        // all-zero content is permitted here.
+        EXPECT_TRUE(packed_result.decode.correction.none());
+        EXPECT_TRUE(byte_result.decode.correction.none());
     }
 }
 

@@ -225,10 +225,9 @@ TEST(StreamEquivalence, IsolatedDataErrorCommitsTheExactBatchMask)
     stream.flush();
     EXPECT_EQ(stream.stats().defects_carried, 0u);
     const Decoder::Result batch = mwpm.decode(batch_events, rounds);
-    std::vector<uint8_t> committed;
-    stream.committed_correction().to_bytes(committed);
+    const PackedBits &committed = stream.committed_correction();
     EXPECT_EQ(committed, batch.correction);
-    EXPECT_EQ(committed[static_cast<size_t>(flipped)], 1);
+    EXPECT_TRUE(committed.test(flipped));
 }
 
 TEST(StreamEquivalence, MeasurementFlipAtTheSeamCarriesForward)

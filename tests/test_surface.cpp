@@ -124,13 +124,14 @@ TEST_P(SurfaceCodeSweep, SingleErrorSyndromeMatchesIncidence)
     for (const CheckType err : {CheckType::X, CheckType::Z}) {
         const CheckType det = detector_of_error(err);
         for (int q = 0; q < code.num_data(); ++q) {
-            std::vector<uint8_t> error(code.num_data(), 0);
-            error[q] = 1;
-            std::vector<uint8_t> syndrome;
+            PackedBits error(code.num_data());
+            error.set(q);
+            PackedSyndrome syndrome;
             code.syndrome_of(det, error, syndrome);
+            ASSERT_EQ(syndrome.size(), code.num_checks(det));
             std::set<int> fired;
             for (int c = 0; c < code.num_checks(det); ++c) {
-                if (syndrome[c]) {
+                if (syndrome.test(c)) {
                     fired.insert(c);
                 }
             }
@@ -147,15 +148,15 @@ TEST_P(SurfaceCodeSweep, LogicalOperatorsHaveTrivialSyndrome)
 {
     const RotatedSurfaceCode code(GetParam());
     for (const CheckType err : {CheckType::X, CheckType::Z}) {
-        std::vector<uint8_t> error(code.num_data(), 0);
+        PackedBits error(code.num_data());
         for (const int q : code.logical_support(err)) {
-            error[q] ^= 1;
+            error.flip(q);
         }
-        std::vector<uint8_t> syndrome;
+        PackedSyndrome syndrome;
         code.syndrome_of(detector_of_error(err), error, syndrome);
-        for (const uint8_t s : syndrome) {
-            EXPECT_EQ(s, 0);
-        }
+        EXPECT_EQ(syndrome.size(), code.num_checks(detector_of_error(err)));
+        EXPECT_TRUE(syndrome.none());
+        EXPECT_TRUE(code.logical_flipped(err, error));
     }
 }
 
@@ -329,8 +330,8 @@ TEST(ErrorFrame, ApplyMaskTogglesErrors)
     const RotatedSurfaceCode code(5);
     ErrorFrame frame(code, CheckType::X);
     frame.flip(7);
-    std::vector<uint8_t> mask(code.num_data(), 0);
-    mask[7] = 1;
+    PackedBits mask(code.num_data());
+    mask.set(7);
     frame.apply_mask(mask);
     EXPECT_EQ(frame.weight(), 0);
     EXPECT_TRUE(frame.syndrome_clear());
@@ -338,18 +339,31 @@ TEST(ErrorFrame, ApplyMaskTogglesErrors)
 
 TEST(ErrorFrame, ApplyMaskRejectsWrongLength)
 {
-    // A TierChain walk leaves its correction empty when nothing fired;
-    // applying that (or any mask not one byte per data qubit) must
-    // fail loudly instead of reading past the mask's end.
+    // A TierChain walk leaves its correction zero-width when nothing
+    // fired; applying that, or any mask not one bit per data qubit,
+    // through either spelling must fail loudly instead of flipping
+    // qubits past num_data (past the end of the frame's words).
     const RotatedSurfaceCode code(5);
     ErrorFrame frame(code, CheckType::X);
     frame.flip(7);
-    EXPECT_THROW(frame.apply_mask({}), CheckFailure);
-    EXPECT_THROW(frame.apply_mask(std::vector<uint8_t>(code.num_data() - 1, 1)),
-                 CheckFailure);
-    EXPECT_THROW(frame.apply_mask(std::vector<uint8_t>(code.num_data() + 1, 1)),
-                 CheckFailure);
-    EXPECT_EQ(frame.weight(), 1);  // nothing was applied
+    const ErrorFrame before = frame;
+    const auto all_set = [](int bits) {
+        PackedBits mask(bits);
+        for (int i = 0; i < bits; ++i) {
+            mask.set(i);
+        }
+        return mask;
+    };
+    const int n = code.num_data();
+    for (const int bits : {0, n - 1, n + 1, 64, 130}) {
+        const PackedBits mask = all_set(bits);
+        EXPECT_THROW(frame.apply_mask(mask), CheckFailure) << bits;
+        EXPECT_THROW(frame.apply_packed(mask), CheckFailure) << bits;
+    }
+    // Nothing was applied.
+    EXPECT_EQ(frame.error(), before.error());
+    EXPECT_EQ(frame.syndrome(), before.syndrome());
+    EXPECT_NO_THROW(frame.audit());
 }
 
 TEST(ErrorFrame, LogicalFlipDetected)
@@ -379,25 +393,26 @@ TEST(ErrorFrame, StabilizerIsNotLogical)
 
 /** Every read of `frame` agrees with a recomputation from `want`. */
 void
-expect_frame_consistent(const ErrorFrame &frame,
-                        const std::vector<uint8_t> &want, int step)
+expect_frame_consistent(const ErrorFrame &frame, const PackedBits &want,
+                        int step)
 {
     const RotatedSurfaceCode &code = frame.code();
     ASSERT_EQ(frame.error(), want) << "step " << step;
-    std::vector<uint8_t> syndrome;
+    PackedSyndrome syndrome;
     code.syndrome_of(frame.detector(), want, syndrome);
     std::vector<uint8_t> perfect;
     frame.measure_perfect(perfect);
-    ASSERT_EQ(perfect, syndrome) << "step " << step;
-    PackedSyndrome packed;
-    packed.from_bytes(syndrome);
-    ASSERT_EQ(frame.syndrome(), packed) << "step " << step;
+    PackedSyndrome perfect_packed;
+    perfect_packed.from_bytes(perfect);
+    ASSERT_EQ(perfect_packed, syndrome) << "step " << step;
+    ASSERT_EQ(frame.syndrome(), syndrome) << "step " << step;
     Rng unused(0);
     PackedSyndrome measured;
     frame.measure_packed(0.0, unused, measured);
-    ASSERT_EQ(measured, packed) << "step " << step;
-    ASSERT_EQ(frame.syndrome_clear(),
-              std::count(syndrome.begin(), syndrome.end(), 1) == 0)
+    ASSERT_EQ(measured, syndrome) << "step " << step;
+    ASSERT_EQ(frame.syndrome_clear(), syndrome.none()) << "step " << step;
+    ASSERT_EQ(frame.logical_flipped(),
+              code.logical_flipped(frame.error_type(), want))
         << "step " << step;
     ASSERT_NO_THROW(frame.audit()) << "step " << step;
 }
@@ -412,14 +427,14 @@ TEST(ErrorFrame, StoredSyndromeTracksEveryMutator)
             const int n = code.num_data();
             std::vector<ErrorFrame> frames;
             frames.emplace_back(code, type);
-            std::vector<uint8_t> want(static_cast<size_t>(n), 0);
+            PackedBits want(n);
             for (int step = 0; step < 300; ++step) {
                 ErrorFrame &frame = frames.back();
                 switch (rng.next_below(7)) {
                   case 0: {
                     const int q = static_cast<int>(rng.next_below(n));
                     frame.flip(q);
-                    want[q] ^= 1;
+                    want.flip(q);
                     break;
                   }
                   case 1: {
@@ -428,9 +443,7 @@ TEST(ErrorFrame, StoredSyndromeTracksEveryMutator)
                     ErrorFrame shadow(code, type);
                     shadow.inject(0.05, twin);
                     frame.inject(0.05, rng);
-                    for (int q = 0; q < n; ++q) {
-                        want[q] ^= shadow.error()[q];
-                    }
+                    want ^= shadow.error();
                     break;
                   }
                   case 2: {
@@ -440,19 +453,19 @@ TEST(ErrorFrame, StoredSyndromeTracksEveryMutator)
                     }
                     frame.apply(list);
                     for (const int q : list) {
-                        want[q] ^= 1;
+                        want.flip(q);
                     }
                     break;
                   }
                   case 3: {
-                    std::vector<uint8_t> mask(static_cast<size_t>(n), 0);
-                    for (uint8_t &m : mask) {
-                        m = rng.bernoulli(0.1) ? 1 : 0;
+                    PackedBits mask(n);
+                    for (int q = 0; q < n; ++q) {
+                        if (rng.bernoulli(0.1)) {
+                            mask.set(q);
+                        }
                     }
                     frame.apply_mask(mask);
-                    for (int q = 0; q < n; ++q) {
-                        want[q] ^= mask[q];
-                    }
+                    want ^= mask;
                     break;
                   }
                   case 4: {
@@ -460,7 +473,7 @@ TEST(ErrorFrame, StoredSyndromeTracksEveryMutator)
                     for (int q = 0; q < n; ++q) {
                         if (rng.bernoulli(0.1)) {
                             mask.set(q);
-                            want[q] ^= 1;
+                            want.flip(q);
                         }
                     }
                     frame.apply_packed(mask);
@@ -469,7 +482,7 @@ TEST(ErrorFrame, StoredSyndromeTracksEveryMutator)
                   case 5:
                     if (rng.bernoulli(0.2)) {
                         frame.reset();
-                        std::fill(want.begin(), want.end(), 0);
+                        want.clear();
                     }
                     break;
                   default:

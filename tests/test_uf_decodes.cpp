@@ -58,11 +58,8 @@ decode_line(const std::string &label, const UnionFindDecoder &uf,
 {
     const Decoder::Result result = uf.decode(events, rounds);
     uint64_t h = kFnvOffset;
-    for (size_t i = 0; i < result.correction.size(); ++i) {
-        if ((result.correction[i] & 1) != 0) {
-            h = fnv1a(h, static_cast<int64_t>(i));
-        }
-    }
+    result.correction.for_each_set(
+        [&h](int i) { h = fnv1a(h, static_cast<int64_t>(i)); });
     char buf[160];
     std::snprintf(buf, sizeof buf, "%s %d %" PRId64 " %d %016" PRIx64,
                   label.c_str(), result.defects, result.weight,

@@ -95,6 +95,24 @@ if grep_code '(^|[^_[:alnum:]])MeasurementFilter([^_[:alnum:]]|$)' src |
     fail "byte MeasurementFilter outside src/core/filter.*; use PackedMeasurementFilter"
 fi
 
+# One correction format: every decoder writes a packed correction (one
+# bit per data qubit) into the caller's Result, and the frame applies
+# it with the width-checked apply_mask. A side entry handing out a
+# pooled mask, a second apply spelling (the apply_packed alias stays
+# only for benchmark/replica.cpp) or a byte unpack of a correction
+# would bring the byte masks back.
+if grep_code '(^|[^_[:alnum:]])decode_mask[[:space:]]*\(' src; then
+    fail "decode_mask( in src/; decode into the caller's Decoder::Result"
+fi
+if grep_code '(^|[^_[:alnum:]])apply_packed[[:space:]]*\(' src |
+        grep -v '^src/surface/frame\.'; then
+    fail "apply_packed( outside src/surface/frame.*; call apply_mask"
+fi
+if grep_code '(^|[^_[:alnum:]])to_bytes[[:space:]]*\(' src |
+        grep -v '^src/surface/'; then
+    fail "to_bytes( outside src/surface/; corrections stay packed"
+fi
+
 # One key table: every scenario key, spelling and enum value name lives
 # in a row or name list of src/api/scenario.cpp, matched by loops over
 # them. A string-literal comparison there would be a second,
