@@ -24,6 +24,7 @@
 #include "decoders/tier_chain.hpp"
 #include "matching/mwpm.hpp"
 #include "matching/union_find.hpp"
+#include "surface/distance.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 #include "surface/packed.hpp"
@@ -331,6 +332,32 @@ BM_UnionFindDecodeWindow(benchmark::State &state)
     state.counters["defects"] = defects;
 }
 BENCHMARK(BM_UnionFindDecodeWindow);
+
+void
+BM_LatticeBuild(benchmark::State &state)
+{
+    // The setup cost every (d, p) point of a sweep pays: building both
+    // check types' tables of a fresh code.
+    const int d = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        const RotatedSurfaceCode code(d);
+        benchmark::DoNotOptimize(&code);
+    }
+}
+BENCHMARK(BM_LatticeBuild)->Arg(9)->Arg(21)->Arg(81);
+
+void
+BM_CheckDistancesBuild(benchmark::State &state)
+{
+    // One check type's hop table and boundary retirement, the lazy
+    // cost of the first matching decode on a code.
+    const RotatedSurfaceCode code(static_cast<int>(state.range(0)));
+    for (auto _ : state) {
+        const CheckGraphDistances table(code, CheckType::Z);
+        benchmark::DoNotOptimize(table.row(0));
+    }
+}
+BENCHMARK(BM_CheckDistancesBuild)->Arg(9)->Arg(21)->Arg(81);
 
 void
 BM_FrameInject(benchmark::State &state)

@@ -231,28 +231,24 @@ SharedOffchipService::enqueue(Request request)
     admit(std::move(request));
 }
 
-std::vector<SharedOffchipService::Request>
+void
 SharedOffchipService::take_served(uint64_t count)
 {
-    std::vector<Request> served;
-    served.reserve(count);
     // The discipline picks which waiting request enters service, one
     // slot at a time; the serve *count* came from the queue and is
     // discipline-invariant (work conservation). The serve happens in
     // the cycle the queue just finished counting.
     const uint64_t serve_cycle = queue_.total_cycles() - 1;
-    std::vector<SchedView> views;
     for (uint64_t slot = 0; slot < count; ++slot) {
-        views.clear();
-        views.reserve(waiting_.size());
+        views_.clear();
         for (const Request &request : waiting_) {
             const TenantLane lane = lane_of(request.owner);
-            views.push_back(SchedView{request.owner, request.seq,
-                                      request.arrival_cycle,
-                                      request.deadline_cycle,
-                                      lane.priority, lane.weight});
+            views_.push_back(SchedView{request.owner, request.seq,
+                                       request.arrival_cycle,
+                                       request.deadline_cycle,
+                                       lane.priority, lane.weight});
         }
-        const size_t pick = scheduler_->pick(views, serve_cycle);
+        const size_t pick = scheduler_->pick(views_, serve_cycle);
         BTWC_CHECK_MSG(pick < waiting_.size(),
                        "scheduler picks index a waiting request");
         // Strict FIFO serves the head of the arrival-ordered waiting
@@ -262,24 +258,30 @@ SharedOffchipService::take_served(uint64_t count)
             BTWC_CHECK_MSG(pick == 0, "FIFO discipline serves the "
                                       "oldest waiting request");
         }
-        served.push_back(std::move(waiting_[pick]));
+        served_.push_back(std::move(waiting_[pick]));
         waiting_.erase(waiting_.begin() + static_cast<long>(pick));
     }
-    return served;
 }
 
 void
-SharedOffchipService::serve_decode(std::vector<Request> served)
+SharedOffchipService::serve_decode()
 {
-    for (Request &request : served) {
+    for (Request &request : served_) {
         PackedBits correction;
         if (request.oracle) {
             correction = std::move(request.payload);
         } else {
             // Finish the owner's walk where it stopped: the resumed
             // tiers are off-chip (escalation monotonicity), so they
-            // run here, never on the owner's chip.
+            // run here, never on the owner's chip. The walk swaps the
+            // seeded spare buffer into the chain's scratch and hands
+            // back the one the accepting tier wrote, which leaves with
+            // the delivery and returns through recycle().
             TierChain::Result result;
+            if (!spare_.empty()) {
+                result.decode.correction = std::move(spare_.back());
+                spare_.pop_back();
+            }
             chains_for(request.distance)[static_cast<size_t>(request.half)]
                 .decode_syndrome(request.payload, TierChain::Options(),
                                  result,
@@ -290,6 +292,17 @@ SharedOffchipService::serve_decode(std::vector<Request> served)
             Delivery{request.owner, request.half, std::move(correction),
                      request.synthetic},
             request.arrival_cycle, request.deadline_cycle});
+    }
+    served_.clear();
+}
+
+void
+SharedOffchipService::recycle(PackedBits &buffer)
+{
+    if (buffer.num_words() > 0 &&
+        spare_.size() < 2 * static_cast<size_t>(owners_seen_)) {
+        spare_.push_back(std::move(buffer));
+        buffer = PackedBits();
     }
 }
 
@@ -357,9 +370,16 @@ SharedOffchipService::tenant_slot(int owner)
     return tenant_stats_[static_cast<size_t>(owner)];
 }
 
-const std::vector<SharedOffchipService::Delivery> &
+std::vector<SharedOffchipService::Delivery> &
 SharedOffchipService::step()
 {
+    // Last cycle's landings have been routed: their buffers feed this
+    // cycle's decodes.
+    for (Delivery &delivery : landed_now_) {
+        recycle(delivery.correction);
+    }
+    landed_now_.clear();
+
     // Admission control first: requests already past deadline are
     // shed before they can consume this cycle's bandwidth.
     if (shed_enabled_) {
@@ -379,7 +399,8 @@ SharedOffchipService::step()
     // Corrections enter the in-flight FIFO in serve order, matching
     // the queue's landing order.
     if (sr.served > 0) {
-        serve_decode(take_served(sr.served));
+        take_served(sr.served);
+        serve_decode();
     }
 
     // Land: hand back every correction whose latency elapsed. This is
@@ -387,7 +408,6 @@ SharedOffchipService::step()
     // the queue's land-time delay recording, but per request and per
     // tenant, since the queue's FIFO delay groups stop matching
     // individual requests once a discipline re-orders service).
-    landed_now_.clear();
     for (uint64_t i = 0; i < sr.landed; ++i) {
         InFlight landing = inflight_.pop_front();
         Delivery &delivery = landing.delivery;

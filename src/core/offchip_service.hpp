@@ -248,9 +248,20 @@ class SharedOffchipService
      * every correction whose latency elapsed, in serve order. The
      * caller routes each Delivery to
      * `BtwcSystem::deliver_offchip_correction` on the owning tenant.
-     * The returned reference is valid until the next `step()`.
+     * The returned reference is valid until the next `step()`, which
+     * takes the correction buffers back for its own decodes; a caller
+     * that moves a correction out hands its buffer back through
+     * `recycle` instead.
      */
-    const std::vector<Delivery> &step();
+    std::vector<Delivery> &step();
+
+    /**
+     * Return a landed correction's buffer to the link's pool, so a
+     * later decode writes into it instead of allocating. The pool
+     * keeps at most two buffers per tenant (the one-outstanding-
+     * request-per-half bound); `buffer` is left empty when taken.
+     */
+    void recycle(PackedBits &buffer);
 
     /** The underlying link (stall/backlog/delay/batch accounting). */
     const OffchipQueue &queue() const { return queue_; }
@@ -350,8 +361,9 @@ class SharedOffchipService
     /** Chains serving `distance` (0 = the constructor code). */
     std::vector<TierChain> &chains_for(int distance);
 
-    /** Pop the requests entering service this cycle, in serve order. */
-    std::vector<Request> take_served(uint64_t count);
+    /** Move the requests entering service this cycle to `served_`,
+     * in serve order. */
+    void take_served(uint64_t count);
 
     /** Shed waiting requests past deadline; queue their nacks. */
     void shed_expired(uint64_t now);
@@ -365,8 +377,8 @@ class SharedOffchipService
     /** Stamp arrival/deadline and seq on `request`; join the waiting set. */
     void admit(Request request);
 
-    /** Decode `served`, in serve order, into flight. */
-    void serve_decode(std::vector<Request> served);
+    /** Decode `served_`, in serve order, into flight. */
+    void serve_decode();
 
     TenantLinkStats &tenant_slot(int owner);
 
@@ -386,6 +398,12 @@ class SharedOffchipService
     std::vector<Request> waiting_;
     HeadFifo<InFlight> inflight_;
     std::vector<Delivery> landed_now_;
+    // Serve-path scratch, reused every step: the requests entering
+    // service, the scheduler's view of the waiting set, and landed
+    // correction buffers awaiting the next decode.
+    std::vector<Request> served_;
+    std::vector<SchedView> views_;
+    std::vector<PackedBits> spare_;
     std::vector<TenantLane> lanes_;  ///< indexed by owner
     CountHistogram delay_;
     uint64_t deadline_misses_ = 0;

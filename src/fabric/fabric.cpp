@@ -196,6 +196,12 @@ Fabric::lane_of(int owner) const
 const std::vector<SharedOffchipService::Delivery> &
 Fabric::step()
 {
+    // Hand last cycle's correction buffers back for reuse; any link's
+    // pool takes any of them.
+    for (SharedOffchipService::Delivery &landing : landed_now_) {
+        links_[static_cast<size_t>(link_of(landing.owner))]->recycle(
+            landing.correction);
+    }
     landed_now_.clear();
     migrated_now_.clear();
     if (plan_.enabled && !plan_.surges.empty() && !placement_.empty()) {
@@ -213,9 +219,8 @@ Fabric::step()
         }
     }
     for (const auto &service : links_) {
-        for (const SharedOffchipService::Delivery &landing :
-             service->step()) {
-            landed_now_.push_back(landing);
+        for (SharedOffchipService::Delivery &landing : service->step()) {
+            landed_now_.push_back(std::move(landing));
         }
     }
     if (topology_.migrate_threshold > 0) {

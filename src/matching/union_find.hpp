@@ -38,8 +38,15 @@ namespace btwc {
  * through it. The spacetime topology (edges plus a CSR incidence list
  * in ascending edge order) is cached per round count, and all per-call
  * state lives in a per-instance scratch, so in steady state a decode
- * into a pooled Result allocates nothing and costs what its clusters
- * grow, not the window's size:
+ * into a pooled Result allocates nothing. Its cost is what its
+ * clusters grow plus terms that scale with the window, not the
+ * clusters: each call clears five node bitsets (one bit per spacetime
+ * node, 64 to a word); each growth round clears and scans the `active`
+ * node bitset and the `candidate` edge bitset and scans `in_cluster`;
+ * and a peel rooted at the boundary walks the boundary node's whole
+ * incidence list, i.e. every boundary half-edge of the window (2d per
+ * round), grown or not. The per-edge growth and the `parent` array are
+ * not cleared but undone:
  *
  *  - Between calls, every edge's growth is zero and the union-find
  *    `parent` array is the identity. A call records each edge whose

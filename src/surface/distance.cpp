@@ -1,5 +1,6 @@
 #include "surface/distance.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.hpp"
@@ -14,57 +15,61 @@ CheckGraphDistances::CheckGraphDistances(const RotatedSurfaceCode &code,
                static_cast<size_t>(n_) <
                    std::numeric_limits<uint16_t>::max());
     const size_t n = static_cast<size_t>(n_);
-    dist_.assign(n * n, 0);
+    const std::vector<Check> &checks = code.checks(type);
 
-    // One BFS per source over the unit-weight check graph. The graph
-    // is connected (the test suite pins this via symmetry +
-    // reachability), so every slot is written.
-    std::vector<int> frontier;
-    frontier.reserve(n);
-    for (int src = 0; src < n_; ++src) {
-        uint16_t *dist = &dist_[static_cast<size_t>(src) * n];
-        std::vector<uint8_t> seen(n, 0);
-        frontier.clear();
-        frontier.push_back(src);
-        seen[src] = 1;
-        dist[src] = 0;
-        size_t head = 0;
-        while (head < frontier.size()) {
-            const int cur = frontier[head++];
-            for (const CliqueNeighbor &nb :
-                 code.clique_neighbors(type, cur)) {
-                if (!seen[nb.check]) {
-                    seen[nb.check] = 1;
-                    dist[nb.check] =
-                        static_cast<uint16_t>(dist[cur] + 1);
-                    frontier.push_back(nb.check);
-                }
-            }
+    // Two same-type checks are clique neighbours exactly when their
+    // plaquettes touch diagonally, and a type's plaquettes fill every
+    // same-parity cell of a rectangle at least two cells wide and
+    // tall, so the hop distance is the Chebyshev distance of the
+    // plaquette coordinates (audit() re-derives it from the graph).
+    // Coordinates and differences fit 16 bits (n < 2^16 bounds d), and
+    // 16-bit lanes keep the fill a plain SIMD subtract-and-max.
+    std::vector<int16_t> rows(n);
+    std::vector<int16_t> cols(n);
+    for (size_t c = 0; c < n; ++c) {
+        rows[c] = static_cast<int16_t>(checks[c].pr);
+        cols[c] = static_cast<int16_t>(checks[c].pc);
+    }
+    dist_.resize(n * n);
+    for (size_t a = 0; a < n; ++a) {
+        uint16_t *row = &dist_[a * n];
+        const int16_t pr = rows[a];
+        const int16_t pc = cols[a];
+        for (size_t b = 0; b < n; ++b) {
+            const int16_t dr = static_cast<int16_t>(rows[b] - pr);
+            const int16_t dc = static_cast<int16_t>(cols[b] - pc);
+            row[b] = static_cast<uint16_t>(
+                std::max(std::max(dr, static_cast<int16_t>(-dr)),
+                         std::max(dc, static_cast<int16_t>(-dc))));
         }
     }
 
     // Nearest boundary-adjacent check per source, ties broken toward
-    // the smallest check id — the order Dijkstra settles equal-distance
+    // the smallest check id -- the order Dijkstra settles equal-distance
     // nodes in, which MwpmDecoder's boundary retirement must match.
+    // Scanning the boundary-adjacent checks by ascending id with a
+    // strict improvement keeps the first of equal hops.
+    std::vector<int> boundary_checks;
+    boundary_checks.reserve(n);
+    for (int b = 0; b < n_; ++b) {
+        if (!code.boundary_data(type, b).empty()) {
+            boundary_checks.push_back(b);
+        }
+    }
+    BTWC_CHECK_MSG(!boundary_checks.empty(),
+                   "every check graph has a boundary");
     boundary_hops_.assign(n, 0);
     boundary_check_.assign(n, -1);
     for (int src = 0; src < n_; ++src) {
-        int best_hops = std::numeric_limits<int>::max();
-        int best_check = -1;
-        for (int b = 0; b < n_; ++b) {
-            if (code.boundary_data(type, b).empty()) {
-                continue;
-            }
-            const int hops = distance(src, b);
-            if (hops < best_hops) {
-                best_hops = hops;
+        const uint16_t *hops = row(src);
+        int best_check = boundary_checks.front();
+        for (const int b : boundary_checks) {
+            if (hops[b] < hops[best_check]) {
                 best_check = b;
             }
         }
-        BTWC_CHECK_MSG(best_check >= 0,
-                       "every check graph has a boundary");
-        boundary_hops_[src] = static_cast<uint16_t>(best_hops);
-        boundary_check_[src] = best_check;
+        boundary_hops_[static_cast<size_t>(src)] = hops[best_check];
+        boundary_check_[static_cast<size_t>(src)] = best_check;
     }
 
     if (audit_deep()) {

@@ -46,8 +46,14 @@ namespace btwc {
  * Dijkstra settles under any weights. tests/golden/
  * mwpm_corrections.txt, generated from such a Dijkstra, pins both.
  *
- * Tables are O(num_checks^2) `uint16_t`s (~190 KB at d = 21); they are
- * built lazily per check type via
+ * The hop table needs no graph search: two same-type checks are clique
+ * neighbours exactly when their plaquettes touch diagonally, so
+ * distance(a, b) = max(|pr_a - pr_b|, |pc_a - pc_b|) of their plaquette
+ * coordinates (tests/test_fastpath.cpp checks it against a BFS at every
+ * odd d from 3 to 61). The table is still the decode-time lookup,
+ * read one row per defect by MwpmDecoder's row fill. It holds
+ * num_checks^2 `uint16_t`s (~97 KB per type at d = 21, ~21.5 MB at
+ * d = 81), built lazily per check type via
  * `RotatedSurfaceCode::check_distances`, so codes that never run a
  * matching decoder (Clique-only chains, Oracle-policy runs) pay
  * nothing.

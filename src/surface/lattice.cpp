@@ -52,14 +52,15 @@ RotatedSurfaceCode::RotatedSurfaceCode(int distance) : d_(distance)
 {
     BTWC_CHECK_MSG(d_ >= 3 && d_ % 2 == 1,
                    "distance must be odd and >= 3");
-    build_checks();
-    build_incidence();
-    build_cliques();
+    build(CheckType::X);
+    build(CheckType::Z);
 
     // Minimum-weight logical representatives: X_L on data column 0
     // (connects the top and bottom boundaries of the Z-check matching
     // graph), Z_L on data row 0 (connects the left/right boundaries of
     // the X-check graph). Validated by the test suite.
+    logical_[index(CheckType::X)].reserve(static_cast<size_t>(d_));
+    logical_[index(CheckType::Z)].reserve(static_cast<size_t>(d_));
     for (int r = 0; r < d_; ++r) {
         logical_[index(CheckType::X)].push_back(data_id(r, 0));
     }
@@ -69,77 +70,81 @@ RotatedSurfaceCode::RotatedSurfaceCode(int distance) : d_(distance)
 }
 
 void
-RotatedSurfaceCode::build_checks()
+RotatedSurfaceCode::build(CheckType t)
 {
-    for (const CheckType t : {CheckType::X, CheckType::Z}) {
-        plaquette_id_[index(t)].assign(
-            d_ + 1, std::vector<int>(d_ + 1, -1));
-    }
+    Tables &tab = tables_[index(t)];
+    const size_t n = static_cast<size_t>((d_ * d_ - 1) / 2);
+    const size_t side = static_cast<size_t>(d_ + 1);
+
+    // Checks, row-major over the plaquettes. A support holds at most
+    // four qubits, so with 4n reserved the array never moves and every
+    // Check::data view taken while it fills stays valid.
+    tab.checks.reserve(n);
+    tab.support.reserve(4 * n);
+    tab.plaquette.assign(side * side, -1);
     for (int pr = -1; pr <= d_ - 1; ++pr) {
         for (int pc = -1; pc <= d_ - 1; ++pc) {
-            if (!plaquette_exists(d_, pr, pc)) {
+            if (plaquette_type(pr, pc) != t ||
+                !plaquette_exists(d_, pr, pc)) {
                 continue;
             }
-            const CheckType t = plaquette_type(pr, pc);
-            Check chk;
-            chk.id = static_cast<int>(checks_[index(t)].size());
-            chk.pr = pr;
-            chk.pc = pc;
-            chk.type = t;
+            const int id = static_cast<int>(tab.checks.size());
+            const int *first = tab.support.data() + tab.support.size();
             for (int r = pr; r <= pr + 1; ++r) {
                 for (int c = pc; c <= pc + 1; ++c) {
                     if (r >= 0 && r < d_ && c >= 0 && c < d_) {
-                        chk.data.push_back(data_id(r, c));
+                        tab.support.push_back(data_id(r, c));
                     }
                 }
             }
-            plaquette_id_[index(t)][pr + 1][pc + 1] = chk.id;
-            checks_[index(t)].push_back(std::move(chk));
+            const int *last = tab.support.data() + tab.support.size();
+            tab.checks.push_back(
+                Check{id, pr, pc, t, TableView<int>(first, last)});
+            tab.plaquette[static_cast<size_t>(pr + 1) * side +
+                          static_cast<size_t>(pc + 1)] = id;
         }
     }
-    BTWC_CHECK(num_checks(CheckType::X) == (d_ * d_ - 1) / 2);
-    BTWC_CHECK(num_checks(CheckType::Z) == (d_ * d_ - 1) / 2);
-}
+    BTWC_CHECK(tab.checks.size() == n);
 
-void
-RotatedSurfaceCode::build_incidence()
-{
-    for (const CheckType t : {CheckType::X, CheckType::Z}) {
-        auto &incidence = data_checks_[index(t)];
-        incidence.assign(num_data(), {});
-        for (const Check &chk : checks_[index(t)]) {
-            for (const int data : chk.data) {
-                incidence[data].push_back(chk.id);
-            }
-        }
-        for (const auto &list : incidence) {
-            BTWC_CHECK_MSG(list.size() >= 1 && list.size() <= 2,
-                           "every data qubit touches 1 or 2 checks "
-                           "per type");
+    // Owners: visiting checks by ascending id fills each qubit's
+    // slots in ascending order.
+    tab.owners.assign(2 * static_cast<size_t>(num_data()), -1);
+    for (const Check &chk : tab.checks) {
+        for (const int data : chk.data) {
+            int *slot = &tab.owners[2 * static_cast<size_t>(data)];
+            BTWC_CHECK_MSG(slot[1] < 0, "every data qubit touches 1 or 2 "
+                                        "checks per type");
+            slot[slot[0] < 0 ? 0 : 1] = chk.id;
         }
     }
-}
+    size_t boundary_total = 0;
+    for (int data = 0; data < num_data(); ++data) {
+        const int *slot = owner_slots(t, data);
+        BTWC_CHECK_MSG(slot[0] >= 0, "every data qubit touches 1 or 2 "
+                                     "checks per type");
+        boundary_total += slot[1] < 0 ? 1 : 0;
+    }
 
-void
-RotatedSurfaceCode::build_cliques()
-{
-    for (const CheckType t : {CheckType::X, CheckType::Z}) {
-        auto &clique = clique_[index(t)];
-        auto &boundary = boundary_[index(t)];
-        clique.assign(num_checks(t), {});
-        boundary.assign(num_checks(t), {});
-        for (const Check &chk : checks_[index(t)]) {
-            for (const int data : chk.data) {
-                const auto &owners = data_checks_[index(t)][data];
-                if (owners.size() == 1) {
-                    boundary[chk.id].push_back(data);
-                    continue;
-                }
-                const int other = owners[0] == chk.id ? owners[1]
-                                                      : owners[0];
-                clique[chk.id].push_back(CliqueNeighbor{other, data});
+    // Clique neighbours and boundary data, each check's in support
+    // order: a qubit with two owners links them, one with a single
+    // owner is a boundary half-edge.
+    tab.clique_begin.assign(n + 1, 0);
+    tab.boundary_begin.assign(n + 1, 0);
+    tab.clique.reserve(tab.support.size() - boundary_total);
+    tab.boundary.reserve(boundary_total);
+    for (const Check &chk : tab.checks) {
+        for (const int data : chk.data) {
+            const int *slot = owner_slots(t, data);
+            if (slot[1] < 0) {
+                tab.boundary.push_back(data);
+                continue;
             }
+            const int other = slot[0] == chk.id ? slot[1] : slot[0];
+            tab.clique.push_back(CliqueNeighbor{other, data});
         }
+        const size_t next = static_cast<size_t>(chk.id) + 1;
+        tab.clique_begin[next] = static_cast<int>(tab.clique.size());
+        tab.boundary_begin[next] = static_cast<int>(tab.boundary.size());
     }
 }
 
@@ -161,17 +166,9 @@ RotatedSurfaceCode::check_at(CheckType t, int pr, int pc) const
     if (pr < -1 || pr > d_ - 1 || pc < -1 || pc > d_ - 1) {
         return -1;
     }
-    return plaquette_id_[index(t)][pr + 1][pc + 1];
-}
-
-std::pair<int, int>
-RotatedSurfaceCode::edge_of_data(CheckType t, int data) const
-{
-    const auto &owners = data_checks_[index(t)][data];
-    if (owners.size() == 2) {
-        return {owners[0], owners[1]};
-    }
-    return {owners[0], -1};
+    return tables_[index(t)].plaquette[static_cast<size_t>(pr + 1) *
+                                           static_cast<size_t>(d_ + 1) +
+                                       static_cast<size_t>(pc + 1)];
 }
 
 void
@@ -180,7 +177,7 @@ RotatedSurfaceCode::syndrome_of(CheckType detector, const PackedBits &error,
 {
     BTWC_CHECK_MSG(error.size() == num_data(),
                    "an error mask has one bit per data qubit");
-    const auto &list = checks_[index(detector)];
+    const std::vector<Check> &list = tables_[index(detector)].checks;
     out.reset(static_cast<int>(list.size()));
     for (const Check &chk : list) {
         bool parity = false;

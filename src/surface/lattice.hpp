@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -33,6 +34,31 @@ detector_of_error(CheckType error_type)
 const char *check_type_name(CheckType t);
 
 /**
+ * A read-only view of consecutive entries of one of the lattice's flat
+ * tables: a check's support, a data qubit's owners, a check's clique
+ * neighbours or boundary data. It stays valid as long as the code that
+ * handed it out.
+ */
+template <typename T>
+class TableView
+{
+  public:
+    TableView() = default;
+    TableView(const T *begin, const T *end) : begin_(begin), end_(end) {}
+
+    const T *begin() const { return begin_; }
+    const T *end() const { return end_; }
+    size_t size() const { return static_cast<size_t>(end_ - begin_); }
+    bool empty() const { return begin_ == end_; }
+    const T &front() const { return *begin_; }
+    const T &operator[](size_t i) const { return begin_[i]; }
+
+  private:
+    const T *begin_ = nullptr;
+    const T *end_ = nullptr;
+};
+
+/**
  * One stabilizer measurement site (ancilla qubit).
  *
  * `pr`/`pc` are plaquette coordinates: the plaquette at (pr, pc) acts
@@ -42,11 +68,11 @@ const char *check_type_name(CheckType t);
  */
 struct Check
 {
-    int id;                 ///< index within its type's check list
-    int pr;                 ///< plaquette row, in [-1, d-1]
-    int pc;                 ///< plaquette column, in [-1, d-1]
-    CheckType type;         ///< stabilizer type
-    std::vector<int> data;  ///< data qubit ids in the stabilizer support
+    int id;               ///< index within its type's check list
+    int pr;               ///< plaquette row, in [-1, d-1]
+    int pc;               ///< plaquette column, in [-1, d-1]
+    CheckType type;       ///< stabilizer type
+    TableView<int> data;  ///< data qubit ids in the stabilizer support
 };
 
 /**
@@ -83,6 +109,18 @@ struct CliqueNeighbor
  * row of Z on data row 0 (verified by the test suite: trivial
  * syndrome, mutual anticommutation, independence of the stabilizer
  * group).
+ *
+ * Storage: each check type keeps its tables in flat arrays, so a code
+ * costs a fixed number of allocations whatever d is. The check records
+ * hold views into one shared support array; each data qubit has two
+ * owner slots; clique neighbours and boundary data are offset-plus-
+ * payload arrays; the plaquette map is one (d+1)^2 grid. Checks are
+ * numbered row-major over the plaquettes, a support lists its qubits
+ * row-major over the 2x2 block, a qubit's owners ascend, and a check's
+ * clique neighbours and boundary data follow its support order. That
+ * order is behaviour (Clique's corrections, Union-Find's edge order and
+ * the MWPM walk's smallest-id step follow it), pinned by
+ * tests/golden/lattice_tables.txt.
  */
 class RotatedSurfaceCode
 {
@@ -92,8 +130,9 @@ class RotatedSurfaceCode
 
     ~RotatedSurfaceCode();
 
-    // The lazily-built distance tables carry a once_flag, so the code
-    // is addressed by reference everywhere (as it always was).
+    // The views point into the code's own arrays and the lazily-built
+    // distance tables carry a once_flag, so the code is addressed by
+    // reference everywhere (as it always was).
     RotatedSurfaceCode(const RotatedSurfaceCode &) = delete;
     RotatedSurfaceCode &operator=(const RotatedSurfaceCode &) = delete;
 
@@ -106,7 +145,7 @@ class RotatedSurfaceCode
     /** Number of checks of one type, (d^2 - 1) / 2. */
     int num_checks(CheckType t) const
     {
-        return static_cast<int>(checks_[index(t)].size());
+        return static_cast<int>(tables_[index(t)].checks.size());
     }
 
     /** Data qubit id from (row, column). */
@@ -121,46 +160,59 @@ class RotatedSurfaceCode
     /** Check record by type and id. */
     const Check &check(CheckType t, int id) const
     {
-        return checks_[index(t)][id];
+        return tables_[index(t)].checks[static_cast<size_t>(id)];
     }
 
     /** All checks of a type. */
     const std::vector<Check> &checks(CheckType t) const
     {
-        return checks_[index(t)];
+        return tables_[index(t)].checks;
     }
 
     /** Check id at plaquette (pr, pc) of the given type, or -1. */
     int check_at(CheckType t, int pr, int pc) const;
 
     /**
-     * Checks of type t containing the given data qubit (1 or 2 ids).
+     * Checks of type t containing the given data qubit (1 or 2 ids,
+     * ascending).
      */
-    const std::vector<int> &checks_of_data(CheckType t, int data) const
+    TableView<int> checks_of_data(CheckType t, int data) const
     {
-        return data_checks_[index(t)][data];
+        const int *slot = owner_slots(t, data);
+        return TableView<int>(slot, slot + (slot[1] >= 0 ? 2 : 1));
     }
 
     /**
      * The two same-type checks a data qubit connects in the matching
      * graph of type t, as {a, b}; b == -1 marks a boundary half-edge.
      */
-    std::pair<int, int> edge_of_data(CheckType t, int data) const;
+    std::pair<int, int> edge_of_data(CheckType t, int data) const
+    {
+        const int *slot = owner_slots(t, data);
+        return {slot[0], slot[1]};
+    }
 
     /** Clique neighbors of a check (same type, sharing a data qubit). */
-    const std::vector<CliqueNeighbor> &
-    clique_neighbors(CheckType t, int id) const
+    TableView<CliqueNeighbor> clique_neighbors(CheckType t, int id) const
     {
-        return clique_[index(t)][id];
+        const Tables &tab = tables_[index(t)];
+        const size_t i = static_cast<size_t>(id);
+        return TableView<CliqueNeighbor>(
+            tab.clique.data() + tab.clique_begin[i],
+            tab.clique.data() + tab.clique_begin[i + 1]);
     }
 
     /**
      * Boundary half-edge data qubits of a check: data qubits in its
      * support that belong to no other check of the same type.
      */
-    const std::vector<int> &boundary_data(CheckType t, int id) const
+    TableView<int> boundary_data(CheckType t, int id) const
     {
-        return boundary_[index(t)][id];
+        const Tables &tab = tables_[index(t)];
+        const size_t i = static_cast<size_t>(id);
+        return TableView<int>(
+            tab.boundary.data() + tab.boundary_begin[i],
+            tab.boundary.data() + tab.boundary_begin[i + 1]);
     }
 
     /**
@@ -201,19 +253,32 @@ class RotatedSurfaceCode
     const CheckGraphDistances &check_distances(CheckType t) const;
 
   private:
+    /** The flat tables of one check type. */
+    struct Tables
+    {
+        std::vector<Check> checks;
+        std::vector<int> support;  ///< every Check::data, in id order
+        std::vector<int> owners;   ///< two slots per data qubit, -1 = none
+        std::vector<int> clique_begin;  ///< num_checks + 1 offsets
+        std::vector<CliqueNeighbor> clique;
+        std::vector<int> boundary_begin;  ///< num_checks + 1 offsets
+        std::vector<int> boundary;
+        std::vector<int> plaquette;  ///< (d+1)^2 check ids, -1 = none
+    };
+
     static int index(CheckType t) { return static_cast<int>(t); }
 
-    void build_checks();
-    void build_incidence();
-    void build_cliques();
+    const int *owner_slots(CheckType t, int data) const
+    {
+        return tables_[index(t)].owners.data() +
+               2 * static_cast<size_t>(data);
+    }
+
+    void build(CheckType t);
 
     int d_;
-    std::vector<Check> checks_[2];
-    std::vector<std::vector<int>> plaquette_id_[2];
-    std::vector<std::vector<int>> data_checks_[2];
-    std::vector<std::vector<CliqueNeighbor>> clique_[2];
-    std::vector<std::vector<int>> boundary_[2];
-    std::vector<int> logical_[2];
+    Tables tables_[2];
+    std::vector<int> logical_[2];  ///< indexed by error type
     mutable std::once_flag distances_once_[2];
     mutable std::unique_ptr<CheckGraphDistances> distances_[2];
 };

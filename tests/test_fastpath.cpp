@@ -52,7 +52,7 @@ reference_check_bfs(const RotatedSurfaceCode &code, CheckType type,
 
 TEST(CheckGraphDistances, MatchesReferenceBfs)
 {
-    for (const int d : {3, 5, 9}) {
+    for (int d = 3; d <= 61; d += 2) {
         const RotatedSurfaceCode code(d);
         for (const CheckType t : {CheckType::X, CheckType::Z}) {
             const CheckGraphDistances &oracle = code.check_distances(t);
@@ -74,7 +74,7 @@ TEST(CheckGraphDistances, MatchesReferenceBfs)
 
 TEST(CheckGraphDistances, BoundaryHopsMatchBruteForce)
 {
-    for (const int d : {3, 5, 9}) {
+    for (int d = 3; d <= 61; d += 2) {
         const RotatedSurfaceCode code(d);
         for (const CheckType t : {CheckType::X, CheckType::Z}) {
             const CheckGraphDistances &oracle = code.check_distances(t);

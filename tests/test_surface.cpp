@@ -9,13 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "lattice_corpus.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
+
+#ifndef BTWC_GOLDEN_DIR
+#error "BTWC_GOLDEN_DIR must name the tests/golden directory"
+#endif
 
 namespace btwc {
 namespace {
@@ -278,6 +285,25 @@ TEST(SurfaceCode, CheckAtRoundTripsPlaquetteCoordinates)
     EXPECT_EQ(code.check_at(CheckType::X, -1, -1), -1);  // corner
     EXPECT_EQ(code.check_at(CheckType::X, 99, 0), -1);   // out of range
     EXPECT_EQ(code.check_at(CheckType::Z, -2, 0), -1);
+}
+
+TEST(LatticeGolden, TablesMatchCommittedHashes)
+{
+    const std::string path =
+        std::string(BTWC_GOLDEN_DIR) + "/lattice_tables.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << path;
+    std::vector<std::string> golden;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty() && line[0] != '#') {
+            golden.push_back(line);
+        }
+    }
+    const std::vector<std::string> lines = lattice_table_lines();
+    ASSERT_EQ(golden.size(), lines.size());
+    for (size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(lines[i], golden[i]);
+    }
 }
 
 TEST(SurfaceCode, DataIdCoordinateRoundTrip)

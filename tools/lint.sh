@@ -147,6 +147,15 @@ if grep_code 'set_weight[[:space:]]*\(' src/matching/mwpm.cpp; then
     fail "set_weight( in src/matching/mwpm.cpp; load the instance with load_rows"
 fi
 
+# Flat lattice tables: RotatedSurfaceCode keeps each table in one flat
+# array per check type (views over a shared support, owner slots,
+# offset-plus-payload lists), so building a code costs a fixed number
+# of allocations whatever d is. A nested vector in src/surface/ would
+# bring back one allocation per check or per qubit.
+if grep_code 'std::vector[[:space:]]*<[[:space:]]*std::vector' src/surface; then
+    fail "nested std::vector in src/surface/; use a flat array with offsets or views"
+fi
+
 # -- header hygiene -----------------------------------------------------
 # Every header carries #pragma once (the include graph is flat enough
 # that guard macros would only invite copy-paste collisions).
