@@ -334,6 +334,36 @@ BM_UnionFindDecodeWindow(benchmark::State &state)
 BENCHMARK(BM_UnionFindDecodeWindow);
 
 void
+BM_UnionFindDecodePair(benchmark::State &state)
+{
+    // Two adjacent d=21 defects (clique neighbours, same round) in a
+    // window of `range(0)` rounds: one growth round joins them. A
+    // decode whose work follows its clusters costs the same at every
+    // window depth.
+    const int rounds = static_cast<int>(state.range(0));
+    const RotatedSurfaceCode code(21);
+    const UnionFindDecoder uf(code, CheckType::Z);
+    Rng rng(33);
+    std::vector<std::vector<DetectionEvent>> pairs;
+    while (pairs.size() < 64) {
+        const int c = static_cast<int>(
+            rng.next_below(code.num_checks(CheckType::Z)));
+        const auto neighbors = code.clique_neighbors(CheckType::Z, c);
+        const int t = static_cast<int>(rng.next_below(rounds));
+        if (!neighbors.empty()) {
+            pairs.push_back({{c, t}, {neighbors.front().check, t}});
+        }
+    }
+    Decoder::Result out;
+    size_t i = 0;
+    for (auto _ : state) {
+        uf.decode(pairs[i++ & 63], rounds, out);
+        benchmark::DoNotOptimize(out.weight);
+    }
+}
+BENCHMARK(BM_UnionFindDecodePair)->Arg(8)->Arg(64)->Arg(512);
+
+void
 BM_LatticeBuild(benchmark::State &state)
 {
     // The setup cost every (d, p) point of a sweep pays: building both

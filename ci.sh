@@ -343,7 +343,7 @@ echo "== micro benchmarks: micro_decoders -> BENCH_decoders.json =="
 # when google-benchmark is absent (micro_decoders is not built then).
 if [[ -x build-release/micro_decoders ]]; then
     ./build-release/micro_decoders \
-        --benchmark_filter='BM_MwpmDecodeSingle|BM_MwpmDecodeSyndrome|BM_MwpmDecodeMemory|BM_MwpmDecodeWindow|BM_SpacetimeMwpmWindow|BM_LutDecode|BM_CliqueScreen|BM_UnionFindDecodeSyndrome|BM_UnionFindDecodeWindow|BM_FrameInject|BM_SyndromeExtract|BM_StreamWindowDecode|BM_BtwcSystemStep|BM_TierChainDeepDecode|BM_LatticeBuild|BM_CheckDistancesBuild' \
+        --benchmark_filter='BM_MwpmDecodeSingle|BM_MwpmDecodeSyndrome|BM_MwpmDecodeMemory|BM_MwpmDecodeWindow|BM_SpacetimeMwpmWindow|BM_LutDecode|BM_CliqueScreen|BM_UnionFindDecodeSyndrome|BM_UnionFindDecodeWindow|BM_UnionFindDecodePair|BM_FrameInject|BM_SyndromeExtract|BM_StreamWindowDecode|BM_BtwcSystemStep|BM_TierChainDeepDecode|BM_LatticeBuild|BM_CheckDistancesBuild' \
         --benchmark_min_time=0.05 \
         --json build-release/BENCH_decoders.json
 else

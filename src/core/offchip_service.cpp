@@ -187,7 +187,17 @@ SharedOffchipService::admit(Request request)
 {
     request.seq = next_seq_++;
     if (request.owner + 1 > owners_seen_) {
+        // Stock the pool with four buffers per new tenant (the most
+        // its requests hold at once, see recycle), sized for a
+        // correction at its distance, so once a tenant is known its
+        // payloads and corrections stop allocating.
+        const size_t added = static_cast<size_t>(request.owner + 1 -
+                                                 owners_seen_);
         owners_seen_ = request.owner + 1;
+        if (request.distance > 0) {
+            spare_.resize(spare_.size() + 4 * added,
+                          PackedBits(request.distance * request.distance));
+        }
     }
     // Arrival stamps: the queue enqueues this cycle's fresh batch at
     // its current cycle counter, which equals total_cycles() here
@@ -287,6 +297,7 @@ SharedOffchipService::serve_decode()
                                  result,
                                  static_cast<size_t>(request.tier_index));
             correction = std::move(result.decode.correction);
+            recycle(request.payload);
         }
         inflight_.push_back(InFlight{
             Delivery{request.owner, request.half, std::move(correction),
@@ -300,10 +311,20 @@ void
 SharedOffchipService::recycle(PackedBits &buffer)
 {
     if (buffer.num_words() > 0 &&
-        spare_.size() < 2 * static_cast<size_t>(owners_seen_)) {
+        spare_.size() < 4 * static_cast<size_t>(owners_seen_)) {
         spare_.push_back(std::move(buffer));
-        buffer = PackedBits();
     }
+}
+
+PackedBits
+SharedOffchipService::lend_buffer()
+{
+    PackedBits buffer;
+    if (!spare_.empty()) {
+        buffer = std::move(spare_.back());
+        spare_.pop_back();
+    }
+    return buffer;
 }
 
 size_t

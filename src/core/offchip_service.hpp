@@ -257,11 +257,20 @@ class SharedOffchipService
 
     /**
      * Return a landed correction's buffer to the link's pool, so a
-     * later decode writes into it instead of allocating. The pool
-     * keeps at most two buffers per tenant (the one-outstanding-
-     * request-per-half bound); `buffer` is left empty when taken.
+     * later decode or payload writes into it instead of allocating.
+     * The pool keeps at most four buffers per tenant (one request per
+     * half, each with a payload and a landed correction awaiting
+     * recycling); `buffer` is left empty when taken.
      */
     void recycle(PackedBits &buffer);
+
+    /**
+     * A pooled buffer for a request payload (empty when the pool is):
+     * assigning the payload into it reuses its words. The link takes
+     * the payload back once the resumed walk has read it; an Oracle
+     * payload lands as the correction and returns through `recycle`.
+     */
+    PackedBits lend_buffer();
 
     /** The underlying link (stall/backlog/delay/batch accounting). */
     const OffchipQueue &queue() const { return queue_; }

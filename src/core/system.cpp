@@ -165,6 +165,9 @@ BtwcSystem::step()
                 request.tier_index = outcome.tier_index;
                 request.distance = code_.distance();
                 request.oracle = config_.offchip == OffchipPolicy::Oracle;
+                // The payload is copied into a buffer the link lends
+                // and takes back, so an escalation allocates nothing.
+                request.payload = link_->lend_buffer();
                 request.payload = request.oracle
                                       ? frame.error()
                                       : halves_[t].filter.filtered();

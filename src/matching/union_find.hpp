@@ -35,32 +35,46 @@ namespace btwc {
  * One implementation, the event entry `decode(events, rounds, out)`,
  * which peels the correction straight into `out.correction`; every
  * other spelling (the value form, the base `decode_packed`) routes
- * through it. The spacetime topology (edges plus a CSR incidence list
- * in ascending edge order) is cached per round count, and all per-call
+ * through it. A call's work follows its clusters, not the window:
+ * it touches only the nodes its clusters reach and the edges at them,
+ * so two adjacent defects cost the same in a window of 8 rounds or
+ * 512 (`BM_UnionFindDecodePair`). Node (check c, round t) is
+ * `(t << check_shift) | c` and edge key `(owning node <<
+ * slot_shift) | slot`, so keys ascend as the edges' (round, owning
+ * check, slot) order; a check owns its space edges to higher clique
+ * neighbours, then its boundary half-edges, then the time edge up.
+ * Incident edges come from a per-check table (built from the
+ * lattice's clique and boundary lists by the first decode with
+ * events) plus the round index, so a new round count only extends
+ * the per-node arrays, once, to the deepest window seen. All per-call
  * state lives in a per-instance scratch, so in steady state a decode
- * into a pooled Result allocates nothing. Its cost is what its
- * clusters grow plus terms that scale with the window, not the
- * clusters: each call clears five node bitsets (one bit per spacetime
- * node, 64 to a word); each growth round clears and scans the `active`
- * node bitset and the `candidate` edge bitset and scans `in_cluster`;
- * and a peel rooted at the boundary walks the boundary node's whole
- * incidence list, i.e. every boundary half-edge of the window (2d per
- * round), grown or not. The per-edge growth and the `parent` array are
- * not cleared but undone:
+ * into a pooled Result allocates nothing.
  *
- *  - Between calls, every edge's growth is zero and the union-find
- *    `parent` array is the identity. A call records each edge whose
- *    growth leaves zero and, before it returns, zeroes those edges
- *    and resets `parent` for every node that joined a cluster. That
- *    reset covers every `parent` the call changed: `unite` only
- *    relinks roots of in-cluster nodes (the boundary node included,
- *    since the edge that reaches it marks it in-cluster), and path
- *    compression only rewrites nodes `unite` already relinked.
- *  - Peeling walks the same topology incidence lists, skipping edges
- *    not fully grown, so its breadth-first visit order is the one a
- *    grown-edge incidence list built in ascending edge order gives.
- *    Its roots are the boundary (when grown into), then the unvisited
- *    in-cluster nodes in ascending order.
+ *  - Growth: each round's candidates (ungrown edges at the nodes of
+ *    odd, boundary-free clusters) are applied in ascending key order
+ *    with live re-evaluation of cluster activity. Round one is done
+ *    in closed form (only edges joining two defects can fill; the
+ *    half-edges of the others are written only if a second round
+ *    follows); later rounds queue their candidates in a two-level bit
+ *    set over keys, drained from the lowest to the highest active
+ *    node's keys.
+ *  - Between calls, every edge's growth is zero, every node is its
+ *    own union-find parent and every flag is clear. A call records
+ *    the edges whose growth leaves zero and the nodes that join a
+ *    cluster and, before it returns, resets exactly those. That reset
+ *    covers every `parent` the call changed: `unite` only relinks
+ *    roots of in-cluster nodes (the boundary node included, since the
+ *    edge that reaches it marks it in-cluster), and path compression
+ *    only rewrites nodes `unite` already relinked. A call rejected for
+ *    a bad event changes nothing.
+ *  - Peeling: a breadth-first forest over the fully grown edges, each
+ *    node's edges visited in ascending key order, rooted at the
+ *    boundary (whose edges are its grown half-edges, ascending) when
+ *    grown into, then at each remaining cluster's lowest member:
+ *    the forest a scan of the in-cluster nodes in ascending order
+ *    roots. When round one ends the growth, each cluster is a
+ *    cancelled defect or a pair joined by one edge, and that edge is
+ *    its peel.
  *
  * `tests/golden/uf_decodes.txt` pins correction, weight and effort
  * bit-exactly, and `AuditLevel::Deep` re-checks the between-call
@@ -90,10 +104,10 @@ class UnionFindDecoder : public Decoder
 
   private:
     struct Scratch;
-    /** Rebuild the scratch's cached topology when `rounds` differs
-     * from the last decode's (each caller decodes a fixed window
-     * depth). */
-    void prepare_topology(int rounds) const;
+
+    /** Build the scratch's edge tables from the lattice's clique and
+     * boundary lists; the first decode with events calls it. */
+    void build_edges() const;
 
     const RotatedSurfaceCode &code_;
     CheckType detector_;

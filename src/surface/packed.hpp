@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -58,6 +59,27 @@ class PackedBits
   public:
     PackedBits() = default;
     explicit PackedBits(int bits) { resize(bits); }
+    PackedBits(const PackedBits &) = default;
+    PackedBits &operator=(const PackedBits &) = default;
+
+    /** A move leaves the source at width 0 (`empty()`), ready for
+     * `reset`/`resize` like a default-constructed mask. */
+    PackedBits(PackedBits &&other) noexcept
+        : bits_(other.bits_), words_(std::move(other.words_))
+    {
+        other.bits_ = 0;
+        other.words_.clear();
+    }
+    PackedBits &operator=(PackedBits &&other) noexcept
+    {
+        if (this != &other) {
+            bits_ = other.bits_;
+            words_ = std::move(other.words_);
+            other.bits_ = 0;
+            other.words_.clear();
+        }
+        return *this;
+    }
 
     /** Resize to `bits` bits, clearing all of them. */
     void resize(int bits)

@@ -124,12 +124,20 @@ TEST(Allocations, ServedCorrectionsReuseLinkBuffers)
     }
 
     uint64_t step_allocations = 0;
+    uint64_t tenant_allocations = 0;
     uint64_t delivered = 0;
+    uint64_t queued = 0;
     std::set<const uint64_t *> buffers;
     const int warmup = 2000;
     for (int cycle = 0; cycle < warmup + 4000; ++cycle) {
+        const uint64_t tenants_before = allocations();
+        int cycle_queued = 0;
         for (BtwcSystem &system : fleet) {
-            system.step();
+            cycle_queued += system.step().queued;
+        }
+        if (cycle >= warmup) {
+            tenant_allocations += allocations() - tenants_before;
+            queued += static_cast<uint64_t>(cycle_queued);
         }
         const uint64_t before = allocations();
         const std::vector<SharedOffchipService::Delivery> &landed =
@@ -149,13 +157,19 @@ TEST(Allocations, ServedCorrectionsReuseLinkBuffers)
         }
     }
     EXPECT_GT(delivered, 500u);
+    // Each escalation's payload is copied into a buffer the link lends
+    // and takes back after serving, so the tenants' steps allocate
+    // nothing once warm.
+    EXPECT_GT(queued, 500u);
+    EXPECT_EQ(tenant_allocations, 0u);
     // The decoders' own scratch still grows at a new high-water mark
     // now and then (35 allocations over 812 deliveries here); a fresh
     // correction buffer per served decode, scratch vectors per serving
     // step and a copy per delivery cost ~4 per delivery.
     EXPECT_LT(10 * step_allocations, delivered);
-    // Per link: at most two pooled buffers per tenant, two in flight
-    // per tenant and one in each half's chain scratch.
+    // Per link: a pool stocked with and capped at four buffers per
+    // tenant id (payloads and corrections share it) and one buffer in
+    // each half's chain scratch.
     EXPECT_LE(buffers.size(),
               static_cast<size_t>(2 * (4 * fleet_size + 2)));
 }

@@ -126,6 +126,35 @@ TEST(PackedBits, EmptyMeansZeroWidth)
     }
 }
 
+TEST(PackedBits, MovedFromIsZeroWidth)
+{
+    // A moved-from mask (construction and assignment) reads empty(),
+    // and reset(n) at its old width gives it words again, so set/test
+    // stay in bounds.
+    for (const int bits : {1, 64, 65, 441}) {
+        PackedBits source(bits);
+        source.set(bits - 1);
+        const PackedBits taken(std::move(source));
+        EXPECT_TRUE(taken.test(bits - 1)) << bits;
+        EXPECT_TRUE(source.empty()) << bits;  // NOLINT(bugprone-use-after-move)
+        EXPECT_EQ(source.num_words(), 0) << bits;
+        source.reset(bits);
+        EXPECT_EQ(source.size(), bits);
+        EXPECT_TRUE(source.none()) << bits;
+        source.set(bits - 1);
+        EXPECT_TRUE(source.test(bits - 1)) << bits;
+
+        PackedBits target;
+        target = std::move(source);
+        EXPECT_TRUE(target.test(bits - 1)) << bits;
+        EXPECT_TRUE(source.empty()) << bits;  // NOLINT(bugprone-use-after-move)
+        source.reset(bits);
+        source.set(0);
+        EXPECT_TRUE(source.test(0)) << bits;
+        EXPECT_EQ(source.popcount(), 1) << bits;
+    }
+}
+
 TEST(PackedBits, WordBoundaryWidths)
 {
     for (const int bits : {1, 63, 64, 65, 127, 128, 129}) {

@@ -9,22 +9,34 @@
  * later drift in which correction the cluster growth and peeling
  * produce fails here.
  *
- * Three corpora:
- *   decode  one decoder per configuration over d in {5, 9, 13, 21} x
- *           rounds in {1, 8, d+1} x both detectors, at noise rates
- *           chosen so defect counts run from 0 to over 100;
- *   stream  one pooled d=21 decoder per detector over 8-round windows
- *           shaped like the stream screen's input: every event lies
- *           in rounds 0-5 and carried checks, presented first at
- *           round 0, may repeat a round-0 event;
- *   pool    one pooled d=9 decoder across shuffled round counts,
- *           dense and sparse inputs, duplicate events, empty event
- *           lists and immediately repeated inputs.
+ * Six corpora:
+ *   decode    one decoder per configuration over d in {5, 9, 13, 21} x
+ *             rounds in {1, 8, d+1} x both detectors, at noise rates
+ *             chosen so defect counts run from 0 to over 100;
+ *   stream    one pooled d=21 decoder per detector over 8-round
+ *             windows shaped like the stream screen's input: every
+ *             event lies in rounds 0-5 and carried checks, presented
+ *             first at round 0, may repeat a round-0 event;
+ *   pool      one pooled d=9 decoder across shuffled round counts,
+ *             dense and sparse inputs, duplicate events, empty event
+ *             lists and immediately repeated inputs;
+ *   boundary  d=21, 8 rounds: a lone defect on every boundary-adjacent
+ *             check, and windows crowded onto those checks, so the
+ *             boundary-rooted peel walks many grown half-edges;
+ *   deep      d in {9, 21} x 32 and 64 rounds: noise windows and
+ *             measurement-error strings joined only by time edges;
+ *   flush     one pooled d=21 decoder per detector whose round count
+ *             cycles 8 -> 3 -> 8 -> 2, the stream's flush-tail pattern.
  *
- * The decode and pool corpora run consecutive calls on one instance
- * at an unchanged round count, so state leaking from one call into
- * the next (the between-call invariant in union_find.hpp) fails here
- * too.
+ * The first three were generated from the decoder as it stood before
+ * its per-call state became incremental; the last three from the
+ * decoder as it stood before its per-call work came to follow its
+ * clusters (window-wide bitsets and a topology cached per round
+ * count). The decode and pool corpora run consecutive calls on one
+ * instance at an unchanged round count, and the pool and flush corpora
+ * change the round count between calls, so state leaking from one
+ * call into the next (the between-call invariant in union_find.hpp)
+ * fails here too.
  *
  * Each line reads `<label> <defects> <weight> <effort> <fnv1a64 hex>`;
  * lines starting with '#' are comments.
@@ -183,6 +195,136 @@ append_pool_corpus(std::vector<std::string> &lines)
     }
 }
 
+void
+append_boundary_corpus(std::vector<std::string> &lines)
+{
+    // d=21, W=8. Lone defects on every boundary-adjacent check at the
+    // window's first, a middle and its last round, then windows whose
+    // defects crowd the boundary-adjacent checks (and their clique
+    // neighbours), so a boundary-rooted peel walks many grown
+    // half-edges.
+    constexpr int kWindow = 8;
+    const RotatedSurfaceCode code(21);
+    for (const CheckType det : {CheckType::X, CheckType::Z}) {
+        const std::string tag = check_type_name(det);
+        const UnionFindDecoder uf(code, det);
+        std::vector<int> edge_checks;
+        for (int c = 0; c < code.num_checks(det); ++c) {
+            if (!code.boundary_data(det, c).empty()) {
+                edge_checks.push_back(c);
+            }
+        }
+        for (const int c : edge_checks) {
+            for (const int t : {0, 3, kWindow - 1}) {
+                lines.push_back(decode_line(
+                    "boundary:" + tag + ":lone:" + std::to_string(c) + ":" +
+                        std::to_string(t),
+                    uf, {DetectionEvent{c, t}}, kWindow));
+            }
+        }
+        Rng rng(2121 + static_cast<uint64_t>(det));
+        for (int i = 0; i < 120; ++i) {
+            std::vector<DetectionEvent> events;
+            const int count = 1 + static_cast<int>(rng.next_below(40));
+            for (int k = 0; k < count; ++k) {
+                int c = edge_checks[rng.next_below(edge_checks.size())];
+                const auto nbs = code.clique_neighbors(det, c);
+                if (!nbs.empty() && rng.bernoulli(0.3)) {
+                    c = nbs[rng.next_below(nbs.size())].check;
+                }
+                events.push_back(DetectionEvent{
+                    c, static_cast<int>(rng.next_below(kWindow))});
+            }
+            lines.push_back(decode_line("boundary:" + tag + ":crowd:" +
+                                            std::to_string(i),
+                                        uf, events, kWindow));
+        }
+    }
+}
+
+void
+append_deep_corpus(std::vector<std::string> &lines)
+{
+    // Windows of 32 and 64 rounds: phenomenological noise swept from
+    // sparse to dense, then measurement-error strings (one check
+    // firing at two rounds a gap apart), which only time edges join.
+    const double rates[] = {2e-4, 1e-3, 3e-3, 1e-2};
+    for (const int d : {9, 21}) {
+        const RotatedSurfaceCode code(d);
+        for (const int rounds : {32, 64}) {
+            for (const CheckType det : {CheckType::X, CheckType::Z}) {
+                const std::string label =
+                    "deep:d" + std::to_string(d) + ":r" +
+                    std::to_string(rounds) + ":" + check_type_name(det);
+                const UnionFindDecoder uf(code, det);
+                Rng rng(3200 + 7ull * static_cast<uint64_t>(d) +
+                        static_cast<uint64_t>(rounds) +
+                        static_cast<uint64_t>(det));
+                for (int i = 0; i < 16; ++i) {
+                    const std::vector<DetectionEvent> events =
+                        phenomenological_events(code, det, rounds,
+                                                rates[i % 4] * 5.0 / d,
+                                                i % 2 == 0, rng);
+                    lines.push_back(decode_line(
+                        label + ":noise:" + std::to_string(i), uf, events,
+                        rounds));
+                }
+                const int nc = code.num_checks(det);
+                for (int i = 0; i < 16; ++i) {
+                    std::vector<DetectionEvent> events;
+                    const int strings = 1 + static_cast<int>(rng.next_below(4));
+                    for (int k = 0; k < strings; ++k) {
+                        const int c = static_cast<int>(rng.next_below(nc));
+                        const int gap =
+                            1 + static_cast<int>(rng.next_below(12));
+                        const int t = static_cast<int>(
+                            rng.next_below(rounds - gap));
+                        events.push_back(DetectionEvent{c, t});
+                        events.push_back(DetectionEvent{c, t + gap});
+                    }
+                    lines.push_back(decode_line(
+                        label + ":time:" + std::to_string(i), uf, events,
+                        rounds));
+                }
+            }
+        }
+    }
+}
+
+void
+append_flush_corpus(std::vector<std::string> &lines)
+{
+    // One pooled d=21 decoder per detector whose round count cycles
+    // 8 -> 3 -> 8 -> 2, the stream's pattern when a run's screened
+    // windows alternate with flush tails; every instance is a noisy
+    // window cut from a stream, plus up to two carried round-0
+    // defects.
+    const int cycle[] = {8, 3, 8, 2};
+    const double rates[] = {1e-3, 3e-3, 1e-3, 1e-2};
+    const RotatedSurfaceCode code(21);
+    for (const CheckType det : {CheckType::X, CheckType::Z}) {
+        const UnionFindDecoder uf(code, det);
+        const int nc = code.num_checks(det);
+        Rng rng(8382 + static_cast<uint64_t>(det));
+        for (int i = 0; i < 96; ++i) {
+            const int rounds = cycle[i % 4];
+            std::vector<DetectionEvent> events;
+            const int carried = static_cast<int>(rng.next_below(3));
+            for (int c = 0; c < carried; ++c) {
+                events.push_back(DetectionEvent{
+                    static_cast<int>(rng.next_below(nc)), 0});
+            }
+            const std::vector<DetectionEvent> noise = phenomenological_events(
+                code, det, rounds, rates[(i / 4) % 4], false, rng);
+            events.insert(events.end(), noise.begin(), noise.end());
+            lines.push_back(decode_line("flush:" +
+                                            std::string(check_type_name(det)) +
+                                            ":" + std::to_string(i),
+                                        uf, events, rounds));
+        }
+    }
+}
+
 /** Every corpus line, in file order. */
 std::vector<std::string>
 uf_corpus()
@@ -191,6 +333,9 @@ uf_corpus()
     append_decode_corpus(lines);
     append_stream_corpus(lines);
     append_pool_corpus(lines);
+    append_boundary_corpus(lines);
+    append_deep_corpus(lines);
+    append_flush_corpus(lines);
     return lines;
 }
 

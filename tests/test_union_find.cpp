@@ -86,6 +86,31 @@ TEST(UnionFind, RejectsMalformedInputs)
     EXPECT_EQ(decoder.decode({{0, 3}}, 4).defects, 1);
 }
 
+TEST(UnionFind, RejectedInputLeavesNoState)
+{
+    // A call rejected for a bad event (here the third) must leave the
+    // pooled state as it found it: the deep audit re-checks the
+    // between-call invariant on entry, and later decodes at other round
+    // counts match a fresh decoder's.
+    const ScopedAuditLevel deep(AuditLevel::Deep);
+    const RotatedSurfaceCode code(5);
+    const UnionFindDecoder pooled(code, CheckType::Z);
+    const int num_checks = code.num_checks(CheckType::Z);
+    EXPECT_THROW(pooled.decode({{1, 0}, {2, 1}, {num_checks, 1}}, 2),
+                 CheckFailure);
+    EXPECT_THROW(pooled.decode({{1, 0}, {0, 2}}, 2), CheckFailure);
+    for (const int rounds : {1, 2, 3}) {
+        const std::vector<DetectionEvent> events = {
+            {1, 0}, {2, rounds - 1}, {num_checks - 1, rounds - 1}};
+        const UnionFindDecoder fresh(code, CheckType::Z);
+        const Decoder::Result want = fresh.decode(events, rounds);
+        const Decoder::Result got = pooled.decode(events, rounds);
+        EXPECT_EQ(got.correction, want.correction) << rounds;
+        EXPECT_EQ(got.weight, want.weight) << rounds;
+        EXPECT_EQ(got.effort, want.effort) << rounds;
+    }
+}
+
 TEST(UnionFind, SpacetimeNoiseAlwaysConsistent)
 {
     const RotatedSurfaceCode code(5);

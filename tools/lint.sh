@@ -156,6 +156,16 @@ if grep_code 'std::vector[[:space:]]*<[[:space:]]*std::vector' src/surface; then
     fail "nested std::vector in src/surface/; use a flat array with offsets or views"
 fi
 
+# Union-Find's per-call work follows its clusters: incident edges come
+# from a per-check table plus the round index, so a new round count
+# only extends the per-node arrays. A topology (edge list plus CSR
+# incidence) rebuilt per round count would bring back work, and a
+# rebuild at every flush tail, that scales with the window.
+if grep_code 'prepare_topology[[:space:]]*\(|incident_offset' \
+        src/matching/union_find.cpp src/matching/union_find.hpp; then
+    fail "per-round-count topology cache in src/matching/union_find.*; derive incident edges from the per-check table"
+fi
+
 # -- header hygiene -----------------------------------------------------
 # Every header carries #pragma once (the include graph is flat enough
 # that guard macros would only invite copy-paste collisions).
